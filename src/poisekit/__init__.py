@@ -20,7 +20,7 @@ from .directed import (
     solve_directed,
     solve_many_trees,
 )
-from .driver import SweepReport, bench_rows, run_sweep, solve_guess
+from .driver import SweepReport, bench_rows, run_sweep, solve_guess, stage_budget
 from .errors import (
     GenerationError,
     InfeasibleGuessError,

@@ -147,9 +147,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return EXIT_OK
     if args.B is None or args.D is None:
         raise _fail("error: provide --B and --D, or use --sweep")
+    try:
+        guess = PoiseGuess(args.B, args.D)
+    except ValueError as exc:
+        raise _fail(f"error: {exc}")
     trace: dict = {}
     try:
-        tree = solve_guess(prep.instance, PoiseGuess(args.B, args.D), args.mode, trace=trace)
+        tree = solve_guess(prep.instance, guess, args.mode, trace=trace)
     except InfeasibleGuessError as exc:
         print(json.dumps({"feasible": False, "B": args.B, "D": args.D, "reason": str(exc)}))
         return EXIT_INFEASIBLE

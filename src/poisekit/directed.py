@@ -72,10 +72,10 @@ def coverage_tree(
     if c not in C:
         raise ValueError("c must belong to C")
     terminals = frozenset(terminals)
-    dist, parent = bfs_parents(graph, [c], restriction=C)
+    dist, parent = bfs_parents(graph, [c], restriction=C, max_depth=D)
     keep: set[int] = {c}
     for t in terminals:
-        if t in dist and dist[t] <= D:
+        if t in dist:
             v = t
             while v not in keep:
                 keep.add(v)
@@ -130,10 +130,12 @@ def greedy_packing(
 ) -> tuple[list[GoodTree], frozenset[int], frozenset[int]]:
     """Extract rho-good trees from C until none remain.
 
-    Scans C in ascending vertex order, restarting from the lowest id after
-    each extraction; each found coverage tree is trimmed to exactly rho
-    terminals and its vertices move from C into the packed set.  Returns
-    (trees, packed vertices, final C); the final C is a rho-packing.
+    Scans C once in ascending vertex order; each rho-good vertex's coverage
+    tree is trimmed to exactly rho terminals and its vertices move from C into
+    the packed set.  This extracts the same trees as restarting from the lowest
+    id after each extraction: a vertex that is not rho-good in G[C] stays so
+    when C shrinks.  Returns (trees, packed vertices, final C); the final C is
+    a rho-packing.
     """
     if rho < 1:
         raise ValueError("rho must be at least 1")
@@ -141,16 +143,13 @@ def greedy_packing(
     terminals = frozenset(terminals)
     packed: set[int] = set()
     trees: list[GoodTree] = []
-    while True:
-        found = None
-        for c in sorted(C):
-            tree = coverage_tree(graph, C, c, terminals, D)
-            if len(_terminals_of(tree, terminals)) >= rho:
-                found = tree
-                break
-        if found is None:
-            break
-        good = trim_to_terminals(found, terminals, rho)
+    for c in sorted(C):
+        if c not in C:
+            continue
+        tree = coverage_tree(graph, C, c, terminals, D)
+        if len(_terminals_of(tree, terminals)) < rho:
+            continue
+        good = trim_to_terminals(tree, terminals, rho)
         verts = good.vertices()
         C -= verts
         packed |= verts
@@ -272,6 +271,70 @@ def complete(
     return shortest_path_tree(graph, H, root)
 
 
+@dataclass(frozen=True)
+class DirectedStage:
+    """The directed solver's work that reads only the height budget D.
+
+    On an instance pruned to radius D it holds the greedy packing and, when
+    that yields at least rho trees, their stitched tree, which then answers
+    every degree budget.  `finish` does the rest for one degree budget B.
+    """
+
+    instance: MulticastInstance
+    D: int
+    rho: int
+    trees: tuple[GoodTree, ...]
+    packed: frozenset[int]
+    C: frozenset[int]
+    stitched: PoiseTree | None
+
+    def finish(self, B: int, trace: dict[str, Any] | None = None) -> PoiseTree:
+        instance, trees, rho = self.instance, self.trees, self.rho
+        if trace is not None:
+            trace["solver"] = "directed"
+            trace["rho"] = rho
+            trace["good_trees"] = [
+                {"root": t.root_vertex, "terminals": sorted(t.terminals)} for t in trees
+            ]
+            trace["packing"] = {
+                "trees": len(trees),
+                "vertices": len(self.packed),
+                "terminals": sum(len(t.terminals) for t in trees),
+            }
+        if self.stitched is not None:
+            if trace is not None:
+                trace["branch"] = "many-trees"
+            return self.stitched
+        if trace is not None:
+            trace["branch"] = "few-trees"
+            trace["packed"] = sorted(self.packed)
+        A = frozenset({instance.root} | self.packed)
+        partition = AdditivePartition(A, self.C, trees, rho)
+        k_remaining = instance.k - len(A & instance.terminals)
+        return complete(
+            instance.graph, partition, instance.root, k_remaining, B, self.D,
+            instance.terminals, trace=trace,
+        )
+
+
+def stage_directed(instance: MulticastInstance, D: int) -> DirectedStage:
+    """Pack rho-terminal trees within height D and, when there are at least
+    rho of them, stitch them to the root.
+
+    Expects a normalized instance already pruned to radius D.  Raises
+    InfeasibleGuessError when stitching finds a packed tree unreachable, which
+    makes every degree budget infeasible.
+    """
+    g = instance.graph
+    k = instance.k
+    rho = math.isqrt(k) if math.isqrt(k) ** 2 == k else math.isqrt(k) + 1
+    trees, packed, C = greedy_packing(
+        g, set(g.vertices()) - {instance.root}, instance.terminals, rho, D
+    )
+    stitched = solve_many_trees(g, instance.root, trees, rho) if len(trees) >= rho else None
+    return DirectedStage(instance, D, rho, tuple(trees), packed, C, stitched)
+
+
 def solve_directed(
     instance: MulticastInstance,
     guess: PoiseGuess,
@@ -284,34 +347,4 @@ def solve_directed(
     and height at most 3*D + 1 whenever the guess dominates an optimal tree;
     otherwise raises InfeasibleGuessError.
     """
-    g = instance.graph
-    k = instance.k
-    rho = math.isqrt(k) if math.isqrt(k) ** 2 == k else math.isqrt(k) + 1
-    trees, packed, C = greedy_packing(
-        g, set(g.vertices()) - {instance.root}, instance.terminals, rho, guess.D
-    )
-    if trace is not None:
-        trace["solver"] = "directed"
-        trace["rho"] = rho
-        trace["good_trees"] = [
-            {"root": t.root_vertex, "terminals": sorted(t.terminals)} for t in trees
-        ]
-        trace["packing"] = {
-            "trees": len(trees),
-            "vertices": len(packed),
-            "terminals": sum(len(t.terminals) for t in trees),
-        }
-    if len(trees) >= rho:
-        if trace is not None:
-            trace["branch"] = "many-trees"
-        return solve_many_trees(g, instance.root, trees, rho)
-    if trace is not None:
-        trace["branch"] = "few-trees"
-        trace["packed"] = sorted(packed)
-    A = frozenset({instance.root} | packed)
-    partition = AdditivePartition(A, C, tuple(trees), rho)
-    k_remaining = k - len(A & instance.terminals)
-    return complete(
-        g, partition, instance.root, k_remaining, guess.B, guess.D,
-        instance.terminals, trace=trace,
-    )
+    return stage_directed(instance, guess.D).finish(guess.B, trace)

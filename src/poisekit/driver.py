@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any
 
-from .directed import solve_directed
+from .directed import DirectedStage, stage_directed
 from .errors import GenerationError, InfeasibleGuessError
 from .generators import generate_instance
 from .graph import (
@@ -21,9 +19,7 @@ from .graph import (
 )
 from .oracle import DEFAULT_LIMIT_N, exact_min_poise_ktree
 from .scheduling import tree_broadcast_schedule
-from .undirected import solve_undirected
-
-THREADS_ENV = "POISEKIT_THREADS"
+from .undirected import UndirectedStage, stage_undirected
 
 
 @dataclass
@@ -44,14 +40,39 @@ class SweepReport:
         }
 
 
-def solver_for(instance: MulticastInstance, mode: str):
+@dataclass(frozen=True)
+class InfeasibleStage:
+    """A height budget at which every degree budget is infeasible.
+
+    Keeps the reason as text, not the exception: an exception's traceback
+    keeps the frames that raised it alive.
+    """
+
+    reason: str
+
+    def finish(self, B: int, trace: dict[str, Any] | None = None) -> PoiseTree:
+        raise InfeasibleGuessError(self.reason)
+
+
+Stage = DirectedStage | UndirectedStage | InfeasibleStage
+
+
+def stage_budget(instance: MulticastInstance, D: int, mode: str = "auto") -> Stage:
+    """The work shared by every guess with height budget D: prune to radius
+    D, then the solver's own D-only stage.  ``stage.finish(B)`` completes the
+    guess (B, D).
+
+    The instance must already be in normalized shape (leaf terminals).
+    """
     if mode == "auto":
         mode = "directed" if instance.graph.directed else "undirected"
-    if mode == "directed":
-        return solve_directed
-    if mode == "undirected":
-        return solve_undirected
-    raise ValueError(f"unknown mode {mode!r}")
+    stagers = {"directed": stage_directed, "undirected": stage_undirected}
+    if mode not in stagers:
+        raise ValueError(f"unknown mode {mode!r}")
+    try:
+        return stagers[mode](prune_beyond(instance, D), D)
+    except InfeasibleGuessError as exc:
+        return InfeasibleStage(str(exc))
 
 
 def solve_guess(
@@ -59,22 +80,17 @@ def solve_guess(
     guess: PoiseGuess,
     mode: str = "auto",
     trace: dict[str, Any] | None = None,
+    stage: Stage | None = None,
 ) -> PoiseTree:
-    """Prune to the guess radius and run the matching solver.
+    """Solve one (B, D) guess: finish ``stage``, the guess's D-only stage
+    from `stage_budget`, at degree budget B.  Without ``stage`` it is built
+    here.
 
     The instance must already be in normalized shape (leaf terminals).
     """
-    solver = solver_for(instance, mode)
-    pruned = prune_beyond(instance, guess.D)
-    return solver(pruned, guess, trace=trace)
-
-
-def _sweep_concurrency() -> int:
-    raw = os.environ.get(THREADS_ENV, "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    if stage is None:
+        stage = stage_budget(instance, guess.D, mode)
+    return stage.finish(guess.B, trace)
 
 
 def run_sweep(
@@ -85,68 +101,54 @@ def run_sweep(
     """Try every guess with D in [1, ecc(root)] and B in [1, t].
 
     Returns the report plus the feasible tree of minimum poise (ties broken by
-    smallest (B, D)).  Concurrency across guesses is capped by the
-    POISEKIT_THREADS environment variable; records are keyed by (B, D) so
-    assembly order does not matter.
+    smallest (B, D)).  The sweep runs one D row at a time and builds the row's
+    D-only stage once; the first cell of each row carries the stage's time in
+    its ``wall_ms``.  Records are reported in (B, D) order.  A fast sweep
+    leaves a row once feasible poise rises, counting the cells it skipped.
     """
     ecc = eccentricity(instance.graph, instance.root)
     t = len(instance.terminals)
     report = SweepReport(grid={"D_max": ecc, "B_max": t}, fast_sweep=fast)
-
-    def attempt(guess: PoiseGuess) -> tuple[dict[str, Any], PoiseTree | None]:
-        start = time.perf_counter()
-        try:
-            tree = solve_guess(instance, guess, mode)
-            m = tree_metrics(tree, instance)
-            rec = {
-                "B": guess.B,
-                "D": guess.D,
-                "feasible": True,
-                "poise": m.poise,
-                "max_out_degree": m.max_out_degree,
-                "height": m.height,
-                "terminals_covered": m.terminals_covered,
-            }
-        except InfeasibleGuessError as exc:
-            tree = None
-            rec = {"B": guess.B, "D": guess.D, "feasible": False, "reason": str(exc)}
-        rec["wall_ms"] = round((time.perf_counter() - start) * 1000.0, 3)
-        return rec, tree
-
-    results: dict[tuple[int, int], tuple[dict[str, Any], PoiseTree | None]] = {}
-    if fast:
-        for D in range(1, ecc + 1):
-            row_best = None
-            for B in range(1, t + 1):
-                rec, tree = attempt(PoiseGuess(B, D))
-                results[(B, D)] = (rec, tree)
-                if rec["feasible"]:
-                    if row_best is not None and rec["poise"] > row_best:
-                        report.skipped += t - B
-                        break
-                    row_best = rec["poise"] if row_best is None else min(row_best, rec["poise"])
-    else:
-        guesses = [PoiseGuess(B, D) for D in range(1, ecc + 1) for B in range(1, t + 1)]
-        workers = _sweep_concurrency()
-        if workers > 1 and len(guesses) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                for guess, outcome in zip(guesses, pool.map(attempt, guesses)):
-                    results[(guess.B, guess.D)] = outcome
-        else:
-            for guess in guesses:
-                results[(guess.B, guess.D)] = attempt(guess)
-
+    records: dict[tuple[int, int], dict[str, Any]] = {}
     best_key = None
     best_tree = None
-    for (B, D) in sorted(results):
-        rec, tree = results[(B, D)]
-        report.records.append(rec)
-        if rec["feasible"]:
+    for D in range(1, ecc + 1):
+        start = time.perf_counter()
+        stage = stage_budget(instance, D, mode)
+        row_best = None
+        for B in range(1, t + 1):
+            try:
+                tree = solve_guess(instance, PoiseGuess(B, D), mode, stage=stage)
+                m = tree_metrics(tree, instance)
+                rec = {
+                    "B": B,
+                    "D": D,
+                    "feasible": True,
+                    "poise": m.poise,
+                    "max_out_degree": m.max_out_degree,
+                    "height": m.height,
+                    "terminals_covered": m.terminals_covered,
+                }
+            except InfeasibleGuessError as exc:
+                tree = None
+                rec = {"B": B, "D": D, "feasible": False, "reason": str(exc)}
+            now = time.perf_counter()
+            rec["wall_ms"] = round((now - start) * 1000.0, 3)
+            start = now
+            records[(B, D)] = rec
+            if not rec["feasible"]:
+                continue
             key = (rec["poise"], B, D)
             if best_key is None or key < best_key:
-                best_key = key
-                best_tree = tree
+                best_key, best_tree = key, tree
                 report.best = dict(rec)
+            if fast:
+                if row_best is not None and rec["poise"] > row_best:
+                    report.skipped += t - B
+                    break
+                row_best = rec["poise"] if row_best is None else min(row_best, rec["poise"])
+        del stage  # not held while the next row builds its own
+    report.records = [records[key] for key in sorted(records)]
     return report, best_tree
 
 

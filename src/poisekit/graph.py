@@ -99,7 +99,7 @@ class PoiseGuess:
 
     def __post_init__(self):
         if self.B < 1 or self.D < 1:
-            raise ValueError("budgets must be at least 1")
+            raise ValueError(f"budgets must be at least 1, got B={self.B}, D={self.D}")
 
 
 @dataclass
@@ -155,11 +155,13 @@ def bfs_distances(
     graph: Graph,
     sources: Iterable[int],
     restriction: set[int] | frozenset[int] | None = None,
+    max_depth: int | None = None,
 ) -> dict[int, int]:
     """Exact hop distances from a source set inside an induced subgraph.
 
     Unreachable vertices are absent from the result.  When ``restriction`` is
-    given, both sources and traversal are confined to it.
+    given, both sources and traversal are confined to it.  With ``max_depth``
+    the search stops there: only vertices within that many hops are returned.
     """
     src = sorted(set(sources))
     if not src:
@@ -170,12 +172,15 @@ def bfs_distances(
     queue = deque(src)
     while queue:
         u = queue.popleft()
+        d = dist[u] + 1
+        if max_depth is not None and d > max_depth:
+            break  # the queue is in distance order: nothing later expands
         for v in graph.out_neighbors(u):
             if v in dist:
                 continue
             if restriction is not None and v not in restriction:
                 continue
-            dist[v] = dist[u] + 1
+            dist[v] = d
             queue.append(v)
     return dist
 
@@ -184,13 +189,15 @@ def bfs_parents(
     graph: Graph,
     sources: Iterable[int],
     restriction: set[int] | frozenset[int] | None = None,
+    max_depth: int | None = None,
 ) -> tuple[dict[int, int], dict[int, int]]:
     """(distances, parents) with the lowest-id parent at each distance level.
 
     Sources carry no parent.  Parent of v is the smallest-id in-neighbor of v
-    at distance dist(v) - 1 within the restriction.
+    at distance dist(v) - 1 within the restriction.  ``max_depth`` bounds the
+    search as in `bfs_distances`; it changes no distance or parent it keeps.
     """
-    dist = bfs_distances(graph, sources, restriction)
+    dist = bfs_distances(graph, sources, restriction, max_depth)
     parent: dict[int, int] = {}
     src = set(sources)
     for v, d in dist.items():

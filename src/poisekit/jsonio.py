@@ -28,7 +28,12 @@ def instance_to_json(instance: MulticastInstance) -> str:
 
 def instance_from_json(text: str) -> MulticastInstance:
     data = json.loads(text)
-    graph = Graph(int(data["n"]), [tuple(e) for e in data["edges"]], bool(data["directed"]))
+    directed = data["directed"]
+    if not isinstance(directed, bool):
+        raise ValueError(
+            f'field "directed" must be a JSON boolean (true or false), got {json.dumps(directed)}'
+        )
+    graph = Graph(int(data["n"]), [tuple(e) for e in data["edges"]], directed)
     return MulticastInstance(graph, int(data["root"]), [int(t) for t in data["terminals"]], int(data["k"]))
 
 

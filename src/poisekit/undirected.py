@@ -88,11 +88,32 @@ def small(
     trees come back for contraction.
     """
     rho = _ceil_cbrt(t)
-    C = frozenset(C)
-    terminals = frozenset(terminals)
-    trees, packed, _ = greedy_packing(graph, C, terminals, rho, D)
+    trees, packed, _ = greedy_packing(graph, frozenset(C), frozenset(terminals), rho, D)
     if len(trees) >= rho:
         return trees
+    return _complete_small(
+        graph, trees, packed, rho, terminals, k_remaining, B, D, root,
+        root_region, region_arcs, trace,
+    )
+
+
+def _complete_small(
+    graph: Graph,
+    trees: Iterable[GoodTree],
+    packed: frozenset[int],
+    rho: int,
+    terminals: Iterable[int],
+    k_remaining: int,
+    B: int,
+    D: int,
+    root: int,
+    root_region: Iterable[int] | None,
+    region_arcs: Iterable[Arc],
+    trace: dict[str, Any] | None,
+) -> PoiseTree:
+    """The degree-budget half of `small` when it packed fewer than rho trees:
+    complete the additive partition anchored at the root region."""
+    terminals = frozenset(terminals)
     region = frozenset(root_region) if root_region is not None else frozenset({root})
     A = region | packed
     partition = AdditivePartition(A, frozenset(graph.vertices()) - A, tuple(trees), rho)
@@ -168,6 +189,152 @@ def _degree_deltas(added: Iterable[Arc], r_before: frozenset[int]) -> tuple[int,
     return d_r, d_c
 
 
+def _contract(trees: Iterable[GoodTree]) -> list[SuperTerminal]:
+    return [SuperTerminal(i, tr, frozenset(tr.vertices())) for i, tr in enumerate(trees)]
+
+
+def _pack_round(
+    graph: Graph, C: set[int], terminals: Iterable[int], t: int, D: int
+) -> tuple[list[GoodTree], frozenset[int], tuple[int, PoiseTree] | None]:
+    """The start of an iteration, which reads only the height budget: pack
+    small trees inside C and, when there are at least ceil(t^(1/3)) of them,
+    search for a vertex aggregating that many.  Returns (trees, packed
+    vertices, search result or None)."""
+    rho = _ceil_cbrt(t)
+    trees, packed, _ = greedy_packing(graph, frozenset(C), frozenset(terminals), rho, D)
+    found = None
+    if len(trees) >= rho:
+        found = find_good_vertex_wrt_super(graph, C, _contract(trees), rho, D)
+    return trees, packed, found
+
+
+@dataclass(frozen=True)
+class UndirectedStage:
+    """The undirected solver's work that reads only the height budget D.
+
+    On an instance pruned to radius D it holds the first iteration's packing
+    and super-terminal search, made while the region is just the root.
+    `finish` runs the iterations for one degree budget B.
+    """
+
+    instance: MulticastInstance
+    D: int
+    first_round: tuple[list[GoodTree], frozenset[int], tuple[int, PoiseTree] | None]
+
+    def finish(self, B: int, trace: dict[str, Any] | None = None) -> PoiseTree:
+        instance, D = self.instance, self.D
+        g = instance.graph
+        root, k = instance.root, instance.k
+        t = len(instance.terminals)
+        rho = _ceil_cbrt(t)
+        region = CoveredRegion(R={root})
+        s_prime = set(instance.terminals)
+        k_rem = k
+        if trace is not None:
+            trace["solver"] = "undirected"
+            trace["rho"] = rho
+            trace["iterations"] = region.iteration_log
+        iteration = 0
+        while k_rem > 0:
+            iteration += 1
+            if iteration > t + 2:
+                raise InfeasibleGuessError("no progress across iterations")
+            if k_rem > len(s_prime):
+                raise InfeasibleGuessError(
+                    f"{len(s_prime)} terminals remain but {k_rem} are still required"
+                )
+            C = set(g.vertices()) - region.R
+            if iteration == 1:
+                trees, packed, found = self.first_round
+            else:
+                trees, packed, found = _pack_round(g, C, s_prime, t, D)
+            if len(trees) < rho:
+                result = _complete_small(
+                    g, trees, packed, rho, s_prime, k_rem, B, D, root,
+                    region.R, region.arcs, trace,
+                )
+                record = _small_record(iteration, result, region, s_prime)
+                region.iteration_log.append(record)
+                region.covered_terminal_count += record["covered"]
+                return result
+            supers = _contract(trees)
+            r_before = frozenset(region.R)
+            if found is not None:
+                v, big = found
+                dist, parent = bfs_parents(g, sorted(region.R))
+                candidates = [(dist[w], w) for w in big.vertices() if w in dist]
+                if not candidates:
+                    raise InfeasibleGuessError("aggregated tree unreachable from the region")
+                _, attach = min(candidates)
+                added = _merge_arcs(region, [path_arcs(parent, attach), sorted(big.arcs())])
+                covered = big.vertices() & s_prime
+                discarded = set(covered)
+                branch = "large"
+            else:
+                elements = list(range(len(supers)))
+                location = {s.id: sorted(s.representatives) for s in supers}
+                cap = min(_ceil_log2(k), _ceil_log2(len(supers))) + 1
+                selection = pm_cover(
+                    g, root, region.R, C, elements, location,
+                    target=None, B=B, D=D, max_iterations=cap,
+                )
+                covered_ids = sorted(selection.covered_elements)
+                chosen_cs = sorted({c for _, c in selection.chosen})
+                union: set[Arc] = set()
+                for c in chosen_cs:
+                    union |= _super_coverage_arcs(g, C, c, supers, D)
+                t_c = _multi_source_spt_arcs(g, union, chosen_cs)
+                covered_tree_arcs: list[Arc] = []
+                covered: set[int] = set()
+                for i in covered_ids:
+                    covered_tree_arcs.extend(sorted(supers[i].tree.edges))
+                    covered |= supers[i].tree.terminals
+                added = _merge_arcs(
+                    region, [sorted(selection.chosen), sorted(t_c), covered_tree_arcs]
+                )
+                discarded = s_prime & set().union(*(tr.terminals for tr in trees))
+                branch = "pmcover"
+            if not covered and not discarded:
+                raise InfeasibleGuessError("iteration neither covered nor discarded terminals")
+            if trace is not None:
+                trace.setdefault("detail", []).append(
+                    {
+                        "iter": iteration,
+                        "branch": branch,
+                        "covered_terminals": sorted(covered),
+                        "discarded_terminals": sorted(discarded),
+                    }
+                )
+            s_prime -= discarded
+            k_rem -= len(covered)
+            region.covered_terminal_count += len(covered)
+            d_r, d_c = _degree_deltas(added, r_before)
+            region.iteration_log.append(
+                {
+                    "iter": iteration,
+                    "branch": branch,
+                    "supers": len(supers),
+                    "covered": len(covered),
+                    "discarded": len(discarded),
+                    "max_degree_delta_R": d_r,
+                    "max_degree_delta_C": d_c,
+                }
+            )
+        return shortest_path_tree(g, region.arcs, root)
+
+
+def stage_undirected(instance: MulticastInstance, D: int) -> UndirectedStage:
+    """Run the first iteration's packing and super-terminal search, which
+    read only the height budget.  Expects a normalized instance pruned to
+    radius D."""
+    g = instance.graph
+    if g.directed:
+        raise ValueError("the undirected solver requires an undirected graph")
+    C = set(g.vertices()) - {instance.root}
+    first = _pack_round(g, C, instance.terminals, len(instance.terminals), D)
+    return UndirectedStage(instance, D, first)
+
+
 def solve_undirected(
     instance: MulticastInstance,
     guess: PoiseGuess,
@@ -181,106 +348,7 @@ def solve_undirected(
     (ceil(log2 k) + 1) * B * ceil(t^(1/3)) + 2*ceil(t^(1/3)) + 2 whenever the
     budget dominates an optimal tree, else raises InfeasibleGuessError.
     """
-    g = instance.graph
-    if g.directed:
-        raise ValueError("the undirected solver requires an undirected graph")
-    root, k = instance.root, instance.k
-    t = len(instance.terminals)
-    rho = _ceil_cbrt(t)
-    region = CoveredRegion(R={root})
-    s_prime = set(instance.terminals)
-    k_rem = k
-    if trace is not None:
-        trace["solver"] = "undirected"
-        trace["rho"] = rho
-        trace["iterations"] = region.iteration_log
-    iteration = 0
-    while k_rem > 0:
-        iteration += 1
-        if iteration > t + 2:
-            raise InfeasibleGuessError("no progress across iterations")
-        if k_rem > len(s_prime):
-            raise InfeasibleGuessError(
-                f"{len(s_prime)} terminals remain but {k_rem} are still required"
-            )
-        C = set(g.vertices()) - region.R
-        result = small(
-            g, C, s_prime, t, k_rem, guess.B, guess.D, root,
-            root_region=region.R, region_arcs=region.arcs, trace=trace,
-        )
-        if isinstance(result, PoiseTree):
-            record = _small_record(iteration, result, region, s_prime)
-            region.iteration_log.append(record)
-            region.covered_terminal_count += record["covered"]
-            return result
-        trees = result
-        supers = [
-            SuperTerminal(i, tr, frozenset(tr.vertices())) for i, tr in enumerate(trees)
-        ]
-        r_before = frozenset(region.R)
-        found = find_good_vertex_wrt_super(g, C, supers, rho, guess.D)
-        if found is not None:
-            v, big = found
-            dist, parent = bfs_parents(g, sorted(region.R))
-            candidates = [(dist[w], w) for w in big.vertices() if w in dist]
-            if not candidates:
-                raise InfeasibleGuessError("aggregated tree unreachable from the region")
-            _, attach = min(candidates)
-            added = _merge_arcs(region, [path_arcs(parent, attach), sorted(big.arcs())])
-            covered = big.vertices() & s_prime
-            discarded = set(covered)
-            branch = "large"
-        else:
-            elements = list(range(len(supers)))
-            location = {s.id: sorted(s.representatives) for s in supers}
-            cap = min(_ceil_log2(k), _ceil_log2(len(supers))) + 1
-            selection = pm_cover(
-                g, root, region.R, C, elements, location,
-                target=None, B=guess.B, D=guess.D, max_iterations=cap,
-            )
-            covered_ids = sorted(selection.covered_elements)
-            chosen_cs = sorted({c for _, c in selection.chosen})
-            union: set[Arc] = set()
-            for c in chosen_cs:
-                union |= _super_coverage_arcs(g, C, c, supers, guess.D)
-            t_c = _multi_source_spt_arcs(g, union, chosen_cs)
-            covered_tree_arcs: list[Arc] = []
-            covered: set[int] = set()
-            for i in covered_ids:
-                covered_tree_arcs.extend(sorted(supers[i].tree.edges))
-                covered |= supers[i].tree.terminals
-            added = _merge_arcs(
-                region, [sorted(selection.chosen), sorted(t_c), covered_tree_arcs]
-            )
-            discarded = s_prime & set().union(*(tr.terminals for tr in trees))
-            branch = "pmcover"
-        if not covered and not discarded:
-            raise InfeasibleGuessError("iteration neither covered nor discarded terminals")
-        if trace is not None:
-            trace.setdefault("detail", []).append(
-                {
-                    "iter": iteration,
-                    "branch": branch,
-                    "covered_terminals": sorted(covered),
-                    "discarded_terminals": sorted(discarded),
-                }
-            )
-        s_prime -= discarded
-        k_rem -= len(covered)
-        region.covered_terminal_count += len(covered)
-        d_r, d_c = _degree_deltas(added, r_before)
-        region.iteration_log.append(
-            {
-                "iter": iteration,
-                "branch": branch,
-                "supers": len(supers),
-                "covered": len(covered),
-                "discarded": len(discarded),
-                "max_degree_delta_R": d_r,
-                "max_degree_delta_C": d_c,
-            }
-        )
-    return shortest_path_tree(g, region.arcs, root)
+    return stage_undirected(instance, guess.D).finish(guess.B, trace)
 
 
 def _super_coverage_arcs(

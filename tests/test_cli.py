@@ -60,6 +60,21 @@ class TestSolve:
         bad.write_text("{not json")
         assert run(["solve", "--input", str(bad), "--sweep"]) == 1
 
+    @pytest.mark.parametrize("budget", [["--B", "0", "--D", "2"], ["--B", "2", "--D", "0"]])
+    def test_zero_budget_exits_one(self, inst_path, budget, capsys):
+        assert run(["solve", "--input", inst_path, *budget]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "budgets must be at least 1" in err
+
+    @pytest.mark.parametrize("flag", ['"false"', "0", "null"])
+    def test_non_boolean_directed_exits_one(self, tmp_path, flag, capsys):
+        path = tmp_path / "inst.json"
+        text = jsonio.instance_to_json(two_branch_instance())
+        path.write_text(text.replace('"directed": true', f'"directed": {flag}'))
+        assert run(["solve", "--input", str(path), "--sweep"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and 'field "directed" must be a JSON boolean' in err
+
     def test_trace_written_for_fixed_guess(self, inst_path, tmp_path):
         trace = tmp_path / "trace.json"
         assert run(["solve", "--input", inst_path, "--B", "2", "--D", "2",

@@ -19,6 +19,7 @@ from poisekit import (
     solve_many_trees,
     tree_metrics,
 )
+from poisekit.directed import trim_to_terminals
 from poisekit.errors import InfeasibleGuessError
 
 from conftest import directed_stream, random_graph, two_branch_instance
@@ -124,6 +125,27 @@ class TestGreedyPacking:
                 seen |= verts
             assert packed == frozenset(seen)
             assert C == frozenset(range(1, n)) - seen
+
+    def test_single_scan_matches_restarting_scan(self):
+        # reference: rescan C from the lowest id after every extraction
+        def restarting(g, C, terms, rho, D):
+            C, trees = set(C), []
+            while True:
+                good = [c for c in sorted(C) if is_rho_good(g, C, c, terms, rho, D)]
+                if not good:
+                    return trees, frozenset(C)
+                tree = coverage_tree(g, C, good[0], terms, D)
+                trees.append(trim_to_terminals(tree, terms, rho))
+                C -= trees[-1].vertices()
+
+        rng = random.Random(23)
+        for _ in range(60):
+            n = rng.randint(4, 16)
+            g = random_graph(rng, n, rng.randint(n, 3 * n), directed=rng.random() < 0.5)
+            terms = set(rng.sample(range(1, n), rng.randint(1, n - 1)))
+            rho, D = rng.randint(1, 3), rng.randint(1, 3)
+            trees, _, C = greedy_packing(g, set(range(1, n)), terms, rho, D)
+            assert (trees, C) == restarting(g, range(1, n), terms, rho, D)
 
 
 class TestSolveManyTrees:

@@ -53,17 +53,6 @@ class TestRunSweep:
         assert report.best is not None
         assert tree is not None
 
-    def test_thread_env_gives_same_report(self, monkeypatch):
-        inst = generate_instance("star-of-stars", {"branch": 2, "leaf": 2, "k": 3})
-        serial, _ = run_sweep(inst)
-        monkeypatch.setenv("POISEKIT_THREADS", "4")
-        threaded, _ = run_sweep(inst)
-        strip = lambda recs: [
-            {k: v for k, v in r.items() if k != "wall_ms"} for r in recs
-        ]
-        assert strip(serial.records) == strip(threaded.records)
-        assert serial.best["poise"] == threaded.best["poise"]
-
 
 class TestBenchRows:
     def test_unknown_suite(self):

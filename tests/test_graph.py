@@ -9,6 +9,7 @@ from poisekit import (
     MulticastInstance,
     PoiseTree,
     bfs_distances,
+    bfs_parents,
     is_normalized,
     normalize_terminals,
     prune_beyond,
@@ -94,6 +95,18 @@ class TestBfsDistances:
                     assert v not in got
                 else:
                     assert got[v] == ref[src][v]
+
+    def test_depth_bound_keeps_the_near_part(self):
+        rng = random.Random(11)
+        for _ in range(60):
+            n = rng.randint(2, 12)
+            g = random_graph(rng, n, rng.randint(1, 2 * n), rng.random() < 0.5)
+            restriction = {v for v in range(n) if v == 0 or rng.random() < 0.8}
+            depth = rng.randint(0, 4)
+            dist, parent = bfs_parents(g, {0}, restriction)
+            near_dist, near_parent = bfs_parents(g, {0}, restriction, max_depth=depth)
+            assert near_dist == {v: d for v, d in dist.items() if d <= depth}
+            assert near_parent == {v: p for v, p in parent.items() if v in near_dist}
 
 
 class TestShortestPathTree:
