@@ -272,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sweep", action="store_true")
     p.add_argument("--fast-sweep", action="store_true")
     p.add_argument("--k", type=int)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trace")
     p.add_argument("--out")
     p.set_defaults(func=cmd_solve)

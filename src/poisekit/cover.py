@@ -4,11 +4,13 @@ Coverage instances pair boundary arcs (a, c) with the element set reachable
 from c inside the far side of the partition.  The greedy picker is a
 1/2-approximation for maximum coverage under one matroid constraint; the
 iterated loop re-runs it on the uncovered remainder, which halves the
-shortfall each round.
+shortfall each round.  The system is built once per (A, C, D); a sweep
+keeps it for a whole row of degree budgets in a `CoverRow`.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
@@ -119,18 +121,17 @@ def build_coverage_instance(
             if c in C:
                 boundary.add((a, c))
     elements = list(elements)
-    reach_cache: dict[int, dict[int, int]] = {}
+    located: dict[int, list[Element]] = {}
+    for e in elements:
+        for w in element_location[e]:
+            located.setdefault(w, []).append(e)
+    covered_from: dict[int, frozenset] = {}
     pairs = []
     for a, c in sorted(boundary):
-        if c not in reach_cache:
-            reach_cache[c] = bfs_distances(graph, [c], restriction=C)
-        dist = reach_cache[c]
-        covered = frozenset(
-            e
-            for e in elements
-            if any(dist.get(w, D + 1) <= D for w in element_location[e])
-        )
-        pairs.append((a, c, covered))
+        if c not in covered_from:
+            reach = bfs_distances(graph, [c], restriction=C, max_depth=D)
+            covered_from[c] = frozenset(e for w in reach for e in located.get(w, ()))
+        pairs.append((a, c, covered_from[c]))
     return CoverageSystem(elements, pairs)
 
 
@@ -144,6 +145,10 @@ def greedy_matroid_max(
     Repeatedly adds the pair of largest marginal coverage whose part still has
     spare capacity, ties broken by (a, c) order; stops at zero marginal gain.
     The result covers at least half as much as any independent selection.
+
+    Gains only shrink as coverage grows, so the scan is lazy (Minoux 1978): a
+    heap holds each pair's last known gain, and a popped pair is re-evaluated
+    and taken only if it still leads the heap.
     """
     if not matroid.covers_all_indices(len(system.pairs)):
         raise ValueError("matroid must index exactly the system's pairs")
@@ -151,20 +156,23 @@ def greedy_matroid_max(
     covered = set(already_covered)
     load: dict[int, int] = {}
     chosen: set[int] = set()
-    while True:
-        best_idx = None
-        best_gain = 0
-        for i, (_, _, cov) in enumerate(system.pairs):
-            if i in chosen or load.get(owner[i], 0) >= matroid.capacity:
-                continue
-            gain = len(cov - covered)
-            if gain > best_gain:
-                best_gain, best_idx = gain, i
-        if best_idx is None:
-            return chosen
-        chosen.add(best_idx)
-        load[owner[best_idx]] = load.get(owner[best_idx], 0) + 1
-        covered |= system.pairs[best_idx][2]
+    heap = [(-g, i) for i, (_, _, cov) in enumerate(system.pairs) if (g := len(cov - covered))]
+    heapq.heapify(heap)
+    while heap:
+        _, i = heapq.heappop(heap)
+        if load.get(owner[i], 0) >= matroid.capacity:
+            continue
+        cov = system.pairs[i][2]
+        gain = len(cov - covered)
+        if not gain:
+            continue
+        if heap and (-gain, i) > heap[0]:
+            heapq.heappush(heap, (-gain, i))
+            continue
+        chosen.add(i)
+        load[owner[i]] = load.get(owner[i], 0) + 1
+        covered |= cov
+    return chosen
 
 
 def default_iteration_cap(target: int) -> int:
@@ -173,29 +181,35 @@ def default_iteration_cap(target: int) -> int:
     return (target - 1).bit_length() + 1 if target >= 1 else 1
 
 
-def _cover_loop(
-    build: Callable[[set], tuple[CoverageSystem, PartitionMatroid]],
+def pm_cover_system(
+    system: CoverageSystem,
+    capacity: int,
     target: int | None,
-    max_iterations: int,
-    all_elements: Iterable[Element],
+    max_iterations: int | None = None,
 ) -> CoverSelection:
-    """Shared engine: rebuild the system on the uncovered remainder, run the
-    greedy picker, accumulate, stop at the target or the iteration cap.
+    """The iterated cover loop on a fixed system: run the greedy picker over
+    the still-uncovered elements, accumulate, stop at the target or the
+    iteration cap.  Every recorded selection takes at most ``capacity`` pairs
+    from any anchor's part.
 
     With ``target=None`` (cover-all mode) a zero-gain iteration simply ends the
     loop; with a numeric target it raises, certifying the budget infeasible.
     """
+    if max_iterations is None:
+        if target is None:
+            raise ValueError("cover-all mode needs an explicit max_iterations")
+        max_iterations = default_iteration_cap(target)
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    uncovered = set(all_elements)
+    matroid = PartitionMatroid.for_system(system, capacity)
     selection = CoverSelection(chosen=set(), covered_elements=set(), iterations=0)
+    covered = selection.covered_elements
     while selection.iterations < max_iterations:
-        if target is not None and len(selection.covered_elements) >= target:
+        if target is not None and len(covered) >= target:
             break
-        if not uncovered:
+        if len(covered) == len(system.ground):
             break
-        system, matroid = build(uncovered)
-        picks = greedy_matroid_max(system, matroid)
+        picks = greedy_matroid_max(system, matroid, covered)
         newly: set = set()
         arcs = []
         per_part: dict[int, int] = {}
@@ -204,6 +218,7 @@ def _cover_loop(
             arcs.append((a, c))
             per_part[a] = per_part.get(a, 0) + 1
             newly |= cov
+        newly -= covered
         selection.iterations += 1
         selection.log.append(
             {
@@ -214,14 +229,13 @@ def _cover_loop(
             }
         )
         if not newly:
-            if target is not None and len(selection.covered_elements) < target:
+            if target is not None and len(covered) < target:
                 raise InfeasibleGuessError(
                     "coverage stalled: an iteration covered no new elements"
                 )
             break
         selection.chosen.update(arcs)
-        selection.covered_elements |= newly
-        uncovered -= newly
+        covered |= newly
     return selection
 
 
@@ -239,46 +253,31 @@ def pm_cover(
 ) -> CoverSelection:
     """Iterated partition-matroid coverage across the (A, C) boundary.
 
-    Each iteration rebuilds the coverage instance over the still-uncovered
-    elements, so every recorded selection takes at most B pairs from any
-    anchor's part.  ``target=None`` keeps everything coverable within the
-    iteration cap instead of aiming for a count.
+    Builds the coverage instance once and runs `pm_cover_system` on it with
+    capacity B: a pair's gain over the elements covered so far is what it
+    would cover in an instance rebuilt over the uncovered ones.
+    ``target=None`` keeps everything coverable within the iteration cap
+    instead of aiming for a count.
     """
     if target is not None and target < 1:
         raise ValueError("target must be at least 1 (or None for cover-all mode)")
-    if max_iterations is None:
-        if target is None:
-            raise ValueError("cover-all mode needs an explicit max_iterations")
-        max_iterations = default_iteration_cap(target)
-    A = frozenset(A)
-    C = frozenset(C)
-    elements = list(elements)
-
-    def build(uncovered: set) -> tuple[CoverageSystem, PartitionMatroid]:
-        system = build_coverage_instance(
-            graph, A, C, sorted(uncovered, key=repr), element_location, D, root
-        )
-        return system, PartitionMatroid.for_system(system, B)
-
-    return _cover_loop(build, target, max_iterations, elements)
+    system = build_coverage_instance(graph, A, C, elements, element_location, D, root)
+    return pm_cover_system(system, B, target, max_iterations)
 
 
-def pm_cover_system(
-    system: CoverageSystem,
-    capacity: int,
-    target: int | None,
-    max_iterations: int | None = None,
-) -> CoverSelection:
-    """The cover loop on a fixed abstract system (no graph rebuild step)."""
-    if max_iterations is None:
-        if target is None:
-            raise ValueError("cover-all mode needs an explicit max_iterations")
-        max_iterations = default_iteration_cap(target)
+@dataclass
+class CoverRow:
+    """A coverage system plus the arcs that realise each boundary vertex c's
+    coverage, both read only from the graph, the (A, C) partition and the
+    height budget.  A sweep row builds one and covers from it at every degree
+    budget; ``arcs(c)`` computes c's arcs on first use and keeps them.
+    """
 
-    def build(uncovered: set) -> tuple[CoverageSystem, PartitionMatroid]:
-        restricted = CoverageSystem(
-            uncovered, [(a, c, cov & uncovered) for a, c, cov in system.pairs]
-        )
-        return restricted, PartitionMatroid.for_system(restricted, capacity)
+    system: CoverageSystem
+    arcs_of: Callable[[int], Iterable[Pair]]
+    memo: dict[int, tuple[Pair, ...]] = field(default_factory=dict)
 
-    return _cover_loop(build, target, max_iterations, system.ground)
+    def arcs(self, c: int) -> tuple[Pair, ...]:
+        if c not in self.memo:
+            self.memo[c] = tuple(self.arcs_of(c))
+        return self.memo[c]

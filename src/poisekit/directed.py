@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .cover import CoverSelection, pm_cover
+from .cover import CoverRow, CoverSelection, build_coverage_instance, pm_cover_system
 from .errors import InfeasibleGuessError
 from .graph import (
     Graph,
@@ -219,6 +219,19 @@ def _multi_source_spt_arcs(
     return arcs
 
 
+def terminal_cover_row(
+    graph: Graph, root: int, A: Iterable[int], C: frozenset[int],
+    terminals: Iterable[int], D: int,
+) -> CoverRow:
+    """The cover work of `complete` that reads only the partition and D: the
+    coverage system over the terminals in C, and each c's coverage-tree arcs."""
+    elements = sorted(frozenset(terminals) & C)
+    system = build_coverage_instance(
+        graph, A, C, elements, {e: (e,) for e in elements}, D, root
+    )
+    return CoverRow(system, lambda c: coverage_tree(graph, C, c, elements, D).arcs())
+
+
 def complete(
     graph: Graph,
     partition: AdditivePartition,
@@ -230,6 +243,7 @@ def complete(
     root_region: Iterable[int] | None = None,
     region_arcs: Iterable[Arc] = (),
     trace: dict[str, Any] | None = None,
+    row: CoverRow | None = None,
 ) -> PoiseTree:
     """Finish a rho-additive partition: cover k_remaining terminals of C via
     the iterated matroid cover and return the shortest-path tree over the
@@ -238,6 +252,8 @@ def complete(
     ``root_region``/``region_arcs`` let a caller anchor A at an already-built
     region instead of the bare root (paths to packed-tree roots then start
     from the nearest region vertex and the region's arcs join the subgraph).
+    ``row`` is this partition's `terminal_cover_row`, when the caller keeps
+    one across degree budgets; otherwise it is built here.
     """
     terminals = frozenset(terminals)
     region = frozenset(root_region) if root_region is not None else frozenset({root})
@@ -249,12 +265,9 @@ def complete(
     H |= _paths_to_tree_roots(graph, sorted(region), partition.trees)
     selection: CoverSelection | None = None
     if k_remaining > 0:
-        elements = sorted(terminals & partition.C)
-        location = {e: (e,) for e in elements}
-        selection = pm_cover(
-            graph, root, partition.A, partition.C, elements, location,
-            target=k_remaining, B=B, D=D,
-        )
+        if row is None:
+            row = terminal_cover_row(graph, root, partition.A, partition.C, terminals, D)
+        selection = pm_cover_system(row.system, B, k_remaining)
         if len(selection.covered_elements) < k_remaining:
             raise InfeasibleGuessError(
                 "matroid cover hit its iteration cap below the coverage target"
@@ -262,7 +275,7 @@ def complete(
         chosen_cs = sorted({c for _, c in selection.chosen})
         union: set[Arc] = set()
         for c in chosen_cs:
-            union |= coverage_tree(graph, partition.C, c, elements, D).arcs()
+            union.update(row.arcs(c))
         H |= selection.chosen
         H |= _multi_source_spt_arcs(graph, union, chosen_cs)
     if trace is not None:
@@ -277,28 +290,29 @@ class DirectedStage:
 
     On an instance pruned to radius D it holds the greedy packing and, when
     that yields at least rho trees, their stitched tree, which then answers
-    every degree budget.  `finish` does the rest for one degree budget B.
+    every degree budget.  Otherwise it holds the few-trees partition and its
+    cover row.  `finish` does the rest for one degree budget B.
     """
 
     instance: MulticastInstance
     D: int
-    rho: int
-    trees: tuple[GoodTree, ...]
-    packed: frozenset[int]
-    C: frozenset[int]
+    partition: AdditivePartition
     stitched: PoiseTree | None
+    k_remaining: int
+    row: CoverRow | None
 
     def finish(self, B: int, trace: dict[str, Any] | None = None) -> PoiseTree:
-        instance, trees, rho = self.instance, self.trees, self.rho
+        instance, trees = self.instance, self.partition.trees
+        packed = self.partition.A - {instance.root}
         if trace is not None:
             trace["solver"] = "directed"
-            trace["rho"] = rho
+            trace["rho"] = self.partition.rho
             trace["good_trees"] = [
                 {"root": t.root_vertex, "terminals": sorted(t.terminals)} for t in trees
             ]
             trace["packing"] = {
                 "trees": len(trees),
-                "vertices": len(self.packed),
+                "vertices": len(packed),
                 "terminals": sum(len(t.terminals) for t in trees),
             }
         if self.stitched is not None:
@@ -307,19 +321,17 @@ class DirectedStage:
             return self.stitched
         if trace is not None:
             trace["branch"] = "few-trees"
-            trace["packed"] = sorted(self.packed)
-        A = frozenset({instance.root} | self.packed)
-        partition = AdditivePartition(A, self.C, trees, rho)
-        k_remaining = instance.k - len(A & instance.terminals)
+            trace["packed"] = sorted(packed)
         return complete(
-            instance.graph, partition, instance.root, k_remaining, B, self.D,
-            instance.terminals, trace=trace,
+            instance.graph, self.partition, instance.root, self.k_remaining, B, self.D,
+            instance.terminals, trace=trace, row=self.row,
         )
 
 
 def stage_directed(instance: MulticastInstance, D: int) -> DirectedStage:
     """Pack rho-terminal trees within height D and, when there are at least
-    rho of them, stitch them to the root.
+    rho of them, stitch them to the root; otherwise build the cover row that
+    completes the few-trees partition at every degree budget.
 
     Expects a normalized instance already pruned to radius D.  Raises
     InfeasibleGuessError when stitching finds a packed tree unreachable, which
@@ -332,7 +344,13 @@ def stage_directed(instance: MulticastInstance, D: int) -> DirectedStage:
         g, set(g.vertices()) - {instance.root}, instance.terminals, rho, D
     )
     stitched = solve_many_trees(g, instance.root, trees, rho) if len(trees) >= rho else None
-    return DirectedStage(instance, D, rho, tuple(trees), packed, C, stitched)
+    A = frozenset({instance.root} | packed)
+    partition = AdditivePartition(A, C, tuple(trees), rho)
+    k_remaining = k - len(A & instance.terminals)
+    row = None
+    if stitched is None and k_remaining > 0:
+        row = terminal_cover_row(g, instance.root, A, C, instance.terminals, D)
+    return DirectedStage(instance, D, partition, stitched, k_remaining, row)
 
 
 def solve_directed(

@@ -26,15 +26,54 @@ def instance_to_json(instance: MulticastInstance) -> str:
     return json.dumps(payload)
 
 
+_INSTANCE_FIELDS = ("directed", "n", "edges", "root", "terminals", "k")
+
+
+def _integer(value, field: str) -> int:
+    # bool is a subclass of int, and a float would be truncated by int().
+    if type(value) is not int:
+        raise ValueError(f'field "{field}" must be a JSON integer, got {json.dumps(value)}')
+    return value
+
+
+def _list(value, field: str) -> list:
+    if type(value) is not list:
+        raise ValueError(f'field "{field}" must be a JSON list, got {json.dumps(value)}')
+    return value
+
+
 def instance_from_json(text: str) -> MulticastInstance:
+    """Parse an instance, checking every field's JSON type in one pass.
+
+    Raises ValueError with a one-line message naming the offending field; the
+    graph and instance constructors then check ranges and k.
+    """
     data = json.loads(text)
+    if type(data) is not dict:
+        raise ValueError(f"an instance must be a JSON object, got {type(data).__name__}")
+    for name in _INSTANCE_FIELDS:
+        if name not in data:
+            raise ValueError(f'missing field "{name}"')
     directed = data["directed"]
     if not isinstance(directed, bool):
         raise ValueError(
             f'field "directed" must be a JSON boolean (true or false), got {json.dumps(directed)}'
         )
-    graph = Graph(int(data["n"]), [tuple(e) for e in data["edges"]], directed)
-    return MulticastInstance(graph, int(data["root"]), [int(t) for t in data["terminals"]], int(data["k"]))
+    n, root, k = (_integer(data[name], name) for name in ("n", "root", "k"))
+    arcs = []
+    for edge in _list(data["edges"], "edges"):
+        if type(edge) is not list or len(edge) != 2:
+            raise ValueError(f'field "edges" must hold [u, v] pairs, got {json.dumps(edge)}')
+        u, v = edge
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f'field "edges" must hold JSON integers, got {json.dumps(edge)}')
+        arcs.append((u, v))
+    terminals: set[int] = set()
+    for t in _list(data["terminals"], "terminals"):
+        if _integer(t, "terminals") in terminals:
+            raise ValueError(f'field "terminals" repeats vertex {t}')
+        terminals.add(t)
+    return MulticastInstance(Graph(n, arcs, directed), root, terminals, k)
 
 
 def tree_to_json(tree: PoiseTree) -> str:

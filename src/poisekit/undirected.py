@@ -12,13 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .cover import pm_cover
+from .cover import CoverRow, build_coverage_instance, pm_cover_system
 from .directed import (
     AdditivePartition,
     GoodTree,
     _multi_source_spt_arcs,
     complete,
     greedy_packing,
+    terminal_cover_row,
 )
 from .errors import InfeasibleGuessError
 from .graph import (
@@ -49,7 +50,6 @@ class CoveredRegion:
 
     R: set[int]
     arcs: set[Arc] = field(default_factory=set)
-    covered_terminal_count: int = 0
     iteration_log: list[dict[str, Any]] = field(default_factory=list)
 
     def edge_keys(self) -> set[frozenset[int]]:
@@ -110,9 +110,11 @@ def _complete_small(
     root_region: Iterable[int] | None,
     region_arcs: Iterable[Arc],
     trace: dict[str, Any] | None,
+    row: CoverRow | None = None,
 ) -> PoiseTree:
     """The degree-budget half of `small` when it packed fewer than rho trees:
-    complete the additive partition anchored at the root region."""
+    complete the additive partition anchored at the root region.  ``row`` is
+    the partition's `terminal_cover_row` when the caller keeps one."""
     terminals = frozenset(terminals)
     region = frozenset(root_region) if root_region is not None else frozenset({root})
     A = region | packed
@@ -120,7 +122,7 @@ def _complete_small(
     target = k_remaining - len(packed & terminals)
     return complete(
         graph, partition, root, target, B, D, terminals,
-        root_region=region, region_arcs=region_arcs, trace=trace,
+        root_region=region, region_arcs=region_arcs, trace=trace, row=row,
     )
 
 
@@ -142,7 +144,7 @@ def find_good_vertex_wrt_super(
         raise ValueError("supers must be nonempty")
     C = frozenset(C)
     for v in sorted(C):
-        dist, parent = bfs_parents(graph, [v], restriction=C)
+        dist, parent = bfs_parents(graph, [v], restriction=C, max_depth=D)
         reached = []
         for s in supers:
             hits = [(dist[w], w) for w in s.representatives if dist.get(w, D + 1) <= D]
@@ -194,7 +196,7 @@ def _contract(trees: Iterable[GoodTree]) -> list[SuperTerminal]:
 
 
 def _pack_round(
-    graph: Graph, C: set[int], terminals: Iterable[int], t: int, D: int
+    graph: Graph, C: Iterable[int], terminals: Iterable[int], t: int, D: int
 ) -> tuple[list[GoodTree], frozenset[int], tuple[int, PoiseTree] | None]:
     """The start of an iteration, which reads only the height budget: pack
     small trees inside C and, when there are at least ceil(t^(1/3)) of them,
@@ -213,13 +215,15 @@ class UndirectedStage:
     """The undirected solver's work that reads only the height budget D.
 
     On an instance pruned to radius D it holds the first iteration's packing
-    and super-terminal search, made while the region is just the root.
-    `finish` runs the iterations for one degree budget B.
+    and super-terminal search, made while the region is just the root, and
+    the cover row that iteration completes or covers from, if any.  `finish`
+    runs the iterations for one degree budget B.
     """
 
     instance: MulticastInstance
     D: int
     first_round: tuple[list[GoodTree], frozenset[int], tuple[int, PoiseTree] | None]
+    first_row: CoverRow | None
 
     def finish(self, B: int, trace: dict[str, Any] | None = None) -> PoiseTree:
         instance, D = self.instance, self.D
@@ -246,16 +250,17 @@ class UndirectedStage:
             C = set(g.vertices()) - region.R
             if iteration == 1:
                 trees, packed, found = self.first_round
+                row = self.first_row
             else:
                 trees, packed, found = _pack_round(g, C, s_prime, t, D)
+                row = None
             if len(trees) < rho:
                 result = _complete_small(
                     g, trees, packed, rho, s_prime, k_rem, B, D, root,
-                    region.R, region.arcs, trace,
+                    region.R, region.arcs, trace, row,
                 )
                 record = _small_record(iteration, result, region, s_prime)
                 region.iteration_log.append(record)
-                region.covered_terminal_count += record["covered"]
                 return result
             supers = _contract(trees)
             r_before = frozenset(region.R)
@@ -271,18 +276,15 @@ class UndirectedStage:
                 discarded = set(covered)
                 branch = "large"
             else:
-                elements = list(range(len(supers)))
-                location = {s.id: sorted(s.representatives) for s in supers}
+                if row is None:
+                    row = super_cover_row(g, root, region.R, C, supers, D)
                 cap = min(_ceil_log2(k), _ceil_log2(len(supers))) + 1
-                selection = pm_cover(
-                    g, root, region.R, C, elements, location,
-                    target=None, B=B, D=D, max_iterations=cap,
-                )
+                selection = pm_cover_system(row.system, B, None, cap)
                 covered_ids = sorted(selection.covered_elements)
                 chosen_cs = sorted({c for _, c in selection.chosen})
                 union: set[Arc] = set()
                 for c in chosen_cs:
-                    union |= _super_coverage_arcs(g, C, c, supers, D)
+                    union.update(row.arcs(c))
                 t_c = _multi_source_spt_arcs(g, union, chosen_cs)
                 covered_tree_arcs: list[Arc] = []
                 covered: set[int] = set()
@@ -307,7 +309,6 @@ class UndirectedStage:
                 )
             s_prime -= discarded
             k_rem -= len(covered)
-            region.covered_terminal_count += len(covered)
             d_r, d_c = _degree_deltas(added, r_before)
             region.iteration_log.append(
                 {
@@ -324,15 +325,23 @@ class UndirectedStage:
 
 
 def stage_undirected(instance: MulticastInstance, D: int) -> UndirectedStage:
-    """Run the first iteration's packing and super-terminal search, which
-    read only the height budget.  Expects a normalized instance pruned to
-    radius D."""
+    """Run the first iteration's packing and super-terminal search, and build
+    the cover row it completes or covers from: all of it reads only the
+    height budget.  Expects a normalized instance pruned to radius D."""
     g = instance.graph
     if g.directed:
         raise ValueError("the undirected solver requires an undirected graph")
-    C = set(g.vertices()) - {instance.root}
-    first = _pack_round(g, C, instance.terminals, len(instance.terminals), D)
-    return UndirectedStage(instance, D, first)
+    root, terminals = instance.root, instance.terminals
+    C = frozenset(g.vertices()) - {root}
+    first = trees, packed, found = _pack_round(g, C, terminals, len(terminals), D)
+    row = None
+    if len(trees) < _ceil_cbrt(len(terminals)):
+        if instance.k > len(packed & terminals):
+            A = frozenset({root}) | packed
+            row = terminal_cover_row(g, root, A, frozenset(g.vertices()) - A, terminals, D)
+    elif found is None:
+        row = super_cover_row(g, root, {root}, C, _contract(trees), D)
+    return UndirectedStage(instance, D, first, row)
 
 
 def solve_undirected(
@@ -351,13 +360,26 @@ def solve_undirected(
     return stage_undirected(instance, guess.D).finish(guess.B, trace)
 
 
+def super_cover_row(
+    graph: Graph, root: int, R: Iterable[int], C: Iterable[int],
+    supers: list[SuperTerminal], D: int,
+) -> CoverRow:
+    """The cover work of a pmcover iteration that reads only the region and
+    D: the coverage system over the super-terminals, and each c's arcs
+    toward them."""
+    C = frozenset(C)
+    location = {s.id: sorted(s.representatives) for s in supers}
+    system = build_coverage_instance(graph, R, C, range(len(supers)), location, D, root)
+    return CoverRow(system, lambda c: _super_coverage_arcs(graph, C, c, supers, D))
+
+
 def _super_coverage_arcs(
     graph: Graph, C: Iterable[int], c: int, supers: list[SuperTerminal], D: int
 ) -> set[Arc]:
     """Arcs of the coverage tree of c aimed at super-terminals: the BFS path
     from c to the closest representative of every super within D in G[C]."""
     C = frozenset(C)
-    dist, parent = bfs_parents(graph, [c], restriction=C)
+    dist, parent = bfs_parents(graph, [c], restriction=C, max_depth=D)
     arcs: set[Arc] = set()
     for s in supers:
         hits = [(dist[w], w) for w in s.representatives if dist.get(w, D + 1) <= D]

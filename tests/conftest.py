@@ -7,6 +7,7 @@ an independent path, not against itself.
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -119,3 +120,38 @@ def undirected_stream(count: int, seed: int):
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(12345)
+
+
+_DROP = object()
+
+
+def _two_branch_with(**fields) -> str:
+    """The two-branch instance as JSON text with the given fields replaced
+    (or, for _DROP, removed)."""
+    payload = {"directed": True, "n": 5, "edges": [[0, 1], [0, 2], [1, 3], [2, 4]],
+               "root": 0, "terminals": [3, 4], "k": 2}
+    payload.update(fields)
+    return json.dumps({key: value for key, value in payload.items() if value is not _DROP})
+
+# (case id, instance file text, text the one-line error must contain): each
+# is the two-branch instance with one field made malformed.
+MALFORMED_INSTANCES = [
+    ("top-level-list", "[5, 0, 2]", "must be a JSON object"),
+    ("missing-k", _two_branch_with(k=_DROP), 'missing field "k"'),
+    ("float-n", _two_branch_with(n=3.5), 'field "n" must be a JSON integer'),
+    ("bool-n", _two_branch_with(n=True), 'field "n" must be a JSON integer'),
+    ("float-root", _two_branch_with(root=0.0), 'field "root" must be a JSON integer'),
+    ("bool-k", _two_branch_with(k=False), 'field "k" must be a JSON integer'),
+    ("float-terminal", _two_branch_with(terminals=[2.7], k=1),
+     'field "terminals" must be a JSON integer'),
+    ("bool-terminal", _two_branch_with(terminals=[3, True]),
+     'field "terminals" must be a JSON integer'),
+    ("duplicate-terminal", _two_branch_with(terminals=[3, 3]),
+     'field "terminals" repeats vertex 3'),
+    ("float-endpoint", _two_branch_with(edges=[[0, 1.0], [0, 2]]),
+     'field "edges" must hold JSON integers'),
+    ("three-element-edge", _two_branch_with(edges=[[0, 1, 5]]),
+     'field "edges" must hold [u, v] pairs'),
+    ("scalar-edge", _two_branch_with(edges=[0, 1]), 'field "edges" must hold [u, v] pairs'),
+    ("edges-not-list", _two_branch_with(edges={"0": 1}), 'field "edges" must be a JSON list'),
+]

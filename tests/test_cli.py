@@ -5,7 +5,7 @@ import pytest
 from poisekit import jsonio
 from poisekit.cli import main
 
-from conftest import two_branch_instance
+from conftest import MALFORMED_INSTANCES, two_branch_instance
 
 
 @pytest.fixture
@@ -74,6 +74,20 @@ class TestSolve:
         assert run(["solve", "--input", str(path), "--sweep"]) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and 'field "directed" must be a JSON boolean' in err
+
+    @pytest.mark.parametrize(
+        "text, needle", [case[1:] for case in MALFORMED_INSTANCES],
+        ids=[case[0] for case in MALFORMED_INSTANCES],
+    )
+    def test_malformed_instance_exits_one(self, tmp_path, text, needle, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        assert run(["solve", "--input", str(path), "--sweep"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and needle in err
+
+    def test_seed_flag_is_gone(self, inst_path):
+        assert run(["solve", "--input", inst_path, "--sweep", "--seed", "3"]) == 1
 
     def test_trace_written_for_fixed_guess(self, inst_path, tmp_path):
         trace = tmp_path / "trace.json"

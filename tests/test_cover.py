@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisekit import (
     CoverageSystem,
@@ -120,6 +122,46 @@ class TestGreedyMatroidMax:
             got = len(set().union(*(system.pairs[i][2] for i in picks)) if picks else set())
             best = exact_matroid_coverage(system, matroid)
             assert 2 * got >= best
+
+
+def eager_greedy(system, matroid, already_covered):
+    """Reference greedy: rescan every pair's marginal gain before each pick."""
+    owner = matroid.part_of()
+    covered = set(already_covered)
+    load = {}
+    chosen = set()
+    while True:
+        best_idx, best_gain = None, 0
+        for i, (_, _, cov) in enumerate(system.pairs):
+            if i in chosen or load.get(owner[i], 0) >= matroid.capacity:
+                continue
+            gain = len(cov - covered)
+            if gain > best_gain:
+                best_gain, best_idx = gain, i
+        if best_idx is None:
+            return chosen
+        chosen.add(best_idx)
+        load[owner[best_idx]] = load.get(owner[best_idx], 0) + 1
+        covered |= system.pairs[best_idx][2]
+
+
+def tied_system(rng):
+    """Few elements and anchors, so marginal gains often tie and parts fill."""
+    elems = list(range(rng.randint(1, 6)))
+    pairs = {}
+    for _ in range(rng.randint(1, 12)):
+        cov = frozenset(e for e in elems if rng.random() < 0.5)
+        pairs[(rng.randint(0, 2), rng.randint(10, 20))] = cov
+    system = CoverageSystem(elems, [(a, c, cov) for (a, c), cov in pairs.items()])
+    already = frozenset(rng.sample(elems, rng.randint(1, (len(elems) + 1) // 2)))
+    return system, PartitionMatroid.for_system(system, rng.randint(0, 3)), already
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_lazy_greedy_matches_eager_scan(seed):
+    system, matroid, already = tied_system(random.Random(seed))
+    assert greedy_matroid_max(system, matroid, already) == eager_greedy(system, matroid, already)
 
 
 def random_system(rng, max_pairs=10, max_elems=8, capacity=None):

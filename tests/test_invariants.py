@@ -1,0 +1,80 @@
+"""Invariants above oracle scale, on the partition-matroid cover paths.
+
+Wide shallow layered DAGs have no rho-good vertex, so the directed solver
+completes its few-trees partition with the cover loop; undirected stars of
+stars whose leaf count is at least ceil(t^(1/3)) turn every hub into a
+super-terminal that only the cover loop can reach.  Every feasible cell of
+the sweep grid must give a valid k-tree with a valid optimal schedule, and
+the row-staged solve must agree with an unstaged solve at every degree
+budget.
+"""
+
+from __future__ import annotations
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from poisekit import eccentricity, generate_instance, tree_metrics
+from poisekit.driver import solve_guess, stage_budget
+from poisekit.errors import InfeasibleGuessError
+from poisekit.graph import PoiseGuess
+from poisekit.scheduling import broadcast_rounds, tree_broadcast_schedule, validate_schedule
+
+
+def _outcome(solve):
+    try:
+        return solve()
+    except InfeasibleGuessError as exc:
+        return str(exc)
+
+
+def check_every_cell(instance) -> list[str]:
+    """Check every (B, D) cell; return the branches the feasible ones took."""
+    branches = []
+    for D in range(1, eccentricity(instance.graph, instance.root) + 1):
+        stage = stage_budget(instance, D)
+        for B in range(1, len(instance.terminals) + 1):
+            trace: dict = {}
+            staged = _outcome(lambda: stage.finish(B, trace))
+            unstaged = _outcome(lambda: solve_guess(instance, PoiseGuess(B, D)))
+            if isinstance(staged, str):
+                assert staged == unstaged
+                continue
+            assert not isinstance(unstaged, str) and staged.parent == unstaged.parent
+            m = tree_metrics(staged, instance)
+            assert m.terminals_covered >= instance.k
+            schedule = tree_broadcast_schedule(staged)
+            assert validate_schedule(instance, schedule, instance.k).valid
+            assert len(schedule.rounds) == broadcast_rounds(staged)[staged.root]
+            if trace.get("pmcover"):
+                branches.append("directed-cover")
+            branches += [
+                "undirected-" + it["branch"] for it in trace.get("iterations", ())
+            ]
+    return branches
+
+
+@given(
+    width=st.integers(20, 60),
+    k_share=st.floats(0.5, 1.0),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=4, deadline=None)
+def test_layered_dag_cover_cells(width, k_share, seed):
+    k = max(1, int(width * k_share))
+    instance = generate_instance(
+        "layered-dag", {"width": width, "depth": 2, "t": width, "k": k, "seed": seed}
+    )
+    assert "directed-cover" in check_every_cell(instance)
+
+
+@given(leaf=st.integers(3, 5), data=st.data())
+@settings(max_examples=4, deadline=None)
+def test_star_of_stars_pmcover_cells(leaf, data):
+    # leaf^2 >= branch makes leaf >= ceil(t^(1/3)), so every hub packs
+    branch = data.draw(st.integers(leaf + 1, min(leaf * leaf, 12)))
+    k = data.draw(st.integers(1, branch * leaf))
+    instance = generate_instance(
+        "star-of-stars", {"branch": branch, "leaf": leaf, "k": k, "directed": False}
+    )
+    assert "undirected-pmcover" in check_every_cell(instance)

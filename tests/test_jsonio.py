@@ -1,13 +1,14 @@
 import json
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poisekit import Graph, MulticastInstance, PoiseTree, Schedule
 from poisekit import jsonio
 
-from conftest import random_graph
+from conftest import MALFORMED_INSTANCES, random_graph
 
 
 def test_instance_round_trip():
@@ -53,3 +54,14 @@ def test_random_instances_round_trip(n, seed):
     back = jsonio.instance_from_json(jsonio.instance_to_json(inst))
     assert back.graph.arcs == inst.graph.arcs
     assert back.terminals == inst.terminals
+
+
+@pytest.mark.parametrize(
+    "text, needle", [case[1:] for case in MALFORMED_INSTANCES],
+    ids=[case[0] for case in MALFORMED_INSTANCES],
+)
+def test_malformed_instance_rejected_naming_the_field(text, needle):
+    with pytest.raises(ValueError) as info:
+        jsonio.instance_from_json(text)
+    message = str(info.value)
+    assert needle in message and "\n" not in message
