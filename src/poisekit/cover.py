@@ -10,6 +10,7 @@ keeps it for a whole row of degree budgets in a `CoverRow`.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping
@@ -250,6 +251,7 @@ def pm_cover(
     B: int,
     D: int,
     max_iterations: int | None = None,
+    system: CoverageSystem | None = None,
 ) -> CoverSelection:
     """Iterated partition-matroid coverage across the (A, C) boundary.
 
@@ -257,27 +259,38 @@ def pm_cover(
     capacity B: a pair's gain over the elements covered so far is what it
     would cover in an instance rebuilt over the uncovered ones.
     ``target=None`` keeps everything coverable within the iteration cap
-    instead of aiming for a count.
+    instead of aiming for a count.  ``system``, when given, is the instance
+    these arguments build (a sweep row keeps it) and is used as is.
     """
     if target is not None and target < 1:
         raise ValueError("target must be at least 1 (or None for cover-all mode)")
-    system = build_coverage_instance(graph, A, C, elements, element_location, D, root)
+    if system is None:
+        system = build_coverage_instance(graph, A, C, elements, element_location, D, root)
     return pm_cover_system(system, B, target, max_iterations)
 
 
-@dataclass
 class CoverRow:
-    """A coverage system plus the arcs that realise each boundary vertex c's
-    coverage, both read only from the graph, the (A, C) partition and the
-    height budget.  A sweep row builds one and covers from it at every degree
-    budget; ``arcs(c)`` computes c's arcs on first use and keeps them.
+    """The cover work that reads only the graph, the (A, C) partition and the
+    height budget: the coverage system and the arcs that realise each
+    boundary vertex c's coverage.  A sweep row keeps one and covers from it
+    at every degree budget.  Nothing is computed until first asked for: the
+    system on first use of ``system``, c's arcs on the first ``arcs(c)``.
     """
 
-    system: CoverageSystem
-    arcs_of: Callable[[int], Iterable[Pair]]
-    memo: dict[int, tuple[Pair, ...]] = field(default_factory=dict)
+    def __init__(
+        self,
+        build: Callable[[], CoverageSystem],
+        arcs_of: Callable[[int], Iterable[Pair]],
+    ):
+        self._build = build
+        self._arcs_of = arcs_of
+        self._memo: dict[int, tuple[Pair, ...]] = {}
+
+    @functools.cached_property
+    def system(self) -> CoverageSystem:
+        return self._build()
 
     def arcs(self, c: int) -> tuple[Pair, ...]:
-        if c not in self.memo:
-            self.memo[c] = tuple(self.arcs_of(c))
-        return self.memo[c]
+        if c not in self._memo:
+            self._memo[c] = tuple(self._arcs_of(c))
+        return self._memo[c]

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Iterable
 
-from .cover import CoverRow, CoverSelection, build_coverage_instance, pm_cover_system
+from .cover import CoverRow, CoverSelection, build_coverage_instance, pm_cover
 from .errors import InfeasibleGuessError
 from .graph import (
     Graph,
@@ -224,12 +224,16 @@ def terminal_cover_row(
     terminals: Iterable[int], D: int,
 ) -> CoverRow:
     """The cover work of `complete` that reads only the partition and D: the
-    coverage system over the terminals in C, and each c's coverage-tree arcs."""
+    coverage system over the terminals in C, and each c's coverage-tree arcs.
+    Both are built on first use."""
+    A, C = frozenset(A), frozenset(C)
     elements = sorted(frozenset(terminals) & C)
-    system = build_coverage_instance(
-        graph, A, C, elements, {e: (e,) for e in elements}, D, root
+    return CoverRow(
+        lambda: build_coverage_instance(
+            graph, A, C, elements, {e: (e,) for e in elements}, D, root
+        ),
+        lambda c: coverage_tree(graph, C, c, elements, D).arcs(),
     )
-    return CoverRow(system, lambda c: coverage_tree(graph, C, c, elements, D).arcs())
 
 
 def complete(
@@ -267,7 +271,11 @@ def complete(
     if k_remaining > 0:
         if row is None:
             row = terminal_cover_row(graph, root, partition.A, partition.C, terminals, D)
-        selection = pm_cover_system(row.system, B, k_remaining)
+        elements = sorted(terminals & partition.C)
+        selection = pm_cover(
+            graph, root, partition.A, partition.C, elements, {e: (e,) for e in elements},
+            k_remaining, B, D, system=row.system,
+        )
         if len(selection.covered_elements) < k_remaining:
             raise InfeasibleGuessError(
                 "matroid cover hit its iteration cap below the coverage target"
@@ -290,16 +298,16 @@ class DirectedStage:
 
     On an instance pruned to radius D it holds the greedy packing and, when
     that yields at least rho trees, their stitched tree, which then answers
-    every degree budget.  Otherwise it holds the few-trees partition and its
-    cover row.  `finish` does the rest for one degree budget B.
+    every degree budget.  Otherwise `finish` completes the few-trees
+    partition for one degree budget B, covering from the partition's cover
+    row, which is built on the first cell that covers.
     """
 
     instance: MulticastInstance
     D: int
     partition: AdditivePartition
     stitched: PoiseTree | None
-    k_remaining: int
-    row: CoverRow | None
+    row: CoverRow
 
     def finish(self, B: int, trace: dict[str, Any] | None = None) -> PoiseTree:
         instance, trees = self.instance, self.partition.trees
@@ -322,16 +330,17 @@ class DirectedStage:
         if trace is not None:
             trace["branch"] = "few-trees"
             trace["packed"] = sorted(packed)
+        k_remaining = instance.k - len(self.partition.A & instance.terminals)
         return complete(
-            instance.graph, self.partition, instance.root, self.k_remaining, B, self.D,
+            instance.graph, self.partition, instance.root, k_remaining, B, self.D,
             instance.terminals, trace=trace, row=self.row,
         )
 
 
 def stage_directed(instance: MulticastInstance, D: int) -> DirectedStage:
     """Pack rho-terminal trees within height D and, when there are at least
-    rho of them, stitch them to the root; otherwise build the cover row that
-    completes the few-trees partition at every degree budget.
+    rho of them, stitch them to the root; otherwise keep the partition's
+    cover row for the few-trees completion at every degree budget.
 
     Expects a normalized instance already pruned to radius D.  Raises
     InfeasibleGuessError when stitching finds a packed tree unreachable, which
@@ -346,11 +355,8 @@ def stage_directed(instance: MulticastInstance, D: int) -> DirectedStage:
     stitched = solve_many_trees(g, instance.root, trees, rho) if len(trees) >= rho else None
     A = frozenset({instance.root} | packed)
     partition = AdditivePartition(A, C, tuple(trees), rho)
-    k_remaining = k - len(A & instance.terminals)
-    row = None
-    if stitched is None and k_remaining > 0:
-        row = terminal_cover_row(g, instance.root, A, C, instance.terminals, D)
-    return DirectedStage(instance, D, partition, stitched, k_remaining, row)
+    row = terminal_cover_row(g, instance.root, A, C, instance.terminals, D)
+    return DirectedStage(instance, D, partition, stitched, row)
 
 
 def solve_directed(

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .cover import CoverRow, build_coverage_instance, pm_cover_system
+from .cover import CoverRow, build_coverage_instance, pm_cover
 from .directed import (
     AdditivePartition,
     GoodTree,
@@ -216,14 +216,16 @@ class UndirectedStage:
 
     On an instance pruned to radius D it holds the first iteration's packing
     and super-terminal search, made while the region is just the root, and
-    the cover row that iteration completes or covers from, if any.  `finish`
-    runs the iterations for one degree budget B.
+    the cover rows that iteration completes (``small_row``) or covers
+    (``super_row``) from; each is built on the first cell that uses it.
+    `finish` runs the iterations for one degree budget B.
     """
 
     instance: MulticastInstance
     D: int
     first_round: tuple[list[GoodTree], frozenset[int], tuple[int, PoiseTree] | None]
-    first_row: CoverRow | None
+    small_row: CoverRow
+    super_row: CoverRow
 
     def finish(self, B: int, trace: dict[str, Any] | None = None) -> PoiseTree:
         instance, D = self.instance, self.D
@@ -250,14 +252,13 @@ class UndirectedStage:
             C = set(g.vertices()) - region.R
             if iteration == 1:
                 trees, packed, found = self.first_round
-                row = self.first_row
             else:
                 trees, packed, found = _pack_round(g, C, s_prime, t, D)
-                row = None
             if len(trees) < rho:
                 result = _complete_small(
                     g, trees, packed, rho, s_prime, k_rem, B, D, root,
-                    region.R, region.arcs, trace, row,
+                    region.R, region.arcs, trace,
+                    self.small_row if iteration == 1 else None,
                 )
                 record = _small_record(iteration, result, region, s_prime)
                 region.iteration_log.append(record)
@@ -276,10 +277,15 @@ class UndirectedStage:
                 discarded = set(covered)
                 branch = "large"
             else:
-                if row is None:
-                    row = super_cover_row(g, root, region.R, C, supers, D)
+                row = (
+                    self.super_row if iteration == 1
+                    else super_cover_row(g, root, region.R, C, supers, D)
+                )
                 cap = min(_ceil_log2(k), _ceil_log2(len(supers))) + 1
-                selection = pm_cover_system(row.system, B, None, cap)
+                selection = pm_cover(
+                    g, root, region.R, C, range(len(supers)), _super_location(supers),
+                    None, B, D, cap, system=row.system,
+                )
                 covered_ids = sorted(selection.covered_elements)
                 chosen_cs = sorted({c for _, c in selection.chosen})
                 union: set[Arc] = set()
@@ -325,23 +331,19 @@ class UndirectedStage:
 
 
 def stage_undirected(instance: MulticastInstance, D: int) -> UndirectedStage:
-    """Run the first iteration's packing and super-terminal search, and build
-    the cover row it completes or covers from: all of it reads only the
+    """Run the first iteration's packing and super-terminal search, and set
+    up the cover rows it completes or covers from: all of it reads only the
     height budget.  Expects a normalized instance pruned to radius D."""
     g = instance.graph
     if g.directed:
         raise ValueError("the undirected solver requires an undirected graph")
     root, terminals = instance.root, instance.terminals
     C = frozenset(g.vertices()) - {root}
-    first = trees, packed, found = _pack_round(g, C, terminals, len(terminals), D)
-    row = None
-    if len(trees) < _ceil_cbrt(len(terminals)):
-        if instance.k > len(packed & terminals):
-            A = frozenset({root}) | packed
-            row = terminal_cover_row(g, root, A, frozenset(g.vertices()) - A, terminals, D)
-    elif found is None:
-        row = super_cover_row(g, root, {root}, C, _contract(trees), D)
-    return UndirectedStage(instance, D, first, row)
+    first = trees, packed, _ = _pack_round(g, C, terminals, len(terminals), D)
+    A = frozenset({root}) | packed
+    small_row = terminal_cover_row(g, root, A, frozenset(g.vertices()) - A, terminals, D)
+    super_row = super_cover_row(g, root, {root}, C, _contract(trees), D)
+    return UndirectedStage(instance, D, first, small_row, super_row)
 
 
 def solve_undirected(
@@ -366,11 +368,19 @@ def super_cover_row(
 ) -> CoverRow:
     """The cover work of a pmcover iteration that reads only the region and
     D: the coverage system over the super-terminals, and each c's arcs
-    toward them."""
-    C = frozenset(C)
-    location = {s.id: sorted(s.representatives) for s in supers}
-    system = build_coverage_instance(graph, R, C, range(len(supers)), location, D, root)
-    return CoverRow(system, lambda c: _super_coverage_arcs(graph, C, c, supers, D))
+    toward them.  Both are built on first use."""
+    R, C = frozenset(R), frozenset(C)
+    return CoverRow(
+        lambda: build_coverage_instance(
+            graph, R, C, range(len(supers)), _super_location(supers), D, root
+        ),
+        lambda c: _super_coverage_arcs(graph, C, c, supers, D),
+    )
+
+
+def _super_location(supers: list[SuperTerminal]) -> dict[int, list[int]]:
+    """Each super-terminal's id -> its representative vertices."""
+    return {s.id: sorted(s.representatives) for s in supers}
 
 
 def _super_coverage_arcs(

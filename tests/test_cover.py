@@ -14,7 +14,7 @@ from poisekit import (
     pm_cover,
     pm_cover_system,
 )
-from poisekit.cover import default_iteration_cap
+from poisekit.cover import CoverRow, default_iteration_cap
 from poisekit.errors import InfeasibleGuessError
 
 
@@ -251,6 +251,39 @@ class TestPmCover:
             target=None, B=1, D=2, max_iterations=3,
         )
         assert sel.covered_elements == set()
+
+
+    def test_given_system_is_used_as_built(self):
+        g = two_branch_graph()
+        args = (g, 0, {0}, {1, 2, 3, 4}, [3, 4], singleton_locations([3, 4]))
+        system = build_coverage_instance(
+            g, {0}, {1, 2, 3, 4}, [3, 4], singleton_locations([3, 4]), D=2, root=0
+        )
+        built = pm_cover(*args, target=2, B=1, D=2)
+        given_ = pm_cover(*args, target=2, B=1, D=2, system=system)
+        assert (given_.chosen, given_.covered_elements, given_.log) == (
+            built.chosen, built.covered_elements, built.log,
+        )
+
+
+class TestCoverRow:
+    def test_builds_each_part_once_on_first_use(self):
+        calls = []
+        system = CoverageSystem({1}, [(0, 1, frozenset({1}))])
+
+        def build():
+            calls.append("system")
+            return system
+
+        def arcs_of(c):
+            calls.append(c)
+            return {(0, c)}
+
+        row = CoverRow(build, arcs_of)
+        assert calls == []
+        assert row.system is system and row.system is system
+        assert row.arcs(1) == ((0, 1),) and row.arcs(1) == ((0, 1),)
+        assert calls == ["system", 1]
 
 
 class TestExactMatroidCoverage:
