@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .errors import InfeasibleGuessError
-from .graph import Graph, bfs_distances
+from .graph import Graph, PoiseTree, bfs_distances
 
 Element = Hashable
 Pair = tuple[int, int]
@@ -87,12 +87,15 @@ class PartitionMatroid:
 
 @dataclass
 class CoverSelection:
-    """Accumulated boundary arcs, the elements they cover and the iteration log."""
+    """Accumulated boundary arcs, the elements they cover and the iteration
+    log.  ``peak_load`` is the most pairs any one part took in one iteration:
+    while it stays below the capacity, the capacity never bound a pick."""
 
     chosen: set[Pair]
     covered_elements: set
     iterations: int
     log: list[dict[str, Any]] = field(default_factory=list)
+    peak_load: int = 0
 
 
 def build_coverage_instance(
@@ -221,6 +224,7 @@ def pm_cover_system(
             newly |= cov
         newly -= covered
         selection.iterations += 1
+        selection.peak_load = max(selection.peak_load, *per_part.values(), 0)
         selection.log.append(
             {
                 "iteration": selection.iterations,
@@ -294,3 +298,39 @@ class CoverRow:
         if c not in self._memo:
             self._memo[c] = tuple(self._arcs_of(c))
         return self._memo[c]
+
+
+class SaturatedTree:
+    """A sweep row's tree once its degree budget no longer binds.
+
+    A stage reads the degree budget B only as the capacity of its covers'
+    partition matroid, and the greedy reads the capacity only once a part
+    holds that many picks.  So when every cover of one solve peaked below B
+    (see `CoverSelection.peak_load`), the capacity never bound, and every
+    budget above that peak replays the same picks and builds the same tree.
+    A stage keeps that one tree and returns it for those budgets unsolved.
+    """
+
+    def __init__(self) -> None:
+        self.peak = 0
+        self.tree: PoiseTree | None = None
+
+    def finish(
+        self,
+        B: int,
+        trace: dict[str, Any] | None,
+        solve: Callable[[int, dict[str, Any] | None, list[int]], PoiseTree],
+    ) -> PoiseTree:
+        """``solve(B, trace, peaks)`` solves the cell, appending each cover's
+        peak load to ``peaks``.  A traced solve always runs, so its trace is
+        complete, and is not kept."""
+        if trace is not None:
+            return solve(B, trace, [])
+        if self.tree is not None and B > self.peak:
+            return self.tree
+        peaks: list[int] = []
+        tree = solve(B, None, peaks)
+        peak = max(peaks, default=0)
+        if peak < B:
+            self.peak, self.tree = peak, tree
+        return tree

@@ -10,11 +10,10 @@ matroid cover (few-trees case).
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass
-from typing import Any, Iterable
+from dataclasses import dataclass, field
+from typing import Any, Iterable, Sequence
 
-from .cover import CoverRow, CoverSelection, build_coverage_instance, pm_cover
+from .cover import CoverRow, CoverSelection, SaturatedTree, build_coverage_instance, pm_cover
 from .errors import InfeasibleGuessError
 from .graph import (
     Graph,
@@ -24,6 +23,7 @@ from .graph import (
     bfs_parents,
     path_arcs,
     shortest_path_tree,
+    subset_bfs_parents,
 )
 
 Arc = tuple[int, int]
@@ -158,8 +158,10 @@ def greedy_packing(
 
 
 def _paths_to_tree_roots(
-    graph: Graph, sources: Iterable[int], trees: Iterable[GoodTree]
+    graph: Graph, sources: Iterable[int], trees: Sequence[GoodTree]
 ) -> set[Arc]:
+    if not trees:
+        return set()
     dist, parent = bfs_parents(graph, sources)
     arcs: set[Arc] = set()
     for tr in trees:
@@ -196,27 +198,7 @@ def _multi_source_spt_arcs(
     """Arcs of a shortest-path forest over ``arc_subset`` rooted at the source
     set (lowest-id parent), i.e. the in-C part of a tree hung off a virtual
     root joined to every source."""
-    out: dict[int, list[int]] = {}
-    inc: dict[int, list[int]] = {}
-    for u, v in arc_subset:
-        pairs = [(u, v)] if graph.directed else [(u, v), (v, u)]
-        for a, b in pairs:
-            out.setdefault(a, []).append(b)
-            inc.setdefault(b, []).append(a)
-    dist = {s: 0 for s in sources}
-    queue = deque(sorted(dist))
-    while queue:
-        u = queue.popleft()
-        for v in sorted(set(out.get(u, ()))):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    arcs: set[Arc] = set()
-    for v, d in dist.items():
-        if d == 0:
-            continue
-        arcs.add((min(u for u in set(inc.get(v, ())) if dist.get(u) == d - 1), v))
-    return arcs
+    return {(p, v) for v, p in subset_bfs_parents(graph, arc_subset, sources).items()}
 
 
 def terminal_cover_row(
@@ -248,6 +230,7 @@ def complete(
     region_arcs: Iterable[Arc] = (),
     trace: dict[str, Any] | None = None,
     row: CoverRow | None = None,
+    peaks: list[int] | None = None,
 ) -> PoiseTree:
     """Finish a rho-additive partition: cover k_remaining terminals of C via
     the iterated matroid cover and return the shortest-path tree over the
@@ -257,7 +240,8 @@ def complete(
     region instead of the bare root (paths to packed-tree roots then start
     from the nearest region vertex and the region's arcs join the subgraph).
     ``row`` is this partition's `terminal_cover_row`, when the caller keeps
-    one across degree budgets; otherwise it is built here.
+    one across degree budgets; otherwise it is built here.  The cover's peak
+    load is appended to ``peaks`` when given.
     """
     terminals = frozenset(terminals)
     region = frozenset(root_region) if root_region is not None else frozenset({root})
@@ -276,6 +260,8 @@ def complete(
             graph, root, partition.A, partition.C, elements, {e: (e,) for e in elements},
             k_remaining, B, D, system=row.system,
         )
+        if peaks is not None:
+            peaks.append(selection.peak_load)
         if len(selection.covered_elements) < k_remaining:
             raise InfeasibleGuessError(
                 "matroid cover hit its iteration cap below the coverage target"
@@ -300,7 +286,8 @@ class DirectedStage:
     that yields at least rho trees, their stitched tree, which then answers
     every degree budget.  Otherwise `finish` completes the few-trees
     partition for one degree budget B, covering from the partition's cover
-    row, which is built on the first cell that covers.
+    row, which is built on the first cell that covers, until the budget
+    saturates (`SaturatedTree`).
     """
 
     instance: MulticastInstance
@@ -308,8 +295,12 @@ class DirectedStage:
     partition: AdditivePartition
     stitched: PoiseTree | None
     row: CoverRow
+    saturated: SaturatedTree = field(default_factory=SaturatedTree, compare=False)
 
     def finish(self, B: int, trace: dict[str, Any] | None = None) -> PoiseTree:
+        return self.saturated.finish(B, trace, self._solve)
+
+    def _solve(self, B: int, trace: dict[str, Any] | None, peaks: list[int]) -> PoiseTree:
         instance, trees = self.instance, self.partition.trees
         packed = self.partition.A - {instance.root}
         if trace is not None:
@@ -333,7 +324,7 @@ class DirectedStage:
         k_remaining = instance.k - len(self.partition.A & instance.terminals)
         return complete(
             instance.graph, self.partition, instance.root, k_remaining, B, self.D,
-            instance.terminals, trace=trace, row=self.row,
+            instance.terminals, trace=trace, row=self.row, peaks=peaks,
         )
 
 

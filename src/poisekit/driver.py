@@ -103,7 +103,9 @@ def run_sweep(
     Returns the report plus the feasible tree of minimum poise (ties broken by
     smallest (B, D)).  The sweep runs one D row at a time and builds the row's
     D-only stage once; the first cell of each row carries the stage's time in
-    its ``wall_ms``.  Records are reported in (B, D) order.  A fast sweep
+    its ``wall_ms``.  A cell that returns the same tree object as the cell
+    before it (a saturated degree budget, or a stitched tree) reuses that
+    cell's metrics.  Records are reported in (B, D) order.  A fast sweep
     leaves a row once feasible poise rises, counting the cells it skipped.
     """
     ecc = eccentricity(instance.graph, instance.root)
@@ -112,6 +114,7 @@ def run_sweep(
     records: dict[tuple[int, int], dict[str, Any]] = {}
     best_key = None
     best_tree = None
+    measured = m = None
     for D in range(1, ecc + 1):
         start = time.perf_counter()
         stage = stage_budget(instance, D, mode)
@@ -119,7 +122,8 @@ def run_sweep(
         for B in range(1, t + 1):
             try:
                 tree = solve_guess(instance, PoiseGuess(B, D), mode, stage=stage)
-                m = tree_metrics(tree, instance)
+                if tree is not measured:
+                    measured, m = tree, tree_metrics(tree, instance)
                 rec = {
                     "B": B,
                     "D": D,

@@ -222,24 +222,32 @@ def path_arcs(parent: Mapping[int, int], target: int) -> list[tuple[int, int]]:
     return rev[::-1]
 
 
-def _subset_adjacency(
-    graph: Graph, edge_subset: Iterable[tuple[int, int]]
-) -> tuple[dict[int, list[int]], dict[int, list[int]], set[int]]:
-    out: dict[int, list[int]] = {}
-    inc: dict[int, list[int]] = {}
-    verts: set[int] = set()
+def subset_bfs_parents(
+    graph: Graph, edge_subset: Iterable[tuple[int, int]], sources: Iterable[int]
+) -> dict[int, int]:
+    """Lowest-id BFS parents over the subgraph spanned by ``edge_subset``,
+    grown from a source set: every vertex the sources reach inside the
+    subgraph, sources excepted, maps to its lowest-id predecessor one level up.
+    Each arc must be a graph arc; each adjacency list is sorted once.
+    """
+    out: dict[int, set[int]] = {}
+    inc: dict[int, set[int]] = {}
     for u, v in edge_subset:
         if not graph.has_arc(u, v):
             raise ValueError(f"arc ({u}, {v}) not present in the graph")
-        pairs = [(u, v)] if graph.directed else [(u, v), (v, u)]
-        for a, b in pairs:
-            out.setdefault(a, []).append(b)
-            inc.setdefault(b, []).append(a)
-        verts.update((u, v))
-    for adj in (out, inc):
-        for key in adj:
-            adj[key] = sorted(set(adj[key]))
-    return out, inc, verts
+        for a, b in [(u, v)] if graph.directed else [(u, v), (v, u)]:
+            out.setdefault(a, set()).add(b)
+            inc.setdefault(b, set()).add(a)
+    succ = {u: sorted(vs) for u, vs in out.items()}
+    dist = {s: 0 for s in sources}
+    queue = deque(sorted(dist))
+    while queue:
+        u = queue.popleft()
+        for v in succ.get(u, ()):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return {v: min(u for u in inc[v] if dist.get(u) == d - 1) for v, d in dist.items() if d}
 
 
 def shortest_path_tree(
@@ -250,21 +258,7 @@ def shortest_path_tree(
     Every vertex reachable from the root inside the subgraph is included at
     its subgraph distance; parents are the lowest-id predecessor one level up.
     """
-    out, inc, _ = _subset_adjacency(graph, edge_subset)
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for v in out.get(u, ()):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    parent: dict[int, int] = {}
-    for v, d in dist.items():
-        if v == root:
-            continue
-        parent[v] = min(u for u in inc.get(v, ()) if dist.get(u) == d - 1)
-    return PoiseTree(root, parent)
+    return PoiseTree(root, subset_bfs_parents(graph, edge_subset, [root]))
 
 
 def normalize_terminals(instance: MulticastInstance) -> MulticastInstance:

@@ -27,6 +27,8 @@ def instance_to_json(instance: MulticastInstance) -> str:
 
 
 _INSTANCE_FIELDS = ("directed", "n", "edges", "root", "terminals", "k")
+# A graph allocates lists of length n, so n is bounded before anything is built.
+MAX_VERTICES = 10**6
 
 
 def _integer(value, field: str) -> int:
@@ -60,6 +62,8 @@ def instance_from_json(text: str) -> MulticastInstance:
             f'field "directed" must be a JSON boolean (true or false), got {json.dumps(directed)}'
         )
     n, root, k = (_integer(data[name], name) for name in ("n", "root", "k"))
+    if n > MAX_VERTICES:
+        raise ValueError(f'field "n" must be at most {MAX_VERTICES}, got {n}')
     arcs = []
     for edge in _list(data["edges"], "edges"):
         if type(edge) is not list or len(edge) != 2:

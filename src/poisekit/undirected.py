@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .cover import CoverRow, build_coverage_instance, pm_cover
+from .cover import CoverRow, SaturatedTree, build_coverage_instance, pm_cover
 from .directed import (
     AdditivePartition,
     GoodTree,
@@ -111,10 +111,12 @@ def _complete_small(
     region_arcs: Iterable[Arc],
     trace: dict[str, Any] | None,
     row: CoverRow | None = None,
+    peaks: list[int] | None = None,
 ) -> PoiseTree:
     """The degree-budget half of `small` when it packed fewer than rho trees:
     complete the additive partition anchored at the root region.  ``row`` is
-    the partition's `terminal_cover_row` when the caller keeps one."""
+    the partition's `terminal_cover_row` when the caller keeps one; ``peaks``
+    is passed on to `complete`."""
     terminals = frozenset(terminals)
     region = frozenset(root_region) if root_region is not None else frozenset({root})
     A = region | packed
@@ -122,7 +124,7 @@ def _complete_small(
     target = k_remaining - len(packed & terminals)
     return complete(
         graph, partition, root, target, B, D, terminals,
-        root_region=region, region_arcs=region_arcs, trace=trace, row=row,
+        root_region=region, region_arcs=region_arcs, trace=trace, row=row, peaks=peaks,
     )
 
 
@@ -218,7 +220,8 @@ class UndirectedStage:
     and super-terminal search, made while the region is just the root, and
     the cover rows that iteration completes (``small_row``) or covers
     (``super_row``) from; each is built on the first cell that uses it.
-    `finish` runs the iterations for one degree budget B.
+    `finish` runs the iterations for one degree budget B, until the budget
+    saturates (`SaturatedTree`).
     """
 
     instance: MulticastInstance
@@ -226,8 +229,12 @@ class UndirectedStage:
     first_round: tuple[list[GoodTree], frozenset[int], tuple[int, PoiseTree] | None]
     small_row: CoverRow
     super_row: CoverRow
+    saturated: SaturatedTree = field(default_factory=SaturatedTree, compare=False)
 
     def finish(self, B: int, trace: dict[str, Any] | None = None) -> PoiseTree:
+        return self.saturated.finish(B, trace, self._solve)
+
+    def _solve(self, B: int, trace: dict[str, Any] | None, peaks: list[int]) -> PoiseTree:
         instance, D = self.instance, self.D
         g = instance.graph
         root, k = instance.root, instance.k
@@ -258,7 +265,7 @@ class UndirectedStage:
                 result = _complete_small(
                     g, trees, packed, rho, s_prime, k_rem, B, D, root,
                     region.R, region.arcs, trace,
-                    self.small_row if iteration == 1 else None,
+                    self.small_row if iteration == 1 else None, peaks,
                 )
                 record = _small_record(iteration, result, region, s_prime)
                 region.iteration_log.append(record)
@@ -286,6 +293,7 @@ class UndirectedStage:
                     g, root, region.R, C, range(len(supers)), _super_location(supers),
                     None, B, D, cap, system=row.system,
                 )
+                peaks.append(selection.peak_load)
                 covered_ids = sorted(selection.covered_elements)
                 chosen_cs = sorted({c for _, c in selection.chosen})
                 union: set[Arc] = set()

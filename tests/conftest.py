@@ -140,6 +140,7 @@ MALFORMED_INSTANCES = [
     ("missing-k", _two_branch_with(k=_DROP), 'missing field "k"'),
     ("float-n", _two_branch_with(n=3.5), 'field "n" must be a JSON integer'),
     ("bool-n", _two_branch_with(n=True), 'field "n" must be a JSON integer'),
+    ("huge-n", _two_branch_with(n=10**6 + 1), 'field "n" must be at most 1000000'),
     ("float-root", _two_branch_with(root=0.0), 'field "root" must be a JSON integer'),
     ("bool-k", _two_branch_with(k=False), 'field "k" must be a JSON integer'),
     ("float-terminal", _two_branch_with(terminals=[2.7], k=1),

@@ -181,6 +181,37 @@ def random_system(rng, max_pairs=10, max_elems=8, capacity=None):
     return system, PartitionMatroid.for_system(system, cap)
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from([tied_system, random_system]))
+@settings(max_examples=300, deadline=None)
+def test_capacity_above_peak_load_changes_nothing(seed, make):
+    # A part never held more than peak_load picks, so the capacity test never
+    # fired: any larger capacity replays the same picks.
+    rng = random.Random(seed)
+    system, matroid = make(rng)[:2]
+    target = rng.choice([None, rng.randint(1, len(system.ground))])
+    cap = None if target is not None else default_iteration_cap(len(system.ground))
+
+    def run(capacity):
+        try:
+            return pm_cover_system(system, capacity, target, cap)
+        except InfeasibleGuessError as exc:
+            return str(exc)
+
+    for capacity in (matroid.capacity, len(system.pairs) + 1):
+        base = run(capacity)
+        if isinstance(base, str):
+            continue
+        loads = [n for record in base.log for n in record["per_part"].values()]
+        assert base.peak_load == max(loads, default=0)
+        if base.peak_load == capacity:
+            continue  # the capacity bound; a larger one may pick more
+        for larger in range(base.peak_load + 1, base.peak_load + 4):
+            sel = run(larger)
+            assert (sel.chosen, sel.covered_elements, sel.iterations, sel.log) == (
+                base.chosen, base.covered_elements, base.iterations, base.log,
+            )
+
+
 class TestPmCover:
     def test_two_branch_capacity_one_takes_two_iterations(self):
         g = two_branch_graph()

@@ -6,7 +6,8 @@ stars whose leaf count is at least ceil(t^(1/3)) turn every hub into a
 super-terminal that only the cover loop can reach.  Every feasible cell of
 the sweep grid must give a valid k-tree with a valid optimal schedule, and
 the row-staged solve must agree with an unstaged solve at every degree
-budget.
+budget, both traced and along the sweep's own trace-less path, where a row
+reuses its tree once the degree budget saturates.
 """
 
 from __future__ import annotations
@@ -29,18 +30,26 @@ def _outcome(solve):
 
 
 def check_every_cell(instance) -> list[str]:
-    """Check every (B, D) cell; return the branches the feasible ones took."""
+    """Check every (B, D) cell; return the branches the feasible ones took,
+    plus "kept" for each cell whose trace-less solve returned the very tree
+    of the cell before it."""
     branches = []
     for D in range(1, eccentricity(instance.graph, instance.root) + 1):
         stage = stage_budget(instance, D)
+        previous = None
         for B in range(1, len(instance.terminals) + 1):
             trace: dict = {}
             staged = _outcome(lambda: stage.finish(B, trace))
+            swept = _outcome(lambda: stage.finish(B))
             unstaged = _outcome(lambda: solve_guess(instance, PoiseGuess(B, D)))
+            if swept is previous and not isinstance(swept, str):
+                branches.append("kept")
+            previous = swept
             if isinstance(staged, str):
-                assert staged == unstaged
+                assert staged == swept == unstaged
                 continue
             assert not isinstance(unstaged, str) and staged.parent == unstaged.parent
+            assert not isinstance(swept, str) and swept.parent == unstaged.parent
             m = tree_metrics(staged, instance)
             assert m.terminals_covered >= instance.k
             schedule = tree_broadcast_schedule(staged)
@@ -65,7 +74,8 @@ def test_layered_dag_cover_cells(width, k_share, seed):
     instance = generate_instance(
         "layered-dag", {"width": width, "depth": 2, "t": width, "k": k, "seed": seed}
     )
-    assert "directed-cover" in check_every_cell(instance)
+    branches = check_every_cell(instance)
+    assert "directed-cover" in branches and "kept" in branches
 
 
 @given(leaf=st.integers(3, 5), data=st.data())
@@ -77,4 +87,5 @@ def test_star_of_stars_pmcover_cells(leaf, data):
     instance = generate_instance(
         "star-of-stars", {"branch": branch, "leaf": leaf, "k": k, "directed": False}
     )
-    assert "undirected-pmcover" in check_every_cell(instance)
+    branches = check_every_cell(instance)
+    assert "undirected-pmcover" in branches and "kept" in branches
