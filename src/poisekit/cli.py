@@ -181,8 +181,11 @@ def cmd_schedule(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
     try:
         tree = jsonio.load_tree(args.tree)
+    except (OSError, ValueError) as exc:
+        raise _fail(f"error: cannot read tree {args.tree!r}: {exc}")
+    try:
         tree_metrics(tree, instance)
-    except (OSError, ValueError, KeyError) as exc:
+    except (ValueError, KeyError) as exc:
         raise _fail(f"error: tree inconsistent with instance: {exc}")
     schedule = tree_broadcast_schedule(tree)
     if args.out:
@@ -200,8 +203,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
     try:
         schedule = jsonio.load_schedule(args.schedule)
-    except (OSError, ValueError, KeyError) as exc:
-        raise _fail(f"error: cannot read schedule: {exc}")
+    except (OSError, ValueError) as exc:
+        raise _fail(f"error: cannot read schedule {args.schedule!r}: {exc}")
     k = args.k if args.k is not None else instance.k
     report = validate_schedule(instance, schedule, k)
     text = json.dumps(report.to_dict())

@@ -21,7 +21,7 @@ from .graph import (
     PoiseGuess,
     PoiseTree,
     bfs_parents,
-    path_arcs,
+    chain_parents,
     shortest_path_tree,
     subset_bfs_parents,
 )
@@ -73,14 +73,7 @@ def coverage_tree(
         raise ValueError("c must belong to C")
     terminals = frozenset(terminals)
     dist, parent = bfs_parents(graph, [c], restriction=C, max_depth=D)
-    keep: set[int] = {c}
-    for t in terminals:
-        if t in dist:
-            v = t
-            while v not in keep:
-                keep.add(v)
-                v = parent[v]
-    return PoiseTree(c, {v: parent[v] for v in keep if v != c})
+    return PoiseTree(c, chain_parents(parent, (t for t in terminals if t in dist)))
 
 
 def _terminals_of(tree: PoiseTree, terminals: frozenset[int]) -> set[int]:
@@ -111,13 +104,7 @@ def trim_to_terminals(tree: PoiseTree, terminals: Iterable[int], rho: int) -> Go
     if len(ranked) < rho:
         raise ValueError(f"tree holds {len(ranked)} terminals, cannot trim to {rho}")
     kept_terms = ranked[:rho]
-    keep: set[int] = {tree.root}
-    for t in kept_terms:
-        v = t
-        while v not in keep:
-            keep.add(v)
-            v = tree.parent[v]
-    parent = {v: tree.parent[v] for v in keep if v != tree.root}
+    parent = chain_parents(tree.parent, kept_terms)
     return GoodTree(tree.root, frozenset((p, v) for v, p in parent.items()), frozenset(kept_terms))
 
 
@@ -163,14 +150,12 @@ def _paths_to_tree_roots(
     if not trees:
         return set()
     dist, parent = bfs_parents(graph, sources)
-    arcs: set[Arc] = set()
     for tr in trees:
         if tr.root_vertex not in dist:
             raise InfeasibleGuessError(
                 f"packed-tree root {tr.root_vertex} is unreachable from the root region"
             )
-        arcs.update(path_arcs(parent, tr.root_vertex))
-    return arcs
+    return {(p, v) for v, p in chain_parents(parent, [tr.root_vertex for tr in trees]).items()}
 
 
 def solve_many_trees(

@@ -1,16 +1,18 @@
-"""Graph container, BFS machinery, instance normalization and tree metrics.
+"""Graph container, the BFS kernel, instance normalization and tree metrics.
 
 Vertices are dense integers 0..n-1.  Undirected graphs store each edge once
-and answer adjacency queries in both directions.  All tie-breaks (BFS parent
-choice, equal-distance choices) resolve to the lowest vertex id so every
-operation is reproducible.
+and answer adjacency queries in both directions.  Every BFS (`bfs_distances`,
+`bfs_parents`, `subset_bfs_parents`) runs one kernel, `_bfs`, which gives
+distances and the lowest-id parent one level up in a single pass.  All
+tie-breaks (BFS parent choice, equal-distance choices) resolve to the lowest
+vertex id so every operation is reproducible.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import InfeasibleGuessError
 
@@ -151,6 +153,44 @@ class TreeMetrics:
     terminals_covered: int
 
 
+def _bfs(
+    adjacency: Sequence[Sequence[int]] | Mapping[int, Sequence[int]],
+    sources: Iterable[int],
+    restriction: set[int] | frozenset[int] | None = None,
+    max_depth: int | None = None,
+) -> tuple[dict[int, int], dict[int, int]]:
+    """The one BFS kernel: (distances, parents) in a single pass.
+
+    ``adjacency[u]`` lists u's successors in ascending id order.  The search
+    grows from the sources in ascending order, stays inside ``restriction``
+    and stops at ``max_depth`` hops.  A reached non-source vertex v gets the
+    lowest-id parent one level up: set when v is discovered, then lowered
+    when a later vertex u of that level, with u < parent[v], scans v.
+    """
+    dist = dict.fromkeys(sorted(set(sources)), 0)
+    if not dist:
+        raise ValueError("sources must be nonempty")
+    if restriction is not None and any(s not in restriction for s in dist):
+        raise ValueError("sources must lie inside the restriction")
+    parent: dict[int, int] = {}
+    queue = deque(dist)
+    while queue:
+        u = queue.popleft()
+        d = dist[u] + 1
+        if max_depth is not None and d > max_depth:
+            break  # the queue is in distance order: nothing later expands
+        for v in adjacency[u]:
+            seen = dist.get(v)
+            if seen is None:
+                if restriction is None or v in restriction:
+                    dist[v] = d
+                    parent[v] = u
+                    queue.append(v)
+            elif seen == d and u < parent[v]:
+                parent[v] = u
+    return dist, parent
+
+
 def bfs_distances(
     graph: Graph,
     sources: Iterable[int],
@@ -163,26 +203,7 @@ def bfs_distances(
     given, both sources and traversal are confined to it.  With ``max_depth``
     the search stops there: only vertices within that many hops are returned.
     """
-    src = sorted(set(sources))
-    if not src:
-        raise ValueError("sources must be nonempty")
-    if restriction is not None and any(s not in restriction for s in src):
-        raise ValueError("sources must lie inside the restriction")
-    dist = {s: 0 for s in src}
-    queue = deque(src)
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        if max_depth is not None and d > max_depth:
-            break  # the queue is in distance order: nothing later expands
-        for v in graph.out_neighbors(u):
-            if v in dist:
-                continue
-            if restriction is not None and v not in restriction:
-                continue
-            dist[v] = d
-            queue.append(v)
-    return dist
+    return _bfs(graph._out, sources, restriction, max_depth)[0]  # type: ignore[attr-defined]
 
 
 def bfs_parents(
@@ -197,29 +218,18 @@ def bfs_parents(
     at distance dist(v) - 1 within the restriction.  ``max_depth`` bounds the
     search as in `bfs_distances`; it changes no distance or parent it keeps.
     """
-    dist = bfs_distances(graph, sources, restriction, max_depth)
-    parent: dict[int, int] = {}
-    src = set(sources)
-    for v, d in dist.items():
-        if v in src:
-            continue
-        best = None
-        for u in graph.in_neighbors(v):
-            if dist.get(u) == d - 1 and (restriction is None or u in restriction):
-                if best is None or u < best:
-                    best = u
-        parent[v] = best  # type: ignore[assignment]  # d >= 1 guarantees a witness
-    return dist, parent
+    return _bfs(graph._out, sources, restriction, max_depth)  # type: ignore[attr-defined]
 
 
-def path_arcs(parent: Mapping[int, int], target: int) -> list[tuple[int, int]]:
-    """Arcs of the parent-chain path ending at ``target``, source-first."""
-    rev = []
-    v = target
-    while v in parent:
-        rev.append((parent[v], v))
-        v = parent[v]
-    return rev[::-1]
+def chain_parents(parent: Mapping[int, int], targets: Iterable[int]) -> dict[int, int]:
+    """The part of a parent map on the parent chains from each target up to a
+    vertex without a parent (a BFS source or a tree root)."""
+    kept: dict[int, int] = {}
+    for v in targets:
+        while v in parent and v not in kept:
+            kept[v] = parent[v]
+            v = parent[v]
+    return kept
 
 
 def subset_bfs_parents(
@@ -228,26 +238,19 @@ def subset_bfs_parents(
     """Lowest-id BFS parents over the subgraph spanned by ``edge_subset``,
     grown from a source set: every vertex the sources reach inside the
     subgraph, sources excepted, maps to its lowest-id predecessor one level up.
-    Each arc must be a graph arc; each adjacency list is sorted once.
+    No sources give no parents.  Each arc must be a graph arc; each adjacency
+    list is sorted once.
     """
-    out: dict[int, set[int]] = {}
-    inc: dict[int, set[int]] = {}
+    succ: dict[int, set[int]] = {}
     for u, v in edge_subset:
         if not graph.has_arc(u, v):
             raise ValueError(f"arc ({u}, {v}) not present in the graph")
         for a, b in [(u, v)] if graph.directed else [(u, v), (v, u)]:
-            out.setdefault(a, set()).add(b)
-            inc.setdefault(b, set()).add(a)
-    succ = {u: sorted(vs) for u, vs in out.items()}
-    dist = {s: 0 for s in sources}
-    queue = deque(sorted(dist))
-    while queue:
-        u = queue.popleft()
-        for v in succ.get(u, ()):
-            if v not in dist:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return {v: min(u for u in inc[v] if dist.get(u) == d - 1) for v, d in dist.items() if d}
+            succ.setdefault(a, set()).add(b)
+    sources = set(sources)
+    if not sources:
+        return {}
+    return _bfs(defaultdict(tuple, {u: sorted(vs) for u, vs in succ.items()}), sources)[1]
 
 
 def shortest_path_tree(
@@ -334,8 +337,10 @@ def prune_beyond(instance: MulticastInstance, D: int) -> MulticastInstance:
 def tree_metrics(tree: PoiseTree, instance: MulticastInstance) -> TreeMetrics:
     """Max out-degree, height, poise and covered-terminal count of a tree."""
     g = instance.graph
+    if not 0 <= tree.root < g.n:
+        raise ValueError(f"tree root {tree.root} is not a vertex of the graph")
     for v, p in tree.parent.items():
-        if not g.has_arc(p, v):
+        if not 0 <= p < g.n or not g.has_arc(p, v):
             raise ValueError(f"tree arc ({p}, {v}) is not an arc of the graph")
     depths = tree.depths()
     height = max(depths.values(), default=0)

@@ -7,6 +7,7 @@ byte-stable for equal values.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from .graph import Graph, MulticastInstance, PoiseTree
@@ -29,6 +30,8 @@ def instance_to_json(instance: MulticastInstance) -> str:
 _INSTANCE_FIELDS = ("directed", "n", "edges", "root", "terminals", "k")
 # A graph allocates lists of length n, so n is bounded before anything is built.
 MAX_VERTICES = 10**6
+# Tree files key each vertex by its id in decimal, without sign or leading zeros.
+_VERTEX_KEY = re.compile(r"0|[1-9][0-9]*")
 
 
 def _integer(value, field: str) -> int:
@@ -44,18 +47,32 @@ def _list(value, field: str) -> list:
     return value
 
 
+def _pair(value, field: str, names: str) -> tuple[int, int]:
+    if type(value) is not list or len(value) != 2:
+        raise ValueError(f'field "{field}" must hold [{names}] pairs, got {json.dumps(value)}')
+    if type(value[0]) is not int or type(value[1]) is not int:
+        raise ValueError(f'field "{field}" must hold JSON integers, got {json.dumps(value)}')
+    return value[0], value[1]
+
+
+def _object(text: str, what: str, fields: tuple[str, ...]) -> dict:
+    """The JSON object in ``text``, checked to hold every named field."""
+    data = json.loads(text)
+    if type(data) is not dict:
+        raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
+    for name in fields:
+        if name not in data:
+            raise ValueError(f'missing field "{name}"')
+    return data
+
+
 def instance_from_json(text: str) -> MulticastInstance:
     """Parse an instance, checking every field's JSON type in one pass.
 
     Raises ValueError with a one-line message naming the offending field; the
     graph and instance constructors then check ranges and k.
     """
-    data = json.loads(text)
-    if type(data) is not dict:
-        raise ValueError(f"an instance must be a JSON object, got {type(data).__name__}")
-    for name in _INSTANCE_FIELDS:
-        if name not in data:
-            raise ValueError(f'missing field "{name}"')
+    data = _object(text, "an instance", _INSTANCE_FIELDS)
     directed = data["directed"]
     if not isinstance(directed, bool):
         raise ValueError(
@@ -64,14 +81,7 @@ def instance_from_json(text: str) -> MulticastInstance:
     n, root, k = (_integer(data[name], name) for name in ("n", "root", "k"))
     if n > MAX_VERTICES:
         raise ValueError(f'field "n" must be at most {MAX_VERTICES}, got {n}')
-    arcs = []
-    for edge in _list(data["edges"], "edges"):
-        if type(edge) is not list or len(edge) != 2:
-            raise ValueError(f'field "edges" must hold [u, v] pairs, got {json.dumps(edge)}')
-        u, v = edge
-        if type(u) is not int or type(v) is not int:
-            raise ValueError(f'field "edges" must hold JSON integers, got {json.dumps(edge)}')
-        arcs.append((u, v))
+    arcs = [_pair(edge, "edges", "u, v") for edge in _list(data["edges"], "edges")]
     terminals: set[int] = set()
     for t in _list(data["terminals"], "terminals"):
         if _integer(t, "terminals") in terminals:
@@ -86,8 +96,19 @@ def tree_to_json(tree: PoiseTree) -> str:
 
 
 def tree_from_json(text: str) -> PoiseTree:
-    data = json.loads(text)
-    return PoiseTree(int(data["root"]), {int(v): int(p) for v, p in data["parent"].items()})
+    """Parse a tree as strictly as an instance: the root and every parent a
+    JSON integer, every key of "parent" a vertex id in decimal ("0", "12").
+    Whether the tree fits an instance is checked by `tree_metrics`."""
+    data = _object(text, "a tree", ("root", "parent"))
+    root = _integer(data["root"], "root")
+    if type(data["parent"]) is not dict:
+        raise ValueError(f'field "parent" must be a JSON object, got {json.dumps(data["parent"])}')
+    parent = {}
+    for key, p in data["parent"].items():
+        if not _VERTEX_KEY.fullmatch(key):
+            raise ValueError(f'field "parent" must have vertex ids as keys, got {json.dumps(key)}')
+        parent[int(key)] = _integer(p, "parent")
+    return PoiseTree(root, parent)
 
 
 def schedule_to_json(schedule: Schedule) -> str:
@@ -95,8 +116,13 @@ def schedule_to_json(schedule: Schedule) -> str:
 
 
 def schedule_from_json(text: str) -> Schedule:
-    data = json.loads(text)
-    return Schedule(tuple(tuple((int(s), int(r)) for s, r in rnd) for rnd in data["rounds"]))
+    """Parse a schedule: "rounds" a list of rounds, each a list of
+    [sender, receiver] pairs of JSON integers."""
+    rounds = _list(_object(text, "a schedule", ("rounds",))["rounds"], "rounds")
+    return Schedule(tuple(
+        tuple(_pair(call, "rounds", "sender, receiver") for call in _list(rnd, "rounds"))
+        for rnd in rounds
+    ))
 
 
 def load_instance(path: str | Path) -> MulticastInstance:

@@ -28,7 +28,7 @@ from .graph import (
     PoiseGuess,
     PoiseTree,
     bfs_parents,
-    path_arcs,
+    chain_parents,
     shortest_path_tree,
 )
 
@@ -145,23 +145,33 @@ def find_good_vertex_wrt_super(
     if not supers:
         raise ValueError("supers must be nonempty")
     C = frozenset(C)
+    owner = {w: s.id for s in supers for w in s.representatives}
+    by_id = {s.id: s for s in supers}
     for v in sorted(C):
         dist, parent = bfs_parents(graph, [v], restriction=C, max_depth=D)
-        reached = []
-        for s in supers:
-            hits = [(dist[w], w) for w in s.representatives if dist.get(w, D + 1) <= D]
-            if hits:
-                d, w = min(hits)
-                reached.append((d, s.id, w, s))
-        if len(reached) < threshold:
+        closest = _closest_representatives(dist, owner)
+        if len(closest) < threshold:
             continue
-        reached.sort(key=lambda item: (item[0], item[1]))
-        union: set[Arc] = set()
-        for _, _, w, s in reached[:threshold]:
-            union.update(path_arcs(parent, w))
-            union.update(s.tree.edges)
+        chosen = sorted((d, i, w) for i, (d, w) in closest.items())[:threshold]
+        union = {(p, u) for u, p in chain_parents(parent, [w for _, _, w in chosen]).items()}
+        for _, i, _ in chosen:
+            union |= by_id[i].tree.edges
         return v, shortest_path_tree(graph, union, v)
     return None
+
+
+def _closest_representatives(
+    dist: dict[int, int], owner: dict[int, int]
+) -> dict[int, tuple[int, int]]:
+    """Each super-terminal reached in ``dist`` -> (distance, vertex) of its
+    closest representative, ties to the lowest vertex id.  ``owner`` maps a
+    representative to its super's id: the packed trees are vertex-disjoint."""
+    closest: dict[int, tuple[int, int]] = {}
+    for w, d in dist.items():
+        i = owner.get(w)
+        if i is not None and (i not in closest or (d, w) < closest[i]):
+            closest[i] = (d, w)
+    return closest
 
 
 def _merge_arcs(region: CoveredRegion, groups: Iterable[Iterable[Arc]]) -> list[Arc]:
@@ -279,7 +289,8 @@ class UndirectedStage:
                 if not candidates:
                     raise InfeasibleGuessError("aggregated tree unreachable from the region")
                 _, attach = min(candidates)
-                added = _merge_arcs(region, [path_arcs(parent, attach), sorted(big.arcs())])
+                path = [(p, u) for u, p in chain_parents(parent, [attach]).items()]
+                added = _merge_arcs(region, [path, sorted(big.arcs())])
                 covered = big.vertices() & s_prime
                 discarded = set(covered)
                 branch = "large"
@@ -378,11 +389,12 @@ def super_cover_row(
     D: the coverage system over the super-terminals, and each c's arcs
     toward them.  Both are built on first use."""
     R, C = frozenset(R), frozenset(C)
+    owner = {w: s.id for s in supers for w in s.representatives}
     return CoverRow(
         lambda: build_coverage_instance(
             graph, R, C, range(len(supers)), _super_location(supers), D, root
         ),
-        lambda c: _super_coverage_arcs(graph, C, c, supers, D),
+        lambda c: _super_coverage_arcs(graph, C, c, owner, D),
     )
 
 
@@ -392,20 +404,13 @@ def _super_location(supers: list[SuperTerminal]) -> dict[int, list[int]]:
 
 
 def _super_coverage_arcs(
-    graph: Graph, C: Iterable[int], c: int, supers: list[SuperTerminal], D: int
+    graph: Graph, C: frozenset[int], c: int, owner: dict[int, int], D: int
 ) -> set[Arc]:
     """Arcs of the coverage tree of c aimed at super-terminals: the BFS path
     from c to the closest representative of every super within D in G[C]."""
-    C = frozenset(C)
     dist, parent = bfs_parents(graph, [c], restriction=C, max_depth=D)
-    arcs: set[Arc] = set()
-    for s in supers:
-        hits = [(dist[w], w) for w in s.representatives if dist.get(w, D + 1) <= D]
-        if not hits:
-            continue
-        _, w = min(hits)
-        arcs.update(path_arcs(parent, w))
-    return arcs
+    targets = [w for _, w in _closest_representatives(dist, owner).values()]
+    return {(p, v) for v, p in chain_parents(parent, targets).items()}
 
 
 def _small_record(

@@ -156,3 +156,36 @@ MALFORMED_INSTANCES = [
     ("scalar-edge", _two_branch_with(edges=[0, 1]), 'field "edges" must hold [u, v] pairs'),
     ("edges-not-list", _two_branch_with(edges={"0": 1}), 'field "edges" must be a JSON list'),
 ]
+
+# (case id, tree file text, text the one-line error must contain).
+MALFORMED_TREES = [
+    ("top-level-list", "[1, 2]", "a tree must be a JSON object"),
+    ("missing-parent", '{"root": 0}', 'missing field "parent"'),
+    ("float-root", '{"root": 0.0, "parent": {}}', 'field "root" must be a JSON integer'),
+    ("parent-not-object", '{"root": 0, "parent": [[1, 0]]}',
+     'field "parent" must be a JSON object'),
+    ("list-parent", '{"root": 0, "parent": {"2": [1]}}', 'field "parent" must be a JSON integer'),
+    ("float-parent", '{"root": 0, "parent": {"2": 1.9}}', 'field "parent" must be a JSON integer'),
+    ("bool-parent", '{"root": 0, "parent": {"1": true}}', 'field "parent" must be a JSON integer'),
+    ("word-key", '{"root": 0, "parent": {"one": 0}}',
+     'field "parent" must have vertex ids as keys, got "one"'),
+    ("float-key", '{"root": 0, "parent": {"1.0": 0}}',
+     'field "parent" must have vertex ids as keys, got "1.0"'),
+    ("negative-key", '{"root": 0, "parent": {"-1": 0}}',
+     'field "parent" must have vertex ids as keys, got "-1"'),
+    ("leading-zero-key", '{"root": 0, "parent": {"01": 0}}',
+     'field "parent" must have vertex ids as keys, got "01"'),
+]
+
+# (case id, schedule file text, text the one-line error must contain).
+MALFORMED_SCHEDULES = [
+    ("top-level-list", "[]", "a schedule must be a JSON object"),
+    ("missing-rounds", "{}", 'missing field "rounds"'),
+    ("scalar-rounds", '{"rounds": 5}', 'field "rounds" must be a JSON list, got 5'),
+    ("scalar-round", '{"rounds": [5]}', 'field "rounds" must be a JSON list, got 5'),
+    ("three-element-call", '{"rounds": [[[0, 1, 2]]]}',
+     'field "rounds" must hold [sender, receiver] pairs'),
+    ("scalar-call", '{"rounds": [[0, 1]]}', 'field "rounds" must hold [sender, receiver] pairs'),
+    ("float-call", '{"rounds": [[[0, 1.0]]]}', 'field "rounds" must hold JSON integers'),
+    ("bool-call", '{"rounds": [[[0, true]]]}', 'field "rounds" must hold JSON integers'),
+]

@@ -5,7 +5,12 @@ import pytest
 from poisekit import jsonio
 from poisekit.cli import main
 
-from conftest import MALFORMED_INSTANCES, two_branch_instance
+from conftest import (
+    MALFORMED_INSTANCES,
+    MALFORMED_SCHEDULES,
+    MALFORMED_TREES,
+    two_branch_instance,
+)
 
 
 @pytest.fixture
@@ -129,6 +134,40 @@ class TestScheduleAndValidate:
         tree_path = tmp_path / "tree.json"
         tree_path.write_text('{"root": 0, "parent": {"4": 0}}')
         assert run(["schedule", "--input", inst_path, "--tree", str(tree_path)]) == 1
+
+    @pytest.mark.parametrize("text, needle", [
+        ('{"root": 0, "parent": {"3": 100}}', "tree arc (100, 3) is not an arc"),
+        ('{"root": 0, "parent": {"3": -4}}', "tree arc (-4, 3) is not an arc"),
+        ('{"root": 50, "parent": {}}', "tree root 50 is not a vertex"),
+    ], ids=["parent-beyond-n", "negative-parent", "root-beyond-n"])
+    def test_tree_off_the_graph_exits_one(self, inst_path, tmp_path, text, needle, capsys):
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(text)
+        assert run(["schedule", "--input", inst_path, "--tree", str(tree_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and needle in err
+
+    @pytest.mark.parametrize(
+        "text, needle", [case[1:] for case in MALFORMED_TREES],
+        ids=[case[0] for case in MALFORMED_TREES],
+    )
+    def test_malformed_tree_exits_one(self, inst_path, tmp_path, text, needle, capsys):
+        tree_path = tmp_path / "tree.json"
+        tree_path.write_text(text)
+        assert run(["schedule", "--input", inst_path, "--tree", str(tree_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and needle in err
+
+    @pytest.mark.parametrize(
+        "text, needle", [case[1:] for case in MALFORMED_SCHEDULES],
+        ids=[case[0] for case in MALFORMED_SCHEDULES],
+    )
+    def test_malformed_schedule_exits_one(self, inst_path, tmp_path, text, needle, capsys):
+        sched_path = tmp_path / "sched.json"
+        sched_path.write_text(text)
+        assert run(["validate", "--input", inst_path, "--schedule", str(sched_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and needle in err
 
 
 class TestOracle:

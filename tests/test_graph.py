@@ -1,4 +1,5 @@
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from poisekit import (
     tree_metrics,
 )
 from poisekit.errors import InfeasibleGuessError
+from poisekit.graph import subset_bfs_parents
 from poisekit.oracle import poise_feasible
 
 from conftest import floyd_warshall, random_graph
@@ -291,3 +293,96 @@ def test_bfs_never_exceeds_arc_count_hops(n, seed):
     dist = bfs_distances(g, {0})
     assert all(0 <= d < n for d in dist.values())
     assert dist[0] == 0
+
+
+def reference_bfs_parents(graph, sources, restriction=None, max_depth=None):
+    """Reference in two passes: distances first, then each reached vertex's
+    lowest-id in-neighbour one level up, read from ``in_neighbors``."""
+    src = sorted(set(sources))
+    dist = {s: 0 for s in src}
+    queue = deque(src)
+    while queue:
+        u = queue.popleft()
+        d = dist[u] + 1
+        if max_depth is not None and d > max_depth:
+            break
+        for v in graph.out_neighbors(u):
+            if v in dist or (restriction is not None and v not in restriction):
+                continue
+            dist[v] = d
+            queue.append(v)
+    parent = {}
+    for v, d in dist.items():
+        if v in src:
+            continue
+        parent[v] = min(
+            u for u in graph.in_neighbors(v)
+            if dist.get(u) == d - 1 and (restriction is None or u in restriction)
+        )
+    return dist, parent
+
+
+def reference_subset_bfs_parents(graph, edge_subset, sources):
+    """Reference over an arc subset: distances over the subset's successor
+    lists, then each reached vertex's lowest-id predecessor one level up."""
+    out, inc = {}, {}
+    for u, v in edge_subset:
+        for a, b in [(u, v)] if graph.directed else [(u, v), (v, u)]:
+            out.setdefault(a, set()).add(b)
+            inc.setdefault(b, set()).add(a)
+    dist = {s: 0 for s in sources}
+    queue = deque(sorted(dist))
+    while queue:
+        u = queue.popleft()
+        for v in sorted(out.get(u, ())):
+            if v not in dist:
+                dist[v] = dist[u] + 1
+                queue.append(v)
+    return {v: min(u for u in inc[v] if dist.get(u) == d - 1) for v, d in dist.items() if d}
+
+
+class TestBfsKernel:
+    def test_later_queued_lower_id_parent_wins(self):
+        # 4 is queued before 3 (their parents 1 and 2 are), so 4 discovers 5
+        # first; the lowest-id parent of 5 is still 3
+        g = Graph(6, [(0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)], directed=True)
+        dist, parent = bfs_parents(g, {0})
+        assert list(dist) == [0, 1, 2, 4, 3, 5]
+        assert parent[5] == 3
+        assert subset_bfs_parents(g, g.arcs, [0])[5] == 3
+
+    def test_subset_without_sources_has_no_parents(self):
+        assert subset_bfs_parents(path_graph(3), {(0, 1)}, []) == {}
+
+
+@given(
+    n=st.integers(2, 16),
+    seed=st.integers(0, 10**6),
+    directed=st.booleans(),
+    bounded=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_bfs_kernel_matches_two_pass_references(n, seed, directed, bounded):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.randint(1, 3 * n), directed)
+    sources = set(rng.sample(range(n), rng.randint(1, min(3, n))))
+    restriction = None
+    if rng.random() < 0.5:
+        restriction = sources | {v for v in range(n) if rng.random() < 0.7}
+    depth = rng.randint(0, n) if bounded else None
+    # a relabelled copy: queue order no longer follows vertex ids
+    perm = list(range(n))
+    rng.shuffle(perm)
+    h = Graph(n, [(perm[u], perm[v]) for u, v in g.arcs], directed)
+    for graph in (g, h):
+        ref_dist, ref_parent = reference_bfs_parents(graph, sources, restriction, depth)
+        dist, parent = bfs_parents(graph, sources, restriction, depth)
+        assert list(dist.items()) == list(ref_dist.items())
+        assert list(parent.items()) == list(ref_parent.items())
+        assert list(bfs_distances(graph, sources, restriction, depth).items()) == list(
+            ref_dist.items()
+        )
+        arcs = rng.sample(list(graph.arcs), rng.randint(0, len(graph.arcs)))
+        got = subset_bfs_parents(graph, arcs, sorted(sources, reverse=True))
+        want = reference_subset_bfs_parents(graph, arcs, sources)
+        assert list(got.items()) == list(want.items())

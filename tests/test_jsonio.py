@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from poisekit import Graph, MulticastInstance, PoiseTree, Schedule
 from poisekit import jsonio
 
-from conftest import MALFORMED_INSTANCES, random_graph
+from conftest import MALFORMED_INSTANCES, MALFORMED_SCHEDULES, MALFORMED_TREES, random_graph
 
 
 def test_instance_round_trip():
@@ -63,5 +63,27 @@ def test_random_instances_round_trip(n, seed):
 def test_malformed_instance_rejected_naming_the_field(text, needle):
     with pytest.raises(ValueError) as info:
         jsonio.instance_from_json(text)
+    message = str(info.value)
+    assert needle in message and "\n" not in message
+
+
+@pytest.mark.parametrize(
+    "text, needle", [case[1:] for case in MALFORMED_TREES],
+    ids=[case[0] for case in MALFORMED_TREES],
+)
+def test_malformed_tree_rejected_naming_the_field(text, needle):
+    with pytest.raises(ValueError) as info:
+        jsonio.tree_from_json(text)
+    message = str(info.value)
+    assert needle in message and "\n" not in message
+
+
+@pytest.mark.parametrize(
+    "text, needle", [case[1:] for case in MALFORMED_SCHEDULES],
+    ids=[case[0] for case in MALFORMED_SCHEDULES],
+)
+def test_malformed_schedule_rejected_naming_the_field(text, needle):
+    with pytest.raises(ValueError) as info:
+        jsonio.schedule_from_json(text)
     message = str(info.value)
     assert needle in message and "\n" not in message
