@@ -124,9 +124,11 @@ def cmd_solve(args: argparse.Namespace) -> int:
             )
         except ValueError as exc:
             raise _fail(f"error: {exc}")
+    if args.mode == "undirected" and original.graph.directed:
+        raise _fail("error: --mode undirected needs an undirected graph")
     prep = Prepared(original)
     if args.sweep:
-        report, tree = run_sweep(prep.instance, mode=args.mode, fast=args.fast_sweep)
+        report, tree = run_sweep(prep.instance, mode=args.mode)
         result = report.to_dict()
         if tree is None:
             print(json.dumps(result))
@@ -273,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--B", type=int)
     p.add_argument("--D", type=int)
     p.add_argument("--sweep", action="store_true")
-    p.add_argument("--fast-sweep", action="store_true")
     p.add_argument("--k", type=int)
     p.add_argument("--trace")
     p.add_argument("--out")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .errors import InfeasibleGuessError
-from .graph import Graph, PoiseTree, bfs_distances
+from .graph import Graph, PoiseTree, bfs_distances, bfs_parents, chain_parents
 
 Element = Hashable
 Pair = tuple[int, int]
@@ -275,29 +275,72 @@ def pm_cover(
 
 class CoverRow:
     """The cover work that reads only the graph, the (A, C) partition and the
-    height budget: the coverage system and the arcs that realise each
-    boundary vertex c's coverage.  A sweep row keeps one and covers from it
-    at every degree budget.  Nothing is computed until first asked for: the
-    system on first use of ``system``, c's arcs on the first ``arcs(c)``.
+    height budget D.  A sweep row keeps one and covers from it at every
+    degree budget.
+
+    The elements are the keys of ``element_location``, which maps each to
+    its representative vertices: a terminal is its own only representative,
+    a super-terminal has its packed tree's vertices.  Distinct elements have
+    disjoint representatives.
+    Nothing is computed until first asked for: the coverage system on the
+    first cover, c's arcs on the first ``arcs(c)``.
     """
 
     def __init__(
         self,
-        build: Callable[[], CoverageSystem],
-        arcs_of: Callable[[int], Iterable[Pair]],
+        graph: Graph,
+        root: int,
+        A: Iterable[int],
+        C: Iterable[int],
+        element_location: Mapping[Element, Iterable[int]],
+        D: int,
     ):
-        self._build = build
-        self._arcs_of = arcs_of
-        self._memo: dict[int, tuple[Pair, ...]] = {}
+        self.graph, self.root, self.D = graph, root, D
+        self.A, self.C = frozenset(A), frozenset(C)
+        self.location = element_location
+        self._arcs: dict[int, frozenset[Pair]] = {}
 
     @functools.cached_property
     def system(self) -> CoverageSystem:
-        return self._build()
+        return build_coverage_instance(
+            self.graph, self.A, self.C, self.location, self.location, self.D, self.root
+        )
 
-    def arcs(self, c: int) -> tuple[Pair, ...]:
-        if c not in self._memo:
-            self._memo[c] = tuple(self._arcs_of(c))
-        return self._memo[c]
+    @functools.cached_property
+    def _owner(self) -> dict[int, Element]:
+        return {w: e for e, reps in self.location.items() for w in reps}
+
+    def cover(
+        self, target: int | None, B: int, max_iterations: int | None = None
+    ) -> CoverSelection:
+        """`pm_cover` at degree budget B on this row's system."""
+        return pm_cover(
+            self.graph, self.root, self.A, self.C, self.location, self.location,
+            target, B, self.D, max_iterations, system=self.system,
+        )
+
+    def arcs(self, c: int) -> frozenset[Pair]:
+        """The arcs that realise c's coverage: the BFS paths in G[C] from c to
+        the closest representative of each element within D hops."""
+        if c not in self._arcs:
+            dist, parent = bfs_parents(self.graph, [c], restriction=self.C, max_depth=self.D)
+            targets = [w for _, w in _closest_representatives(dist, self._owner).values()]
+            self._arcs[c] = frozenset((p, v) for v, p in chain_parents(parent, targets).items())
+        return self._arcs[c]
+
+
+def _closest_representatives(
+    dist: dict[int, int], owner: Mapping[int, Element]
+) -> dict[Element, tuple[int, int]]:
+    """Each element reached in ``dist`` -> (distance, vertex) of its closest
+    representative, ties to the lowest vertex id.  ``owner`` maps a
+    representative to its element."""
+    closest: dict[Element, tuple[int, int]] = {}
+    for w, d in dist.items():
+        e = owner.get(w)
+        if e is not None and (e not in closest or (d, w) < closest[e]):
+            closest[e] = (d, w)
+    return closest
 
 
 class SaturatedTree:

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
 
-from .cover import CoverRow, CoverSelection, SaturatedTree, build_coverage_instance, pm_cover
+from .cover import CoverRow, CoverSelection, SaturatedTree
 from .errors import InfeasibleGuessError
 from .graph import (
     Graph,
@@ -190,17 +190,19 @@ def terminal_cover_row(
     graph: Graph, root: int, A: Iterable[int], C: frozenset[int],
     terminals: Iterable[int], D: int,
 ) -> CoverRow:
-    """The cover work of `complete` that reads only the partition and D: the
-    coverage system over the terminals in C, and each c's coverage-tree arcs.
-    Both are built on first use."""
-    A, C = frozenset(A), frozenset(C)
-    elements = sorted(frozenset(terminals) & C)
-    return CoverRow(
-        lambda: build_coverage_instance(
-            graph, A, C, elements, {e: (e,) for e in elements}, D, root
-        ),
-        lambda c: coverage_tree(graph, C, c, elements, D).arcs(),
-    )
+    """The cover row of `complete` over the terminals in C, each its own only
+    representative."""
+    return CoverRow(graph, root, A, C, {t: (t,) for t in sorted(frozenset(terminals) & C)}, D)
+
+
+def _cover_forest(graph: Graph, row: CoverRow, chosen: Iterable[Arc]) -> set[Arc]:
+    """The in-C arcs that realise a cover's picks: a shortest-path forest from
+    the picked boundary vertices over the union of their row arcs."""
+    chosen_cs = sorted({c for _, c in chosen})
+    union: set[Arc] = set()
+    for c in chosen_cs:
+        union.update(row.arcs(c))
+    return _multi_source_spt_arcs(graph, union, chosen_cs)
 
 
 def complete(
@@ -240,23 +242,15 @@ def complete(
     if k_remaining > 0:
         if row is None:
             row = terminal_cover_row(graph, root, partition.A, partition.C, terminals, D)
-        elements = sorted(terminals & partition.C)
-        selection = pm_cover(
-            graph, root, partition.A, partition.C, elements, {e: (e,) for e in elements},
-            k_remaining, B, D, system=row.system,
-        )
+        selection = row.cover(k_remaining, B)
         if peaks is not None:
             peaks.append(selection.peak_load)
         if len(selection.covered_elements) < k_remaining:
             raise InfeasibleGuessError(
                 "matroid cover hit its iteration cap below the coverage target"
             )
-        chosen_cs = sorted({c for _, c in selection.chosen})
-        union: set[Arc] = set()
-        for c in chosen_cs:
-            union.update(row.arcs(c))
         H |= selection.chosen
-        H |= _multi_source_spt_arcs(graph, union, chosen_cs)
+        H |= _cover_forest(graph, row, selection.chosen)
     if trace is not None:
         trace["pmcover"] = selection.log if selection is not None else []
         trace["k_remaining"] = k_remaining

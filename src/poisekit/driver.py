@@ -25,17 +25,13 @@ from .undirected import UndirectedStage, stage_undirected
 @dataclass
 class SweepReport:
     grid: dict[str, int]
-    fast_sweep: bool
     records: list[dict[str, Any]] = field(default_factory=list)
-    skipped: int = 0
     best: dict[str, Any] | None = None
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "grid": self.grid,
-            "fast_sweep": self.fast_sweep,
             "records": self.records,
-            "skipped": self.skipped,
             "best": self.best,
         }
 
@@ -96,7 +92,6 @@ def solve_guess(
 def run_sweep(
     instance: MulticastInstance,
     mode: str = "auto",
-    fast: bool = False,
 ) -> tuple[SweepReport, PoiseTree | None]:
     """Try every guess with D in [1, ecc(root)] and B in [1, t].
 
@@ -105,12 +100,11 @@ def run_sweep(
     D-only stage once; the first cell of each row carries the stage's time in
     its ``wall_ms``.  A cell that returns the same tree object as the cell
     before it (a saturated degree budget, or a stitched tree) reuses that
-    cell's metrics.  Records are reported in (B, D) order.  A fast sweep
-    leaves a row once feasible poise rises, counting the cells it skipped.
+    cell's metrics.  Records are reported in (B, D) order.
     """
     ecc = eccentricity(instance.graph, instance.root)
     t = len(instance.terminals)
-    report = SweepReport(grid={"D_max": ecc, "B_max": t}, fast_sweep=fast)
+    report = SweepReport(grid={"D_max": ecc, "B_max": t})
     records: dict[tuple[int, int], dict[str, Any]] = {}
     best_key = None
     best_tree = None
@@ -118,7 +112,6 @@ def run_sweep(
     for D in range(1, ecc + 1):
         start = time.perf_counter()
         stage = stage_budget(instance, D, mode)
-        row_best = None
         for B in range(1, t + 1):
             try:
                 tree = solve_guess(instance, PoiseGuess(B, D), mode, stage=stage)
@@ -140,17 +133,9 @@ def run_sweep(
             rec["wall_ms"] = round((now - start) * 1000.0, 3)
             start = now
             records[(B, D)] = rec
-            if not rec["feasible"]:
-                continue
-            key = (rec["poise"], B, D)
-            if best_key is None or key < best_key:
-                best_key, best_tree = key, tree
+            if rec["feasible"] and (best_key is None or (rec["poise"], B, D) < best_key):
+                best_key, best_tree = (rec["poise"], B, D), tree
                 report.best = dict(rec)
-            if fast:
-                if row_best is not None and rec["poise"] > row_best:
-                    report.skipped += t - B
-                    break
-                row_best = rec["poise"] if row_best is None else min(row_best, rec["poise"])
         del stage  # not held while the next row builds its own
     report.records = [records[key] for key in sorted(records)]
     return report, best_tree

@@ -55,9 +55,20 @@ def _pair(value, field: str, names: str) -> tuple[int, int]:
     return value[0], value[1]
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads would keep a repeated key's last value without a word.
+    data = {}
+    for key, value in pairs:
+        if key in data:
+            raise ValueError(f"repeated key {json.dumps(key)}")
+        data[key] = value
+    return data
+
+
 def _object(text: str, what: str, fields: tuple[str, ...]) -> dict:
-    """The JSON object in ``text``, checked to hold every named field."""
-    data = json.loads(text)
+    """The JSON object in ``text``, checked to hold every named field and no
+    repeated key in any object."""
+    data = json.loads(text, object_pairs_hook=_unique_keys)
     if type(data) is not dict:
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
     for name in fields:

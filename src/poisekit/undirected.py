@@ -12,11 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .cover import CoverRow, SaturatedTree, build_coverage_instance, pm_cover
+from .cover import CoverRow, SaturatedTree, _closest_representatives
 from .directed import (
     AdditivePartition,
     GoodTree,
-    _multi_source_spt_arcs,
+    _cover_forest,
     complete,
     greedy_packing,
     terminal_cover_row,
@@ -160,20 +160,6 @@ def find_good_vertex_wrt_super(
     return None
 
 
-def _closest_representatives(
-    dist: dict[int, int], owner: dict[int, int]
-) -> dict[int, tuple[int, int]]:
-    """Each super-terminal reached in ``dist`` -> (distance, vertex) of its
-    closest representative, ties to the lowest vertex id.  ``owner`` maps a
-    representative to its super's id: the packed trees are vertex-disjoint."""
-    closest: dict[int, tuple[int, int]] = {}
-    for w, d in dist.items():
-        i = owner.get(w)
-        if i is not None and (i not in closest or (d, w) < closest[i]):
-            closest[i] = (d, w)
-    return closest
-
-
 def _merge_arcs(region: CoveredRegion, groups: Iterable[Iterable[Arc]]) -> list[Arc]:
     """Append arcs to the region, one orientation per undirected edge, in
     group order; returns the freshly added arcs."""
@@ -300,17 +286,10 @@ class UndirectedStage:
                     else super_cover_row(g, root, region.R, C, supers, D)
                 )
                 cap = min(_ceil_log2(k), _ceil_log2(len(supers))) + 1
-                selection = pm_cover(
-                    g, root, region.R, C, range(len(supers)), _super_location(supers),
-                    None, B, D, cap, system=row.system,
-                )
+                selection = row.cover(None, B, cap)
                 peaks.append(selection.peak_load)
                 covered_ids = sorted(selection.covered_elements)
-                chosen_cs = sorted({c for _, c in selection.chosen})
-                union: set[Arc] = set()
-                for c in chosen_cs:
-                    union.update(row.arcs(c))
-                t_c = _multi_source_spt_arcs(g, union, chosen_cs)
+                t_c = _cover_forest(g, row, selection.chosen)
                 covered_tree_arcs: list[Arc] = []
                 covered: set[int] = set()
                 for i in covered_ids:
@@ -385,32 +364,9 @@ def super_cover_row(
     graph: Graph, root: int, R: Iterable[int], C: Iterable[int],
     supers: list[SuperTerminal], D: int,
 ) -> CoverRow:
-    """The cover work of a pmcover iteration that reads only the region and
-    D: the coverage system over the super-terminals, and each c's arcs
-    toward them.  Both are built on first use."""
-    R, C = frozenset(R), frozenset(C)
-    owner = {w: s.id for s in supers for w in s.representatives}
-    return CoverRow(
-        lambda: build_coverage_instance(
-            graph, R, C, range(len(supers)), _super_location(supers), D, root
-        ),
-        lambda c: _super_coverage_arcs(graph, C, c, owner, D),
-    )
-
-
-def _super_location(supers: list[SuperTerminal]) -> dict[int, list[int]]:
-    """Each super-terminal's id -> its representative vertices."""
-    return {s.id: sorted(s.representatives) for s in supers}
-
-
-def _super_coverage_arcs(
-    graph: Graph, C: frozenset[int], c: int, owner: dict[int, int], D: int
-) -> set[Arc]:
-    """Arcs of the coverage tree of c aimed at super-terminals: the BFS path
-    from c to the closest representative of every super within D in G[C]."""
-    dist, parent = bfs_parents(graph, [c], restriction=C, max_depth=D)
-    targets = [w for _, w in _closest_representatives(dist, owner).values()]
-    return {(p, v) for v, p in chain_parents(parent, targets).items()}
+    """The cover row of a pmcover iteration over the super-terminals, each
+    represented by its packed tree's vertices."""
+    return CoverRow(graph, root, R, C, {s.id: s.representatives for s in supers}, D)
 
 
 def _small_record(

@@ -155,6 +155,7 @@ MALFORMED_INSTANCES = [
      'field "edges" must hold [u, v] pairs'),
     ("scalar-edge", _two_branch_with(edges=[0, 1]), 'field "edges" must hold [u, v] pairs'),
     ("edges-not-list", _two_branch_with(edges={"0": 1}), 'field "edges" must be a JSON list'),
+    ("repeated-key", _two_branch_with().replace('"n": 5', '"n": 3, "n": 5'), 'repeated key "n"'),
 ]
 
 # (case id, tree file text, text the one-line error must contain).
@@ -175,6 +176,7 @@ MALFORMED_TREES = [
      'field "parent" must have vertex ids as keys, got "-1"'),
     ("leading-zero-key", '{"root": 0, "parent": {"01": 0}}',
      'field "parent" must have vertex ids as keys, got "01"'),
+    ("repeated-vertex", '{"root": 0, "parent": {"1": 0, "1": 2}}', 'repeated key "1"'),
 ]
 
 # (case id, schedule file text, text the one-line error must contain).
@@ -188,4 +190,5 @@ MALFORMED_SCHEDULES = [
     ("scalar-call", '{"rounds": [[0, 1]]}', 'field "rounds" must hold [sender, receiver] pairs'),
     ("float-call", '{"rounds": [[[0, 1.0]]]}', 'field "rounds" must hold JSON integers'),
     ("bool-call", '{"rounds": [[[0, true]]]}', 'field "rounds" must hold JSON integers'),
+    ("repeated-rounds", '{"rounds": [], "rounds": [[[0, 1]]]}', 'repeated key "rounds"'),
 ]

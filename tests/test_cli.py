@@ -94,6 +94,15 @@ class TestSolve:
     def test_seed_flag_is_gone(self, inst_path):
         assert run(["solve", "--input", inst_path, "--sweep", "--seed", "3"]) == 1
 
+    def test_fast_sweep_flag_is_gone(self, inst_path):
+        assert run(["solve", "--input", inst_path, "--sweep", "--fast-sweep"]) == 1
+
+    @pytest.mark.parametrize("how", [["--sweep"], ["--B", "2", "--D", "2"]])
+    def test_undirected_mode_on_directed_instance_exits_one(self, inst_path, how, capsys):
+        assert run(["solve", "--input", inst_path, "--mode", "undirected", *how]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--mode undirected needs an undirected graph" in err
+
     def test_trace_written_for_fixed_guess(self, inst_path, tmp_path):
         trace = tmp_path / "trace.json"
         assert run(["solve", "--input", inst_path, "--B", "2", "--D", "2",

@@ -8,14 +8,19 @@ from poisekit import (
     CoverageSystem,
     Graph,
     PartitionMatroid,
+    bfs_parents,
     build_coverage_instance,
+    coverage_tree,
     exact_matroid_coverage,
     greedy_matroid_max,
     pm_cover,
     pm_cover_system,
 )
+from poisekit import cover
 from poisekit.cover import CoverRow, default_iteration_cap
 from poisekit.errors import InfeasibleGuessError
+
+from conftest import random_graph
 
 
 def two_branch_graph() -> Graph:
@@ -298,23 +303,69 @@ class TestPmCover:
 
 
 class TestCoverRow:
-    def test_builds_each_part_once_on_first_use(self):
+    def test_builds_each_part_once_on_first_use(self, monkeypatch):
         calls = []
-        system = CoverageSystem({1}, [(0, 1, frozenset({1}))])
 
-        def build():
-            calls.append("system")
-            return system
+        def counted(fn, label):
+            def wrapper(*args, **kwargs):
+                calls.append(label(args))
+                return fn(*args, **kwargs)
+            return wrapper
 
-        def arcs_of(c):
-            calls.append(c)
-            return {(0, c)}
-
-        row = CoverRow(build, arcs_of)
+        monkeypatch.setattr(
+            cover, "build_coverage_instance",
+            counted(cover.build_coverage_instance, lambda args: "system"),
+        )
+        monkeypatch.setattr(cover, "bfs_parents", counted(cover.bfs_parents, lambda args: args[1]))
+        row = CoverRow(two_branch_graph(), 0, {0}, {1, 2, 3, 4}, singleton_locations([3, 4]), D=2)
         assert calls == []
-        assert row.system is system and row.system is system
-        assert row.arcs(1) == ((0, 1),) and row.arcs(1) == ((0, 1),)
-        assert calls == ["system", 1]
+        system = row.system
+        assert row.system is system
+        assert row.cover(2, B=1).covered_elements == {3, 4}
+        assert row.arcs(1) == {(1, 3)} and row.arcs(1) == {(1, 3)}
+        assert row.arcs(2) == {(2, 4)} and row.arcs(2) == {(2, 4)}
+        assert calls == ["system", [1], [2]]
+
+
+def reference_super_arcs(graph, C, c, groups, D):
+    """The coverage arcs of c toward groups of representatives, written out:
+    the BFS path from c to the closest member (ties to the lowest id) of every
+    group within D hops in G[C]."""
+    dist, parent = bfs_parents(graph, [c], restriction=C, max_depth=D)
+    arcs = set()
+    for reps in groups.values():
+        reached = [(dist[w], w) for w in reps if w in dist]
+        if not reached:
+            continue
+        _, v = min(reached)
+        while v != c:
+            arcs.add((parent[v], v))
+            v = parent[v]
+    return arcs
+
+
+@given(
+    n=st.integers(2, 14),
+    seed=st.integers(0, 10**6),
+    directed=st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_row_arcs_match_coverage_tree_and_super_reference(n, seed, directed):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.randint(1, 3 * n), directed)
+    C = frozenset(rng.sample(range(1, n), rng.randint(1, n - 1)))
+    A = frozenset(range(n)) - C
+    D = rng.randint(0, n)
+    terminals = sorted(v for v in C if rng.random() < 0.5)
+    members = rng.sample(sorted(C), rng.randint(0, len(C)))
+    groups: dict[int, list[int]] = {}
+    for w in members:
+        groups.setdefault(rng.randrange(max(1, len(members) // 2)), []).append(w)
+    terminal_row = CoverRow(g, 0, A, C, singleton_locations(terminals), D)
+    super_row = CoverRow(g, 0, A, C, groups, D)
+    for c in sorted(C):
+        assert terminal_row.arcs(c) == coverage_tree(g, C, c, terminals, D).arcs()
+        assert super_row.arcs(c) == reference_super_arcs(g, C, c, groups, D)
 
 
 class TestExactMatroidCoverage:

@@ -38,15 +38,6 @@ class TestRunSweep:
             assert report.best["poise"] == m + 1
             assert report.best["poise"] == exact_min_poise_ktree(inst).poise_star
 
-    def test_fast_sweep_records_skips(self):
-        inst = generate_instance("star-of-stars", {"branch": 2, "leaf": 2, "k": 3})
-        full, _ = run_sweep(inst)
-        fast, fast_tree = run_sweep(inst, fast=True)
-        assert fast.fast_sweep
-        assert len(fast.records) + fast.skipped == len(full.records)
-        assert fast.best["poise"] == full.best["poise"]
-        assert fast_tree is not None
-
     def test_undirected_mode_auto(self):
         inst = normalize_terminals(middles_instance(4))
         report, tree = run_sweep(inst)

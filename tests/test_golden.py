@@ -27,27 +27,27 @@ from poisekit.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
-# name -> (generator model, parameters, also run the fast sweep)
-SWEEPS: dict[str, tuple[str, dict, bool]] = {
-    "dir-random-many": ("random-digraph", {"n": 60, "m": 300, "t": 12, "k": 9, "seed": 1}, False),
-    "dir-random-few": ("random-digraph", {"n": 120, "m": 480, "t": 16, "k": 12, "seed": 4}, True),
-    "dir-random-large": ("random-digraph", {"n": 400, "m": 1200, "t": 24, "k": 16, "seed": 7}, False),
-    "dir-layered": ("layered-dag", {"width": 12, "depth": 2, "t": 12, "k": 10, "seed": 3}, True),
-    "dir-grid": ("grid", {"w": 4, "h": 4, "t": 4, "k": 3, "seed": 7, "directed": True}, False),
-    "dir-stars": ("star-of-stars", {"branch": 4, "leaf": 3, "k": 8, "seed": 8}, False),
-    "dir-stars-cap": ("star-of-stars", {"branch": 6, "leaf": 1, "k": 6}, True),
+# name -> (generator model, parameters)
+SWEEPS: dict[str, tuple[str, dict]] = {
+    "dir-random-many": ("random-digraph", {"n": 60, "m": 300, "t": 12, "k": 9, "seed": 1}),
+    "dir-random-few": ("random-digraph", {"n": 120, "m": 480, "t": 16, "k": 12, "seed": 4}),
+    "dir-random-large": ("random-digraph", {"n": 400, "m": 1200, "t": 24, "k": 16, "seed": 7}),
+    "dir-layered": ("layered-dag", {"width": 12, "depth": 2, "t": 12, "k": 10, "seed": 3}),
+    "dir-grid": ("grid", {"w": 4, "h": 4, "t": 4, "k": 3, "seed": 7, "directed": True}),
+    "dir-stars": ("star-of-stars", {"branch": 4, "leaf": 3, "k": 8, "seed": 8}),
+    "dir-stars-cap": ("star-of-stars", {"branch": 6, "leaf": 1, "k": 6}),
     "und-random": ("random-digraph", {"n": 60, "m": 90, "t": 20, "k": 12, "seed": 12,
-                                      "directed": False, "connected": True}, True),
+                                      "directed": False, "connected": True}),
     "und-random-large": ("random-digraph", {"n": 200, "m": 400, "t": 24, "k": 12, "seed": 7,
-                                            "directed": False, "connected": True}, False),
+                                            "directed": False, "connected": True}),
     "und-layered": ("layered-dag", {"width": 6, "depth": 3, "t": 6, "k": 5, "seed": 5,
-                                    "directed": False}, False),
-    "und-grid": ("grid", {"w": 5, "h": 5, "t": 6, "k": 4, "seed": 6}, False),
+                                    "directed": False}),
+    "und-grid": ("grid", {"w": 5, "h": 5, "t": 6, "k": 4, "seed": 6}),
     "und-stars-pmcover": ("star-of-stars", {"branch": 6, "leaf": 4, "k": 16, "seed": 9,
-                                            "directed": False}, True),
+                                            "directed": False}),
     "und-stars-small": ("star-of-stars", {"branch": 8, "leaf": 2, "k": 12, "seed": 9,
-                                          "directed": False}, False),
-    "und-stars-cap": ("star-of-stars", {"branch": 6, "leaf": 1, "k": 6, "directed": False}, False),
+                                          "directed": False}),
+    "und-stars-cap": ("star-of-stars", {"branch": 6, "leaf": 1, "k": 6, "directed": False}),
 }
 
 # (sweep corpus name, B, D) for `poisekit solve --B --D --trace`; B = D = None
@@ -73,7 +73,7 @@ BENCH_SEEDS = (1, 7)
 
 
 def _instance(name: str):
-    model, params, _ = SWEEPS[name]
+    model, params = SWEEPS[name]
     return generate_instance(model, params)
 
 
@@ -89,11 +89,7 @@ def _report_text(report, tree) -> str:
 
 
 def sweep_snapshot(name: str) -> str:
-    instance = _instance(name)
-    text = _report_text(*run_sweep(instance))
-    if SWEEPS[name][2]:
-        text += _report_text(*run_sweep(instance, fast=True))
-    return text
+    return _report_text(*run_sweep(_instance(name)))
 
 
 def _cli(argv: list[str]) -> tuple[int, str]:

@@ -1,9 +1,12 @@
-"""Invariants above oracle scale, on the partition-matroid cover paths.
+"""Invariants above oracle scale, on the partition-matroid cover paths and
+on every generator model.
 
 Wide shallow layered DAGs have no rho-good vertex, so the directed solver
 completes its few-trees partition with the cover loop; undirected stars of
 stars whose leaf count is at least ceil(t^(1/3)) turn every hub into a
-super-terminal that only the cover loop can reach.  Every feasible cell of
+super-terminal that only the cover loop can reach.  Grids of either
+orientation and undirected random graphs mix the small, large and cover
+iterations, which share their cover rows.  Every feasible cell of
 the sweep grid must give a valid k-tree with a valid optimal schedule, and
 the row-staged solve must agree with an unstaged solve at every degree
 budget, both traced and along the sweep's own trace-less path, where a row
@@ -17,7 +20,7 @@ from hypothesis import strategies as st
 
 from poisekit import eccentricity, generate_instance, tree_metrics
 from poisekit.driver import solve_guess, stage_budget
-from poisekit.errors import InfeasibleGuessError
+from poisekit.errors import GenerationError, InfeasibleGuessError
 from poisekit.graph import PoiseGuess
 from poisekit.scheduling import broadcast_rounds, tree_broadcast_schedule, validate_schedule
 
@@ -93,3 +96,38 @@ def test_star_of_stars_pmcover_cells(leaf, data):
     )
     branches = check_every_cell(instance)
     assert "undirected-pmcover" in branches and "kept" in branches
+
+
+@given(
+    w=st.integers(3, 7),
+    h=st.integers(3, 7),
+    t_share=st.floats(0.1, 0.5),
+    k_share=st.floats(0.1, 1.0),
+    directed=st.booleans(),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=10, deadline=None)
+def test_grid_cells(w, h, t_share, k_share, directed, seed):
+    t = max(1, int(w * h * t_share))
+    k = max(1, int(t * k_share))
+    instance = generate_instance(
+        "grid", {"w": w, "h": h, "t": t, "k": k, "seed": seed, "directed": directed}
+    )
+    check_every_cell(instance)
+
+
+@given(
+    n=st.integers(20, 60),
+    t=st.integers(4, 16),
+    k_share=st.floats(0.1, 1.0),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=10, deadline=None)
+def test_undirected_random_cells(n, t, k_share, seed):
+    params = {"n": n, "m": 2 * n, "t": t, "k": max(1, int(t * k_share)), "seed": seed,
+              "directed": False, "connected": True}
+    try:
+        instance = generate_instance("random-digraph", params)
+    except GenerationError:
+        assume(False)
+    check_every_cell(instance)
