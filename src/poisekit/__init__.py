@@ -17,6 +17,7 @@ from .directed import (
     coverage_tree,
     greedy_packing,
     is_rho_good,
+    rho_good_vertices,
     solve_directed,
     solve_many_trees,
 )

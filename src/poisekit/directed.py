@@ -93,6 +93,50 @@ def is_rho_good(
     return len(_terminals_of(tree, frozenset(terminals))) >= rho
 
 
+def rho_good_vertices(
+    graph: Graph,
+    C: Iterable[int],
+    terminals: Iterable[int],
+    rho: int,
+    D: int,
+) -> frozenset[int]:
+    """The vertices of C that reach at least rho terminals of C within D hops
+    inside G[C], found in one screen instead of one BFS per vertex.
+
+    A level-synchronous reverse BFS from the terminals in C, D levels deep,
+    where every terminal carries its own label and a vertex accepts a label
+    only while it holds fewer than rho of them; each accepted (vertex, label)
+    pair is forwarded once, so a screen costs O(rho * m).  No count below rho
+    is missed: a vertex on a shortest path to a terminal that refuses the
+    terminal's label is already full, and its rho labels reach every vertex
+    before it on the path within the same depth.
+    """
+    C = frozenset(C)
+    held: dict[int, set[int]] = {}
+    frontier: dict[int, list[int]] = {}
+    for t in terminals:
+        if t in C:
+            held[t] = {t}
+            frontier[t] = [t]
+    for _ in range(D):
+        accepted: dict[int, list[int]] = {}
+        for v, labels in frontier.items():
+            for u in graph.in_neighbors(v):
+                if u not in C:
+                    continue
+                have = held.get(u)
+                if have is None:
+                    have = held[u] = set()
+                for t in labels:
+                    if len(have) >= rho:
+                        break
+                    if t not in have:
+                        have.add(t)
+                        accepted.setdefault(u, []).append(t)
+        frontier = accepted
+    return frozenset(v for v, have in held.items() if len(have) >= rho)
+
+
 def trim_to_terminals(tree: PoiseTree, terminals: Iterable[int], rho: int) -> GoodTree:
     """Keep the rho terminals of smallest (depth, id), drop the rest, and
     re-prune non-terminal leaves."""
@@ -121,8 +165,11 @@ def greedy_packing(
     tree is trimmed to exactly rho terminals and its vertices move from C into
     the packed set.  This extracts the same trees as restarting from the lowest
     id after each extraction: a vertex that is not rho-good in G[C] stays so
-    when C shrinks.  Returns (trees, packed vertices, final C); the final C is
-    a rho-packing.
+    when C shrinks.  For the same reason a `rho_good_vertices` screen of an
+    earlier, larger C rules candidates out: only the vertices it marks good
+    get a coverage tree, and the screen is recomputed when one of them turns
+    out no longer rho-good.  Returns (trees, packed vertices, final C); the
+    final C is a rho-packing.
     """
     if rho < 1:
         raise ValueError("rho must be at least 1")
@@ -130,11 +177,13 @@ def greedy_packing(
     terminals = frozenset(terminals)
     packed: set[int] = set()
     trees: list[GoodTree] = []
+    screen = rho_good_vertices(graph, C, terminals, rho, D)
     for c in sorted(C):
-        if c not in C:
+        if c not in screen or c not in C:
             continue
         tree = coverage_tree(graph, C, c, terminals, D)
         if len(_terminals_of(tree, terminals)) < rho:
+            screen = rho_good_vertices(graph, C, terminals, rho, D)
             continue
         good = trim_to_terminals(tree, terminals, rho)
         verts = good.vertices()

@@ -65,6 +65,9 @@ def stage_budget(instance: MulticastInstance, D: int, mode: str = "auto") -> Sta
     stagers = {"directed": stage_directed, "undirected": stage_undirected}
     if mode not in stagers:
         raise ValueError(f"unknown mode {mode!r}")
+    if mode == "undirected" and instance.graph.directed:
+        # before pruning, which may already find D infeasible
+        raise ValueError("the undirected solver requires an undirected graph")
     try:
         return stagers[mode](prune_beyond(instance, D), D)
     except InfeasibleGuessError as exc:

@@ -68,7 +68,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 def _object(text: str, what: str, fields: tuple[str, ...]) -> dict:
     """The JSON object in ``text``, checked to hold every named field and no
     repeated key in any object."""
-    data = json.loads(text, object_pairs_hook=_unique_keys)
+    try:
+        data = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError:
+        # json.loads recurses once per nesting level
+        raise ValueError("JSON nested too deeply") from None
     if type(data) is not dict:
         raise ValueError(f"{what} must be a JSON object, got {type(data).__name__}")
     for name in fields:

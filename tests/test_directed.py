@@ -2,7 +2,10 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import poisekit.directed as directed
 from poisekit import (
     AdditivePartition,
     Graph,
@@ -15,6 +18,7 @@ from poisekit import (
     greedy_packing,
     is_rho_good,
     prune_beyond,
+    rho_good_vertices,
     solve_directed,
     solve_many_trees,
     tree_metrics,
@@ -23,6 +27,20 @@ from poisekit.directed import trim_to_terminals
 from poisekit.errors import InfeasibleGuessError
 
 from conftest import directed_stream, random_graph, two_branch_instance
+
+
+@st.composite
+def packing_cases(draw, max_n: int):
+    """(graph, C, terminals, rho, D): a graph of either orientation with n to
+    3n arcs, a restriction C that leaves out a random few vertices, and
+    terminals drawn from all vertices, so some lie outside C."""
+    n = draw(st.integers(1, max_n))
+    vertex = st.integers(0, n - 1)
+    arcs = draw(st.lists(st.tuples(vertex, vertex), min_size=n, max_size=3 * n))
+    g = Graph(n, [(u, v) for u, v in arcs if u != v], directed=draw(st.booleans()))
+    C = set(range(n)) - draw(st.sets(vertex, max_size=max(1, n // 3)))
+    terminals = draw(st.sets(vertex))
+    return g, C, terminals, draw(st.integers(1, 5)), draw(st.integers(1, 4))
 
 
 def ceil_sqrt(k: int) -> int:
@@ -126,26 +144,90 @@ class TestGreedyPacking:
             assert packed == frozenset(seen)
             assert C == frozenset(range(1, n)) - seen
 
-    def test_single_scan_matches_restarting_scan(self):
+    @staticmethod
+    def restarting(g, C, terms, rho, D):
         # reference: rescan C from the lowest id after every extraction
-        def restarting(g, C, terms, rho, D):
-            C, trees = set(C), []
-            while True:
-                good = [c for c in sorted(C) if is_rho_good(g, C, c, terms, rho, D)]
-                if not good:
-                    return trees, frozenset(C)
-                tree = coverage_tree(g, C, good[0], terms, D)
-                trees.append(trim_to_terminals(tree, terms, rho))
-                C -= trees[-1].vertices()
+        C, trees = set(C), []
+        while True:
+            good = [c for c in sorted(C) if is_rho_good(g, C, c, terms, rho, D)]
+            if not good:
+                return trees, frozenset(C)
+            tree = coverage_tree(g, C, good[0], terms, D)
+            trees.append(trim_to_terminals(tree, terms, rho))
+            C -= trees[-1].vertices()
 
-        rng = random.Random(23)
-        for _ in range(60):
-            n = rng.randint(4, 16)
-            g = random_graph(rng, n, rng.randint(n, 3 * n), directed=rng.random() < 0.5)
-            terms = set(rng.sample(range(1, n), rng.randint(1, n - 1)))
-            rho, D = rng.randint(1, 3), rng.randint(1, 3)
-            trees, _, C = greedy_packing(g, set(range(1, n)), terms, rho, D)
-            assert (trees, C) == restarting(g, range(1, n), terms, rho, D)
+    @given(case=packing_cases(max_n=60))
+    @example(case=(Graph(7, [(0, 1), (0, 2), (1, 3), (1, 4), (2, 5), (2, 6)], True),
+                   set(range(1, 7)), {3, 4, 5, 6}, 2, 2))
+    @settings(max_examples=50, deadline=None)
+    def test_single_scan_matches_restarting_scan(self, case):
+        g, C, terms, rho, D = case
+        trees, packed, final_C = greedy_packing(g, C, terms, rho, D)
+        assert (trees, final_C) == self.restarting(g, C, terms, rho, D)
+        assert packed | final_C == frozenset(C)
+
+    @staticmethod
+    def counted_packing(*args):
+        """greedy_packing's result plus its coverage_tree and screen calls."""
+        calls = {"coverage_tree": 0, "rho_good_vertices": 0}
+
+        def counted(name):
+            real = getattr(directed, name)
+
+            def call(*a, **kw):
+                calls[name] += 1
+                return real(*a, **kw)
+            return call
+
+        with pytest.MonkeyPatch.context() as mp:
+            for name in calls:
+                mp.setattr(directed, name, counted(name))
+            result = greedy_packing(*args)
+        return result, calls
+
+    def test_no_rho_good_vertex_builds_no_coverage_tree(self):
+        # each hub holds two terminals, so no vertex reaches three
+        g = self.hub_graph()
+        (trees, _, C), calls = self.counted_packing(g, set(range(1, 7)), {3, 4, 5, 6}, 3, 2)
+        assert trees == [] and C == frozenset(range(1, 7))
+        assert calls == {"coverage_tree": 0, "rho_good_vertices": 1}
+        # nor does any vertex of a wide shallow layered DAG
+        layered = generate_instance(
+            "layered-dag", {"width": 30, "depth": 2, "t": 30, "k": 25, "seed": 3}
+        )
+        g = layered.graph
+        rho = ceil_sqrt(layered.k)
+        (trees, _, _), calls = self.counted_packing(
+            g, set(g.vertices()) - {layered.root}, layered.terminals, rho, 2
+        )
+        assert trees == [] and calls["coverage_tree"] == 0
+
+    @given(case=packing_cases(max_n=40))
+    @settings(max_examples=40, deadline=None)
+    def test_coverage_trees_only_for_screened_candidates(self, case):
+        # every coverage tree either is packed or sends the scan to a new screen
+        (trees, _, _), calls = self.counted_packing(*case)
+        recomputes = calls["rho_good_vertices"] - 1
+        assert calls["coverage_tree"] <= len(trees) + recomputes
+
+
+class TestRhoGoodVertices:
+    @given(case=packing_cases(max_n=30))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_vertex_reference(self, case):
+        g, C, terms, rho, D = case
+        expected = {c for c in C if is_rho_good(g, C, c, terms, rho, D)}
+        assert rho_good_vertices(g, C, terms, rho, D) == expected
+
+    def test_full_vertex_still_passes_enough_labels(self):
+        # 0 -> 1 -> {2, 3, 4}: vertex 1 fills with two of its three terminals
+        # and must still hand vertex 0 two labels
+        g = Graph(5, [(0, 1), (1, 2), (1, 3), (1, 4)], directed=True)
+        C = set(range(5))
+        assert rho_good_vertices(g, C, {2, 3, 4}, 2, 2) == {0, 1}
+        assert rho_good_vertices(g, C, {2, 3, 4}, 2, 1) == {1}
+        assert rho_good_vertices(g, C - {1}, {2, 3, 4}, 2, 2) == frozenset()
+        assert rho_good_vertices(g, C, {2, 3, 4}, 1, 1) == {1, 2, 3, 4}
 
 
 class TestSolveManyTrees:

@@ -6,7 +6,8 @@ from poisekit import (
     generate_instance,
     run_sweep,
 )
-from poisekit.driver import BENCH_COLUMNS, bench_rows
+from poisekit.driver import BENCH_COLUMNS, bench_rows, solve_guess, stage_budget
+from poisekit.graph import PoiseGuess
 
 from conftest import middles_instance
 from poisekit.graph import normalize_terminals
@@ -37,6 +38,20 @@ class TestRunSweep:
             report, _ = run_sweep(inst)
             assert report.best["poise"] == m + 1
             assert report.best["poise"] == exact_min_poise_ktree(inst).poise_star
+
+    def test_undirected_mode_on_directed_instance_rejected_at_every_D(self):
+        # pruning finds the small height budgets infeasible; the mode is
+        # rejected before that, so every D answers the same way
+        inst = generate_instance(
+            "random-digraph", {"n": 12, "m": 30, "t": 4, "k": 3, "seed": 5}
+        )
+        for D in range(1, eccentricity(inst.graph, inst.root) + 3):
+            with pytest.raises(ValueError, match="requires an undirected graph"):
+                stage_budget(inst, D, "undirected")
+            with pytest.raises(ValueError, match="requires an undirected graph"):
+                solve_guess(inst, PoiseGuess(1, D), "undirected")
+        with pytest.raises(ValueError, match="requires an undirected graph"):
+            run_sweep(inst, "undirected")
 
     def test_undirected_mode_auto(self):
         inst = normalize_terminals(middles_instance(4))

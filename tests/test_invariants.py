@@ -6,7 +6,8 @@ completes its few-trees partition with the cover loop; undirected stars of
 stars whose leaf count is at least ceil(t^(1/3)) turn every hub into a
 super-terminal that only the cover loop can reach.  Grids of either
 orientation and undirected random graphs mix the small, large and cover
-iterations, which share their cover rows.  Every feasible cell of
+iterations, which share their cover rows; directed random graphs pack many
+trees through the screened greedy packing.  Every feasible cell of
 the sweep grid must give a valid k-tree with a valid optimal schedule, and
 the row-staged solve must agree with an unstaged solve at every degree
 budget, both traced and along the sweep's own trace-less path, where a row
@@ -126,6 +127,22 @@ def test_grid_cells(w, h, t_share, k_share, directed, seed):
 def test_undirected_random_cells(n, t, k_share, seed):
     params = {"n": n, "m": 2 * n, "t": t, "k": max(1, int(t * k_share)), "seed": seed,
               "directed": False, "connected": True}
+    try:
+        instance = generate_instance("random-digraph", params)
+    except GenerationError:
+        assume(False)
+    check_every_cell(instance)
+
+
+@given(
+    n=st.integers(20, 60),
+    t=st.integers(4, 16),
+    k_share=st.floats(0.1, 1.0),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=6, deadline=None)
+def test_directed_random_cells(n, t, k_share, seed):
+    params = {"n": n, "m": 3 * n, "t": t, "k": max(1, int(t * k_share)), "seed": seed}
     try:
         instance = generate_instance("random-digraph", params)
     except GenerationError:
