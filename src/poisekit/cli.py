@@ -44,6 +44,17 @@ def _load_instance(path: str) -> MulticastInstance:
         raise _fail(f"error: cannot read instance {path!r}: {exc}")
 
 
+def _with_k(instance: MulticastInstance, k: int | None) -> MulticastInstance:
+    """The instance with target count k (when given), which must lie in
+    1..|terminals|."""
+    if k is None:
+        return instance
+    try:
+        return MulticastInstance(instance.graph, instance.root, instance.terminals, k)
+    except ValueError as exc:
+        raise _fail(f"error: {exc}")
+
+
 def _coerce(value: str):
     if value in ("true", "True"):
         return True
@@ -116,14 +127,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    original = _load_instance(args.input)
-    if args.k is not None:
-        try:
-            original = MulticastInstance(
-                original.graph, original.root, original.terminals, args.k
-            )
-        except ValueError as exc:
-            raise _fail(f"error: {exc}")
+    original = _with_k(_load_instance(args.input), args.k)
     if args.mode == "undirected" and original.graph.directed:
         raise _fail("error: --mode undirected needs an undirected graph")
     prep = Prepared(original)
@@ -202,13 +206,12 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    instance = _load_instance(args.input)
+    instance = _with_k(_load_instance(args.input), args.k)
     try:
         schedule = jsonio.load_schedule(args.schedule)
     except (OSError, ValueError) as exc:
         raise _fail(f"error: cannot read schedule {args.schedule!r}: {exc}")
-    k = args.k if args.k is not None else instance.k
-    report = validate_schedule(instance, schedule, k)
+    report = validate_schedule(instance, schedule, instance.k)
     text = json.dumps(report.to_dict())
     if args.out:
         Path(args.out).write_text(text + "\n")

@@ -13,7 +13,7 @@ from .graph import (
     MulticastInstance,
     PoiseGuess,
     PoiseTree,
-    eccentricity,
+    bfs_distances,
     prune_beyond,
     tree_metrics,
 )
@@ -53,10 +53,15 @@ class InfeasibleStage:
 Stage = DirectedStage | UndirectedStage | InfeasibleStage
 
 
-def stage_budget(instance: MulticastInstance, D: int, mode: str = "auto") -> Stage:
+def stage_budget(
+    instance: MulticastInstance,
+    D: int,
+    mode: str = "auto",
+    root_dist: dict[int, int] | None = None,
+) -> Stage:
     """The work shared by every guess with height budget D: prune to radius
     D, then the solver's own D-only stage.  ``stage.finish(B)`` completes the
-    guess (B, D).
+    guess (B, D).  ``root_dist`` is passed on to `prune_beyond`.
 
     The instance must already be in normalized shape (leaf terminals).
     """
@@ -69,7 +74,7 @@ def stage_budget(instance: MulticastInstance, D: int, mode: str = "auto") -> Sta
         # before pruning, which may already find D infeasible
         raise ValueError("the undirected solver requires an undirected graph")
     try:
-        return stagers[mode](prune_beyond(instance, D), D)
+        return stagers[mode](prune_beyond(instance, D, root_dist), D)
     except InfeasibleGuessError as exc:
         return InfeasibleStage(str(exc))
 
@@ -99,13 +104,15 @@ def run_sweep(
     """Try every guess with D in [1, ecc(root)] and B in [1, t].
 
     Returns the report plus the feasible tree of minimum poise (ties broken by
-    smallest (B, D)).  The sweep runs one D row at a time and builds the row's
-    D-only stage once; the first cell of each row carries the stage's time in
-    its ``wall_ms``.  A cell that returns the same tree object as the cell
+    smallest (B, D)).  One BFS from the root gives the eccentricity and the
+    distances every row prunes from.  The sweep runs one D row at a time and
+    builds the row's D-only stage once; the first cell of each row carries the
+    stage's time in its ``wall_ms``.  A cell that returns the same tree object as the cell
     before it (a saturated degree budget, or a stitched tree) reuses that
     cell's metrics.  Records are reported in (B, D) order.
     """
-    ecc = eccentricity(instance.graph, instance.root)
+    root_dist = bfs_distances(instance.graph, [instance.root])
+    ecc = max(root_dist.values())
     t = len(instance.terminals)
     report = SweepReport(grid={"D_max": ecc, "B_max": t})
     records: dict[tuple[int, int], dict[str, Any]] = {}
@@ -114,7 +121,7 @@ def run_sweep(
     measured = m = None
     for D in range(1, ecc + 1):
         start = time.perf_counter()
-        stage = stage_budget(instance, D, mode)
+        stage = stage_budget(instance, D, mode, root_dist)
         for B in range(1, t + 1):
             try:
                 tree = solve_guess(instance, PoiseGuess(B, D), mode, stage=stage)

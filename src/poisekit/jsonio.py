@@ -32,26 +32,34 @@ _INSTANCE_FIELDS = ("directed", "n", "edges", "root", "terminals", "k")
 MAX_VERTICES = 10**6
 # Tree files key each vertex by its id in decimal, without sign or leading zeros.
 _VERTEX_KEY = re.compile(r"0|[1-9][0-9]*")
+# An error message quotes at most this many characters of the offending value.
+_QUOTE_LIMIT = 60
+
+
+def _quote(value) -> str:
+    """The value as JSON, cut to _QUOTE_LIMIT characters plus "..." if longer."""
+    text = json.dumps(value)
+    return text if len(text) <= _QUOTE_LIMIT else text[:_QUOTE_LIMIT] + "..."
 
 
 def _integer(value, field: str) -> int:
     # bool is a subclass of int, and a float would be truncated by int().
     if type(value) is not int:
-        raise ValueError(f'field "{field}" must be a JSON integer, got {json.dumps(value)}')
+        raise ValueError(f'field "{field}" must be a JSON integer, got {_quote(value)}')
     return value
 
 
 def _list(value, field: str) -> list:
     if type(value) is not list:
-        raise ValueError(f'field "{field}" must be a JSON list, got {json.dumps(value)}')
+        raise ValueError(f'field "{field}" must be a JSON list, got {_quote(value)}')
     return value
 
 
 def _pair(value, field: str, names: str) -> tuple[int, int]:
     if type(value) is not list or len(value) != 2:
-        raise ValueError(f'field "{field}" must hold [{names}] pairs, got {json.dumps(value)}')
+        raise ValueError(f'field "{field}" must hold [{names}] pairs, got {_quote(value)}')
     if type(value[0]) is not int or type(value[1]) is not int:
-        raise ValueError(f'field "{field}" must hold JSON integers, got {json.dumps(value)}')
+        raise ValueError(f'field "{field}" must hold JSON integers, got {_quote(value)}')
     return value[0], value[1]
 
 
@@ -60,7 +68,7 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     data = {}
     for key, value in pairs:
         if key in data:
-            raise ValueError(f"repeated key {json.dumps(key)}")
+            raise ValueError(f"repeated key {_quote(key)}")
         data[key] = value
     return data
 
@@ -91,7 +99,7 @@ def instance_from_json(text: str) -> MulticastInstance:
     directed = data["directed"]
     if not isinstance(directed, bool):
         raise ValueError(
-            f'field "directed" must be a JSON boolean (true or false), got {json.dumps(directed)}'
+            f'field "directed" must be a JSON boolean (true or false), got {_quote(directed)}'
         )
     n, root, k = (_integer(data[name], name) for name in ("n", "root", "k"))
     if n > MAX_VERTICES:
@@ -117,11 +125,11 @@ def tree_from_json(text: str) -> PoiseTree:
     data = _object(text, "a tree", ("root", "parent"))
     root = _integer(data["root"], "root")
     if type(data["parent"]) is not dict:
-        raise ValueError(f'field "parent" must be a JSON object, got {json.dumps(data["parent"])}')
+        raise ValueError(f'field "parent" must be a JSON object, got {_quote(data["parent"])}')
     parent = {}
     for key, p in data["parent"].items():
         if not _VERTEX_KEY.fullmatch(key):
-            raise ValueError(f'field "parent" must have vertex ids as keys, got {json.dumps(key)}')
+            raise ValueError(f'field "parent" must have vertex ids as keys, got {_quote(key)}')
         parent[int(key)] = _integer(p, "parent")
     return PoiseTree(root, parent)
 

@@ -139,6 +139,19 @@ class TestScheduleAndValidate:
         assert run(["validate", "--input", inst_path,
                     "--schedule", str(sched_path), "--k", "1"]) == 3
 
+    @pytest.mark.parametrize("k", ["-3", "0", "7"])
+    def test_k_outside_terminal_count_exits_one(self, inst_path, tmp_path, capsys, k):
+        # the two-branch instance has 2 terminals; an empty schedule would
+        # otherwise pass at k <= 0 and fail coverage at k = 7
+        sched_path = tmp_path / "sched.json"
+        sched_path.write_text('{"rounds": []}')
+        assert run(["validate", "--input", inst_path,
+                    "--schedule", str(sched_path), "--k", k]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"need 1 <= k <= |terminals|, got k={k}, |S|=2" in captured.err
+
     def test_inconsistent_tree_exits_one(self, inst_path, tmp_path):
         tree_path = tmp_path / "tree.json"
         tree_path.write_text('{"root": 0, "parent": {"4": 0}}')

@@ -78,3 +78,24 @@ class TestBenchRows:
         for row in small_rows:
             assert row["oracle_poise"] != ""
             assert float(row["ratio"]) >= 1.0
+
+
+def test_sweep_runs_one_bfs_from_the_root(monkeypatch):
+    # every D row prunes from the same root distances
+    from poisekit import driver, graph
+
+    inst = generate_instance("random-digraph", {"n": 30, "m": 70, "t": 8, "k": 6, "seed": 4})
+    original = graph.bfs_distances
+    calls = []
+
+    def counting(g, sources, *args, **kwargs):
+        if g is inst.graph and set(sources) == {inst.root}:
+            calls.append(1)
+        return original(g, sources, *args, **kwargs)
+
+    monkeypatch.setattr(graph, "bfs_distances", counting)
+    monkeypatch.setattr(driver, "bfs_distances", counting, raising=False)
+    report, _ = run_sweep(inst)
+    rows = report.grid["D_max"]
+    assert rows > 1 and any(not r["feasible"] for r in report.records)
+    assert len(calls) == 1

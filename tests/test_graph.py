@@ -247,6 +247,53 @@ class TestPruneBeyond:
                 assert bfs_distances(pruned.graph, {0}).get(v, 10**9) <= D
 
 
+def graph_fields(graph: Graph):
+    return (
+        graph.n, graph.directed, graph.arcs,
+        [graph.out_neighbors(v) for v in graph.vertices()],
+        [graph.in_neighbors(v) for v in graph.vertices()],
+    )
+
+
+@given(n=st.integers(1, 20), seed=st.integers(0, 10**6), directed=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_induced_equals_rebuilt_graph(n, seed, directed):
+    rng = random.Random(seed)
+    # sparse draws leave vertices the root cannot reach
+    g = random_graph(rng, n, rng.randint(0, 3 * n), directed)
+    if rng.random() < 0.5:
+        keep = {v for v in range(n) if rng.random() < 0.6}
+    else:
+        radius = rng.randint(0, n)
+        keep = {v for v, d in bfs_distances(g, {0}).items() if d <= radius}
+    sub = g.induced(keep)
+    rebuilt = Graph(n, [(u, v) for u, v in g.arcs if u in keep and v in keep], directed)
+    assert graph_fields(sub) == graph_fields(rebuilt)
+    assert sub == rebuilt
+
+
+@given(n=st.integers(2, 20), seed=st.integers(0, 10**6), directed=st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_shared_root_distances_prune_the_same(n, seed, directed):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.randint(1, 3 * n), directed)
+    # terminals drawn from all vertices, so some may be unreachable
+    terms = set(rng.sample(range(1, n), rng.randint(1, n - 1)))
+    inst = MulticastInstance(g, 0, terms, rng.randint(1, len(terms)))
+    dist = bfs_distances(g, [0])
+    for D in range(1, max(dist.values()) + 2):
+        try:
+            want = prune_beyond(inst, D)
+        except InfeasibleGuessError as exc:
+            with pytest.raises(InfeasibleGuessError) as info:
+                prune_beyond(inst, D, dist)
+            assert str(info.value) == str(exc)
+            continue
+        got = prune_beyond(inst, D, dist)
+        assert graph_fields(got.graph) == graph_fields(want.graph)
+        assert (got.root, got.terminals, got.k) == (want.root, want.terminals, want.k)
+
+
 class TestTreeMetrics:
     def test_star(self):
         g = Graph(4, [(0, 1), (0, 2), (0, 3)], directed=True)
@@ -386,3 +433,54 @@ def test_bfs_kernel_matches_two_pass_references(n, seed, directed, bounded):
         got = subset_bfs_parents(graph, arcs, sorted(sources, reverse=True))
         want = reference_subset_bfs_parents(graph, arcs, sources)
         assert list(got.items()) == list(want.items())
+
+
+def chain_walk_depths(tree: PoiseTree) -> dict[int, int]:
+    """`PoiseTree.depths` as it was before its one-step case: every vertex
+    walks its parent chain up to a vertex with a known depth."""
+    depth = {tree.root: 0}
+    for v in tree.parent:
+        chain = []
+        w = v
+        while w not in depth:
+            chain.append(w)
+            if w not in tree.parent:
+                raise ValueError(f"vertex {w} does not reach the root")
+            w = tree.parent[w]
+            if len(chain) > len(tree.parent) + 1:
+                raise ValueError("parent map contains a cycle")
+        base = depth[w]
+        for i, u in enumerate(reversed(chain)):
+            depth[u] = base + i + 1
+    return depth
+
+
+@given(n=st.integers(1, 14), seed=st.integers(0, 10**6))
+@settings(max_examples=400, deadline=None)
+def test_depths_match_chain_walk(n, seed):
+    rng = random.Random(seed)
+    root = rng.randrange(n)
+    order = list(range(n))
+    rng.shuffle(order)
+    if rng.random() < 0.5:  # root first: more maps are trees
+        order.remove(root)
+        order.insert(0, root)
+    parent = {}
+    for i, v in enumerate(order):
+        if rng.random() < 0.2:
+            continue  # not in the tree, yet other vertices may point at it
+        if rng.random() < 0.8 and i:
+            parent[v] = order[rng.randrange(i)]  # a tree edge, unless off the root
+        else:
+            parent[v] = rng.randrange(n + 2)  # cycles, self-loops, dangling ids
+    items = list(parent.items())
+    rng.shuffle(items)
+    tree = PoiseTree(root, dict(items))
+    try:
+        want = chain_walk_depths(tree)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            tree.depths()
+        assert str(info.value) == str(exc)
+    else:
+        assert list(tree.depths().items()) == list(want.items())

@@ -87,3 +87,14 @@ def test_malformed_schedule_rejected_naming_the_field(text, needle):
         jsonio.schedule_from_json(text)
     message = str(info.value)
     assert needle in message and "\n" not in message
+
+
+def test_long_offending_value_is_cut_in_the_message():
+    # quoted whole, this value made a 600,080-character message
+    text = json.dumps({"directed": True, "n": [0] * 200_000, "edges": [],
+                       "root": 0, "terminals": [1], "k": 1})
+    with pytest.raises(ValueError) as info:
+        jsonio.instance_from_json(text)
+    message = str(info.value)
+    assert message.startswith('field "n" must be a JSON integer, got [0, 0, 0')
+    assert message.endswith("...") and len(message) <= 200
