@@ -6,6 +6,12 @@ and answer adjacency queries in both directions.  Every BFS (`bfs_distances`,
 distances and the lowest-id parent one level up in a single pass.  All
 tie-breaks (BFS parent choice, equal-distance choices) resolve to the lowest
 vertex id so every operation is reproducible.
+
+The solvers build each sweep cell's tree from a union of picked arcs, so the
+passes over such a union are kept to one each: `subset_bfs_parents` checks
+every arc against the graph's adjacency while it builds plain successor
+lists, and `tree_metrics` checks the tree's arcs and counts out-degrees and
+covered terminals in one loop over the parent map.
 """
 
 from __future__ import annotations
@@ -96,6 +102,12 @@ class Graph:
         return sub
 
 
+def check_k(k: int, terminal_count: int) -> None:
+    """Raise ValueError unless the target count k lies in 1..terminal_count."""
+    if not 1 <= k <= terminal_count:
+        raise ValueError(f"need 1 <= k <= |terminals|, got k={k}, |S|={terminal_count}")
+
+
 @dataclass(frozen=True)
 class MulticastInstance:
     """A multicast problem: graph, root, terminal set and target count k."""
@@ -113,8 +125,7 @@ class MulticastInstance:
             raise ValueError("terminal out of range")
         if root in terminals:
             raise ValueError("root must not be a terminal")
-        if not (1 <= k <= len(terminals)):
-            raise ValueError(f"need 1 <= k <= |terminals|, got k={k}, |S|={len(terminals)}")
+        check_k(k, len(terminals))
         object.__setattr__(self, "graph", graph)
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "terminals", terminals)
@@ -271,19 +282,29 @@ def subset_bfs_parents(
     """Lowest-id BFS parents over the subgraph spanned by ``edge_subset``,
     grown from a source set: every vertex the sources reach inside the
     subgraph, sources excepted, maps to its lowest-id predecessor one level up.
-    No sources give no parents.  Each arc must be a graph arc; each adjacency
-    list is sorted once.
+    No sources give no parents.
+
+    ``edge_subset`` is read once (it may be an iterator).  Each arc must be a
+    graph arc, checked as it is read, so the first non-arc raises even when
+    there are no sources.  Repeated arcs, and an undirected edge given in both
+    orientations, only repeat a successor, which the BFS ignores; each
+    adjacency list is sorted once.
     """
-    succ: dict[int, set[int]] = {}
+    out = graph._out  # type: ignore[attr-defined]
+    undirected = not graph.directed
+    succ: defaultdict[int, list[int]] = defaultdict(list)
     for u, v in edge_subset:
-        if not graph.has_arc(u, v):
+        if v not in out[u]:
             raise ValueError(f"arc ({u}, {v}) not present in the graph")
-        for a, b in [(u, v)] if graph.directed else [(u, v), (v, u)]:
-            succ.setdefault(a, set()).add(b)
+        succ[u].append(v)
+        if undirected:
+            succ[v].append(u)
     sources = set(sources)
     if not sources:
         return {}
-    return _bfs(defaultdict(tuple, {u: sorted(vs) for u, vs in succ.items()}), sources)[1]
+    for row in succ.values():
+        row.sort()
+    return _bfs(succ, sources)[1]
 
 
 def shortest_path_tree(
@@ -370,17 +391,35 @@ def prune_beyond(
 
 
 def tree_metrics(tree: PoiseTree, instance: MulticastInstance) -> TreeMetrics:
-    """Max out-degree, height, poise and covered-terminal count of a tree."""
+    """Max out-degree, height, poise and covered-terminal count of a tree.
+
+    One pass over the parent map checks every arc and counts out-degrees and
+    covered terminals; the height comes from `PoiseTree.depths`, which also
+    rejects cycles and parents that do not reach the root.
+    """
     g = instance.graph
     if not 0 <= tree.root < g.n:
         raise ValueError(f"tree root {tree.root} is not a vertex of the graph")
+    out = g._out  # type: ignore[attr-defined]
+    terminals = instance.terminals
+    out_degree: dict[int, int] = {}
+    covered = 0
     for v, p in tree.parent.items():
-        if not 0 <= p < g.n or not g.has_arc(p, v):
+        if not 0 <= p < g.n or v not in out[p]:
             raise ValueError(f"tree arc ({p}, {v}) is not an arc of the graph")
+        out_degree[p] = out_degree.get(p, 0) + 1
+        if v in terminals:
+            covered += 1
     depths = tree.depths()
-    height = max(depths.values(), default=0)
-    degree = max(tree.out_degrees().values(), default=0)
-    covered = len(tree.vertices() & instance.terminals)
+    root_parent = tree.parent.get(tree.root)
+    if root_parent is not None and root_parent not in depths:
+        # `depths` does not follow a parent of the root; one outside the tree
+        # raises the KeyError that `PoiseTree.out_degrees` raises
+        raise KeyError(root_parent)
+    if tree.root in terminals and tree.root not in tree.parent:
+        covered += 1  # a root listed as a key was counted in the loop
+    height = max(depths.values())
+    degree = max(out_degree.values(), default=0)
     return TreeMetrics(degree, height, degree + height, covered)
 
 

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
-from .graph import MulticastInstance, PoiseTree
+from .graph import MulticastInstance, PoiseTree, check_k
 
 
 @dataclass(frozen=True)
@@ -90,8 +90,10 @@ def validate_schedule(instance: MulticastInstance, schedule: Schedule, k: int) -
     Checked per round: the matching property (distinct senders, distinct
     receivers, no vertex on both sides), arc existence with orientation,
     sender already informed, receiver not yet informed.  At the end the
-    number of informed terminals must reach k.
+    number of informed terminals must reach k, which must lie in
+    1..|terminals| (ValueError otherwise).
     """
+    check_k(k, len(instance.terminals))
     g = instance.graph
     informed = {instance.root}
     report = ValidationReport(valid=True, rounds=len(schedule.rounds))

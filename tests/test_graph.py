@@ -18,7 +18,7 @@ from poisekit import (
     tree_metrics,
 )
 from poisekit.errors import InfeasibleGuessError
-from poisekit.graph import subset_bfs_parents
+from poisekit.graph import TreeMetrics, subset_bfs_parents
 from poisekit.oracle import poise_feasible
 
 from conftest import floyd_warshall, random_graph
@@ -435,6 +435,41 @@ def test_bfs_kernel_matches_two_pass_references(n, seed, directed, bounded):
         assert list(got.items()) == list(want.items())
 
 
+@given(
+    n=st.integers(2, 14),
+    seed=st.integers(0, 10**6),
+    directed=st.booleans(),
+    with_sources=st.booleans(),
+    with_non_arcs=st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_subset_bfs_reads_repeats_orientations_and_iterators(
+    n, seed, directed, with_sources, with_non_arcs
+):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.randint(1, 3 * n), directed)
+    arcs = rng.sample(list(g.arcs), rng.randint(0, len(g.arcs)))
+    if not directed:
+        arcs += [(v, u) for u, v in arcs if rng.random() < 0.5]  # both orientations
+    arcs += [rng.choice(arcs) for _ in range(rng.randint(0, len(arcs)))]  # repeats
+    if with_non_arcs:
+        non_arcs = [(u, v) for u in range(n) for v in range(n) if not g.has_arc(u, v)]
+        for _ in range(rng.randint(1, 2)):
+            arcs.insert(rng.randint(0, len(arcs)), rng.choice(non_arcs))
+    rng.shuffle(arcs)
+    sources = set(rng.sample(range(n), rng.randint(1, min(3, n)))) if with_sources else set()
+    bad = [(u, v) for u, v in arcs if not g.has_arc(u, v)]
+    if bad:
+        # the first non-arc read is named, whether or not there are sources
+        with pytest.raises(ValueError) as info:
+            subset_bfs_parents(g, (a for a in arcs), sources)
+        assert str(info.value) == f"arc {bad[0]} not present in the graph"
+        return
+    want = reference_subset_bfs_parents(g, arcs, sources)
+    got = subset_bfs_parents(g, (a for a in arcs), iter(sources))
+    assert list(got.items()) == list(want.items())
+
+
 def chain_walk_depths(tree: PoiseTree) -> dict[int, int]:
     """`PoiseTree.depths` as it was before its one-step case: every vertex
     walks its parent chain up to a vertex with a known depth."""
@@ -484,3 +519,58 @@ def test_depths_match_chain_walk(n, seed):
         assert str(info.value) == str(exc)
     else:
         assert list(tree.depths().items()) == list(want.items())
+
+
+def reference_tree_metrics(tree: PoiseTree, instance: MulticastInstance) -> TreeMetrics:
+    """`tree_metrics` as it was before its one-pass form: every arc checked
+    through `has_arc`, then depths, `out_degrees` and the intersection of the
+    tree's vertex set with the terminals."""
+    g = instance.graph
+    if not 0 <= tree.root < g.n:
+        raise ValueError(f"tree root {tree.root} is not a vertex of the graph")
+    for v, p in tree.parent.items():
+        if not 0 <= p < g.n or not g.has_arc(p, v):
+            raise ValueError(f"tree arc ({p}, {v}) is not an arc of the graph")
+    depths = tree.depths()
+    height = max(depths.values(), default=0)
+    degree = max(tree.out_degrees().values(), default=0)
+    covered = len(tree.vertices() & instance.terminals)
+    return TreeMetrics(degree, height, degree + height, covered)
+
+
+@given(n=st.integers(2, 12), seed=st.integers(0, 10**6), directed=st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_tree_metrics_match_reference(n, seed, directed):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.randint(n, n * n), directed)
+    inst = MulticastInstance(g, 0, rng.sample(range(1, n), rng.randint(1, n - 1)), 1)
+    # any vertex may root the tree, a terminal too; sometimes none does
+    root = rng.randrange(n) if rng.random() < 0.9 else rng.choice([-1, n])
+    order = list(range(n))
+    rng.shuffle(order)
+    if 0 <= root < n:
+        order.remove(root)
+        order.insert(0, root)
+    parent = {}
+    for i, v in enumerate(order):
+        r = rng.random()
+        if r < 0.15 or (v == root and r < 0.6):
+            continue  # not a key, yet other vertices may point at it
+        # a tree arc from a vertex placed earlier; for the root, any in-arc
+        earlier = [u for u in g.in_neighbors(v) if v == root or u in order[:i]]
+        if earlier and r < 0.9:
+            parent[v] = rng.choice(earlier)
+        else:
+            parent[v] = rng.randrange(-1, n + 1)  # non-arcs, cycles, out of range
+    items = list(parent.items())
+    rng.shuffle(items)
+    tree = PoiseTree(root, dict(items))
+    try:
+        want = reference_tree_metrics(tree, inst)
+    except (ValueError, KeyError) as exc:
+        with pytest.raises((ValueError, KeyError)) as info:
+            tree_metrics(tree, inst)
+        assert type(info.value) is type(exc)
+        assert str(info.value) == str(exc)
+    else:
+        assert tree_metrics(tree, inst) == want

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,6 +16,8 @@ from poisekit import (
     tree_metrics,
     validate_schedule,
 )
+
+from conftest import two_branch_instance
 
 
 def tree_as_instance(parent: dict[int, int], n: int) -> MulticastInstance:
@@ -107,6 +110,14 @@ class TestValidateSchedule:
         assert not report.valid
         assert report.violations[0]["rule"] == "coverage"
         assert report.informed_terminals == 1
+
+    @pytest.mark.parametrize("k", [-3, 0, 7])
+    def test_k_outside_terminal_count_raises(self, k):
+        # 2 terminals: an empty schedule would pass at k <= 0 and fail
+        # coverage at k = 7 if k were not checked
+        with pytest.raises(ValueError) as info:
+            validate_schedule(two_branch_instance(), Schedule(()), k)
+        assert str(info.value) == f"need 1 <= k <= |terminals|, got k={k}, |S|=2"
 
 
 class TestRoundLowerBounds:
