@@ -9,6 +9,7 @@ matroid cover (few-trees case).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Sequence
@@ -235,15 +236,6 @@ def _multi_source_spt_arcs(
     return {(p, v) for v, p in subset_bfs_parents(graph, arc_subset, sources).items()}
 
 
-def terminal_cover_row(
-    graph: Graph, root: int, A: Iterable[int], C: frozenset[int],
-    terminals: Iterable[int], D: int,
-) -> CoverRow:
-    """The cover row of `complete` over the terminals in C, each its own only
-    representative."""
-    return CoverRow(graph, root, A, C, {t: (t,) for t in sorted(frozenset(terminals) & C)}, D)
-
-
 def _cover_forest(graph: Graph, row: CoverRow, chosen: Iterable[Arc]) -> set[Arc]:
     """The in-C arcs that realise a cover's picks: a shortest-path forest from
     the picked boundary vertices over the union of their row arcs."""
@@ -275,9 +267,9 @@ def complete(
     ``root_region``/``region_arcs`` let a caller anchor A at an already-built
     region instead of the bare root (paths to packed-tree roots then start
     from the nearest region vertex and the region's arcs join the subgraph).
-    ``row`` is this partition's `terminal_cover_row`, when the caller keeps
-    one across degree budgets; otherwise it is built here.  The cover's peak
-    load is appended to ``peaks`` when given.
+    ``row`` is the partition's terminal cover row (`Round.row`), when the
+    caller keeps one across degree budgets; otherwise it is built here.  The
+    cover's peak load is appended to ``peaks`` when given.
     """
     terminals = frozenset(terminals)
     region = frozenset(root_region) if root_region is not None else frozenset({root})
@@ -290,7 +282,9 @@ def complete(
     selection: CoverSelection | None = None
     if k_remaining > 0:
         if row is None:
-            row = terminal_cover_row(graph, root, partition.A, partition.C, terminals, D)
+            C = partition.C
+            reps = {t: (t,) for t in sorted(terminals & C)}
+            row = CoverRow(graph, root, partition.A, C, reps, D)
         selection = row.cover(k_remaining, B)
         if peaks is not None:
             peaks.append(selection.peak_load)
@@ -306,40 +300,83 @@ def complete(
     return shortest_path_tree(graph, H, root)
 
 
+class Round:
+    """One packing round: trees of exactly rho terminals packed greedily
+    inside C, and the additive partition they leave, anchored at the region R
+    plus the packed vertices.
+
+    The solvers pack everything outside R.  All of it reads only (R, its arcs
+    ``arcs``, D), so a sweep row keeps the round at R = {root} for every
+    degree budget; the partition's terminal cover row is built on first use.
+    """
+
+    def __init__(
+        self, graph: Graph, root: int, R: Iterable[int], arcs: Iterable[Arc],
+        C: Iterable[int], terminals: Iterable[int], rho: int, D: int,
+    ):
+        self.graph, self.root, self.rho, self.D = graph, root, rho, D
+        self.R, self.arcs, self.C = frozenset(R), arcs, frozenset(C)
+        self.terminals = frozenset(terminals)
+        trees, self.packed, _ = greedy_packing(graph, self.C, self.terminals, rho, D)
+        self.trees = tuple(trees)
+        A = self.R | self.packed
+        self.partition = AdditivePartition(A, frozenset(graph.vertices()) - A, self.trees, rho)
+
+    @functools.cached_property
+    def row(self) -> CoverRow:
+        """The partition's cover row over the terminals in C, each its own
+        only representative: the row `complete` builds when given none."""
+        C = self.partition.C
+        return CoverRow(
+            self.graph, self.root, self.partition.A, C,
+            {t: (t,) for t in sorted(self.terminals & C)}, self.D,
+        )
+
+    def complete(
+        self, k_remaining: int, B: int,
+        trace: dict[str, Any] | None = None, peaks: list[int] | None = None,
+    ) -> PoiseTree:
+        """`complete` the partition at degree budget B: k_remaining terminals
+        are still required, of which the packed trees hold some."""
+        return complete(
+            self.graph, self.partition, self.root,
+            k_remaining - len(self.packed & self.terminals), B, self.D, self.terminals,
+            root_region=self.R, region_arcs=self.arcs, trace=trace, row=self.row, peaks=peaks,
+        )
+
+
 @dataclass(frozen=True)
 class DirectedStage:
     """The directed solver's work that reads only the height budget D.
 
-    On an instance pruned to radius D it holds the greedy packing and, when
-    that yields at least rho trees, their stitched tree, which then answers
-    every degree budget.  Otherwise `finish` completes the few-trees
-    partition for one degree budget B, covering from the partition's cover
-    row, which is built on the first cell that covers, until the budget
-    saturates (`SaturatedTree`).
+    On an instance pruned to radius D it holds the packing round at {root}
+    and, when that yields at least rho trees, their stitched tree, which then
+    answers every degree budget.  Otherwise `finish` completes the round's
+    few-trees partition for one degree budget B, until the budget saturates
+    (`SaturatedTree`).
     """
 
     instance: MulticastInstance
     D: int
-    partition: AdditivePartition
+    round: Round
     stitched: PoiseTree | None
-    row: CoverRow
     saturated: SaturatedTree = field(default_factory=SaturatedTree, compare=False)
 
     def finish(self, B: int, trace: dict[str, Any] | None = None) -> PoiseTree:
         return self.saturated.finish(B, trace, self._solve)
 
     def _solve(self, B: int, trace: dict[str, Any] | None, peaks: list[int]) -> PoiseTree:
-        instance, trees = self.instance, self.partition.trees
-        packed = self.partition.A - {instance.root}
+        packing = self.round
+        trees = packing.trees
         if trace is not None:
             trace["solver"] = "directed"
-            trace["rho"] = self.partition.rho
+            trace["rho"] = packing.rho
             trace["good_trees"] = [
                 {"root": t.root_vertex, "terminals": sorted(t.terminals)} for t in trees
             ]
             trace["packing"] = {
                 "trees": len(trees),
-                "vertices": len(packed),
+                "vertices": len(packing.packed),
                 "terminals": sum(len(t.terminals) for t in trees),
             }
         if self.stitched is not None:
@@ -348,34 +385,25 @@ class DirectedStage:
             return self.stitched
         if trace is not None:
             trace["branch"] = "few-trees"
-            trace["packed"] = sorted(packed)
-        k_remaining = instance.k - len(self.partition.A & instance.terminals)
-        return complete(
-            instance.graph, self.partition, instance.root, k_remaining, B, self.D,
-            instance.terminals, trace=trace, row=self.row, peaks=peaks,
-        )
+            trace["packed"] = sorted(packing.packed)
+        return packing.complete(self.instance.k, B, trace, peaks)
 
 
 def stage_directed(instance: MulticastInstance, D: int) -> DirectedStage:
     """Pack rho-terminal trees within height D and, when there are at least
-    rho of them, stitch them to the root; otherwise keep the partition's
-    cover row for the few-trees completion at every degree budget.
+    rho of them, stitch them to the root; otherwise the round completes its
+    partition at every degree budget.
 
     Expects a normalized instance already pruned to radius D.  Raises
     InfeasibleGuessError when stitching finds a packed tree unreachable, which
     makes every degree budget infeasible.
     """
-    g = instance.graph
-    k = instance.k
+    g, root, k = instance.graph, instance.root, instance.k
     rho = math.isqrt(k) if math.isqrt(k) ** 2 == k else math.isqrt(k) + 1
-    trees, packed, C = greedy_packing(
-        g, set(g.vertices()) - {instance.root}, instance.terminals, rho, D
-    )
-    stitched = solve_many_trees(g, instance.root, trees, rho) if len(trees) >= rho else None
-    A = frozenset({instance.root} | packed)
-    partition = AdditivePartition(A, C, tuple(trees), rho)
-    row = terminal_cover_row(g, instance.root, A, C, instance.terminals, D)
-    return DirectedStage(instance, D, partition, stitched, row)
+    packing = Round(g, root, {root}, (), set(g.vertices()) - {root}, instance.terminals, rho, D)
+    trees = list(packing.trees)
+    stitched = solve_many_trees(g, root, trees, rho) if len(trees) >= rho else None
+    return DirectedStage(instance, D, packing, stitched)
 
 
 def solve_directed(

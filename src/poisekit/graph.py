@@ -66,8 +66,9 @@ class Graph:
         return self._in[v]  # type: ignore[attr-defined]
 
     def has_arc(self, u: int, v: int) -> bool:
-        """True when u may transmit to v (orientation-aware)."""
-        return v in self._out[u]  # type: ignore[attr-defined]
+        """True when u may transmit to v (orientation-aware); False when u or
+        v is not a vertex."""
+        return 0 <= u < self.n and v in self._out[u]  # type: ignore[attr-defined]
 
     def vertices(self) -> range:
         return range(self.n)
@@ -291,10 +292,11 @@ def subset_bfs_parents(
     adjacency list is sorted once.
     """
     out = graph._out  # type: ignore[attr-defined]
+    n = graph.n
     undirected = not graph.directed
     succ: defaultdict[int, list[int]] = defaultdict(list)
     for u, v in edge_subset:
-        if v not in out[u]:
+        if not 0 <= u < n or v not in out[u]:
             raise ValueError(f"arc ({u}, {v}) not present in the graph")
         succ[u].append(v)
         if undirected:

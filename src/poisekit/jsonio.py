@@ -120,8 +120,9 @@ def tree_to_json(tree: PoiseTree) -> str:
 
 def tree_from_json(text: str) -> PoiseTree:
     """Parse a tree as strictly as an instance: the root and every parent a
-    JSON integer, every key of "parent" a vertex id in decimal ("0", "12").
-    Whether the tree fits an instance is checked by `tree_metrics`."""
+    JSON integer, every key of "parent" a vertex id in decimal ("0", "12")
+    other than the root's.  Whether the tree fits an instance is checked by
+    `tree_metrics`."""
     data = _object(text, "a tree", ("root", "parent"))
     root = _integer(data["root"], "root")
     if type(data["parent"]) is not dict:
@@ -130,6 +131,8 @@ def tree_from_json(text: str) -> PoiseTree:
     for key, p in data["parent"].items():
         if not _VERTEX_KEY.fullmatch(key):
             raise ValueError(f'field "parent" must have vertex ids as keys, got {_quote(key)}')
+        if int(key) == root:
+            raise ValueError(f'field "parent" lists the root {root} as a key')
         parent[int(key)] = _integer(p, "parent")
     return PoiseTree(root, parent)
 

@@ -9,18 +9,12 @@ iterated matroid cover, discarding a t^(2/3)-sized terminal batch per round.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from .cover import CoverRow, SaturatedTree, _closest_representatives
-from .directed import (
-    AdditivePartition,
-    GoodTree,
-    _cover_forest,
-    complete,
-    greedy_packing,
-    terminal_cover_row,
-)
+from .directed import GoodTree, Round, _cover_forest
 from .errors import InfeasibleGuessError
 from .graph import (
     Graph,
@@ -76,56 +70,18 @@ def small(
     B: int,
     D: int,
     root: int,
-    root_region: Iterable[int] | None = None,
-    region_arcs: Iterable[Arc] = (),
-    trace: dict[str, Any] | None = None,
 ) -> PoiseTree | list[GoodTree]:
     """Pack trees of exactly ceil(t^(1/3)) terminals inside C.
 
     When fewer than that many trees exist the packing is an additive
-    partition anchored at the root region, so the cover completion finishes
-    the whole job and the finished tree is returned.  Otherwise the packed
-    trees come back for contraction.
+    partition anchored at the root plus the packed vertices, so the cover
+    completion finishes the whole job and the finished tree is returned.
+    Otherwise the packed trees come back for contraction.
     """
-    rho = _ceil_cbrt(t)
-    trees, packed, _ = greedy_packing(graph, frozenset(C), frozenset(terminals), rho, D)
-    if len(trees) >= rho:
-        return trees
-    return _complete_small(
-        graph, trees, packed, rho, terminals, k_remaining, B, D, root,
-        root_region, region_arcs, trace,
-    )
-
-
-def _complete_small(
-    graph: Graph,
-    trees: Iterable[GoodTree],
-    packed: frozenset[int],
-    rho: int,
-    terminals: Iterable[int],
-    k_remaining: int,
-    B: int,
-    D: int,
-    root: int,
-    root_region: Iterable[int] | None,
-    region_arcs: Iterable[Arc],
-    trace: dict[str, Any] | None,
-    row: CoverRow | None = None,
-    peaks: list[int] | None = None,
-) -> PoiseTree:
-    """The degree-budget half of `small` when it packed fewer than rho trees:
-    complete the additive partition anchored at the root region.  ``row`` is
-    the partition's `terminal_cover_row` when the caller keeps one; ``peaks``
-    is passed on to `complete`."""
-    terminals = frozenset(terminals)
-    region = frozenset(root_region) if root_region is not None else frozenset({root})
-    A = region | packed
-    partition = AdditivePartition(A, frozenset(graph.vertices()) - A, tuple(trees), rho)
-    target = k_remaining - len(packed & terminals)
-    return complete(
-        graph, partition, root, target, B, D, terminals,
-        root_region=region, region_arcs=region_arcs, trace=trace, row=row, peaks=peaks,
-    )
+    packing = Round(graph, root, {root}, (), C, terminals, _ceil_cbrt(t), D)
+    if len(packing.trees) >= packing.rho:
+        return list(packing.trees)
+    return packing.complete(k_remaining, B)
 
 
 def find_good_vertex_wrt_super(
@@ -189,42 +145,44 @@ def _degree_deltas(added: Iterable[Arc], r_before: frozenset[int]) -> tuple[int,
     return d_r, d_c
 
 
-def _contract(trees: Iterable[GoodTree]) -> list[SuperTerminal]:
-    return [SuperTerminal(i, tr, frozenset(tr.vertices())) for i, tr in enumerate(trees)]
+class SuperRound(Round):
+    """An undirected packing round outside the covered region R.  When it
+    packs at least rho trees they contract into super-terminals, searched
+    for a vertex aggregating rho of them or else covered from the
+    super-terminal row; each of these is built on first use."""
 
+    @functools.cached_property
+    def supers(self) -> list[SuperTerminal]:
+        return [SuperTerminal(i, tr, frozenset(tr.vertices())) for i, tr in enumerate(self.trees)]
 
-def _pack_round(
-    graph: Graph, C: Iterable[int], terminals: Iterable[int], t: int, D: int
-) -> tuple[list[GoodTree], frozenset[int], tuple[int, PoiseTree] | None]:
-    """The start of an iteration, which reads only the height budget: pack
-    small trees inside C and, when there are at least ceil(t^(1/3)) of them,
-    search for a vertex aggregating that many.  Returns (trees, packed
-    vertices, search result or None)."""
-    rho = _ceil_cbrt(t)
-    trees, packed, _ = greedy_packing(graph, frozenset(C), frozenset(terminals), rho, D)
-    found = None
-    if len(trees) >= rho:
-        found = find_good_vertex_wrt_super(graph, C, _contract(trees), rho, D)
-    return trees, packed, found
+    @functools.cached_property
+    def found(self) -> tuple[int, PoiseTree] | None:
+        return find_good_vertex_wrt_super(self.graph, self.C, self.supers, self.rho, self.D)
+
+    @functools.cached_property
+    def super_row(self) -> CoverRow:
+        """The cover row over the super-terminals, each represented by its
+        packed tree's vertices."""
+        return CoverRow(
+            self.graph, self.root, self.R, self.C,
+            {s.id: s.representatives for s in self.supers}, self.D,
+        )
 
 
 @dataclass(frozen=True)
 class UndirectedStage:
     """The undirected solver's work that reads only the height budget D.
 
-    On an instance pruned to radius D it holds the first iteration's packing
-    and super-terminal search, made while the region is just the root, and
-    the cover rows that iteration completes (``small_row``) or covers
-    (``super_row``) from; each is built on the first cell that uses it.
-    `finish` runs the iterations for one degree budget B, until the budget
-    saturates (`SaturatedTree`).
+    On an instance pruned to radius D it holds the first iteration's round,
+    packed while the region is just the root, with its super-terminal
+    search and cover rows.  `finish` runs the iterations for one degree
+    budget B, until the budget saturates (`SaturatedTree`); each later
+    iteration packs a fresh round outside the region grown so far.
     """
 
     instance: MulticastInstance
     D: int
-    first_round: tuple[list[GoodTree], frozenset[int], tuple[int, PoiseTree] | None]
-    small_row: CoverRow
-    super_row: CoverRow
+    first: SuperRound
     saturated: SaturatedTree = field(default_factory=SaturatedTree, compare=False)
 
     def finish(self, B: int, trace: dict[str, Any] | None = None) -> PoiseTree:
@@ -252,24 +210,18 @@ class UndirectedStage:
                 raise InfeasibleGuessError(
                     f"{len(s_prime)} terminals remain but {k_rem} are still required"
                 )
-            C = set(g.vertices()) - region.R
-            if iteration == 1:
-                trees, packed, found = self.first_round
-            else:
-                trees, packed, found = _pack_round(g, C, s_prime, t, D)
-            if len(trees) < rho:
-                result = _complete_small(
-                    g, trees, packed, rho, s_prime, k_rem, B, D, root,
-                    region.R, region.arcs, trace,
-                    self.small_row if iteration == 1 else None, peaks,
-                )
-                record = _small_record(iteration, result, region, s_prime)
-                region.iteration_log.append(record)
+            packing = self.first if iteration == 1 else SuperRound(
+                g, root, region.R, frozenset(region.arcs), set(g.vertices()) - region.R,
+                s_prime, rho, D,
+            )
+            if len(packing.trees) < rho:
+                result = packing.complete(k_rem, B, trace, peaks)
+                region.iteration_log.append(_small_record(iteration, result, region, s_prime))
                 return result
-            supers = _contract(trees)
+            supers = packing.supers
             r_before = frozenset(region.R)
-            if found is not None:
-                v, big = found
+            if packing.found is not None:
+                _, big = packing.found
                 dist, parent = bfs_parents(g, sorted(region.R))
                 candidates = [(dist[w], w) for w in big.vertices() if w in dist]
                 if not candidates:
@@ -281,10 +233,7 @@ class UndirectedStage:
                 discarded = set(covered)
                 branch = "large"
             else:
-                row = (
-                    self.super_row if iteration == 1
-                    else super_cover_row(g, root, region.R, C, supers, D)
-                )
+                row = packing.super_row
                 cap = min(_ceil_log2(k), _ceil_log2(len(supers))) + 1
                 selection = row.cover(None, B, cap)
                 peaks.append(selection.peak_load)
@@ -298,7 +247,7 @@ class UndirectedStage:
                 added = _merge_arcs(
                     region, [sorted(selection.chosen), sorted(t_c), covered_tree_arcs]
                 )
-                discarded = s_prime & set().union(*(tr.terminals for tr in trees))
+                discarded = s_prime & set().union(*(tr.terminals for tr in packing.trees))
                 branch = "pmcover"
             if not covered and not discarded:
                 raise InfeasibleGuessError("iteration neither covered nor discarded terminals")
@@ -329,19 +278,16 @@ class UndirectedStage:
 
 
 def stage_undirected(instance: MulticastInstance, D: int) -> UndirectedStage:
-    """Run the first iteration's packing and super-terminal search, and set
-    up the cover rows it completes or covers from: all of it reads only the
-    height budget.  Expects a normalized instance pruned to radius D."""
+    """Pack the first iteration's round, which reads only the height budget.
+    Expects a normalized instance pruned to radius D."""
     g = instance.graph
     if g.directed:
         raise ValueError("the undirected solver requires an undirected graph")
     root, terminals = instance.root, instance.terminals
-    C = frozenset(g.vertices()) - {root}
-    first = trees, packed, _ = _pack_round(g, C, terminals, len(terminals), D)
-    A = frozenset({root}) | packed
-    small_row = terminal_cover_row(g, root, A, frozenset(g.vertices()) - A, terminals, D)
-    super_row = super_cover_row(g, root, {root}, C, _contract(trees), D)
-    return UndirectedStage(instance, D, first, small_row, super_row)
+    first = SuperRound(
+        g, root, {root}, (), set(g.vertices()) - {root}, terminals, _ceil_cbrt(len(terminals)), D
+    )
+    return UndirectedStage(instance, D, first)
 
 
 def solve_undirected(
@@ -358,15 +304,6 @@ def solve_undirected(
     budget dominates an optimal tree, else raises InfeasibleGuessError.
     """
     return stage_undirected(instance, guess.D).finish(guess.B, trace)
-
-
-def super_cover_row(
-    graph: Graph, root: int, R: Iterable[int], C: Iterable[int],
-    supers: list[SuperTerminal], D: int,
-) -> CoverRow:
-    """The cover row of a pmcover iteration over the super-terminals, each
-    represented by its packed tree's vertices."""
-    return CoverRow(graph, root, R, C, {s.id: s.representatives for s in supers}, D)
 
 
 def _small_record(

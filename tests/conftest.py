@@ -177,6 +177,8 @@ MALFORMED_TREES = [
     ("leading-zero-key", '{"root": 0, "parent": {"01": 0}}',
      'field "parent" must have vertex ids as keys, got "01"'),
     ("repeated-vertex", '{"root": 0, "parent": {"1": 0, "1": 2}}', 'repeated key "1"'),
+    ("root-key", '{"root": 0, "parent": {"0": 1, "1": 0, "2": 1}}',
+     'field "parent" lists the root 0 as a key'),
 ]
 
 # (case id, schedule file text, text the one-line error must contain).

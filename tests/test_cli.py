@@ -169,6 +169,19 @@ class TestScheduleAndValidate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and needle in err
 
+    def test_tree_listing_the_root_exits_one(self, tmp_path, capsys):
+        # the arc 1 -> 0 makes the root's listed parent a graph arc; the tree
+        # used to pass the instance check and crash the scheduler
+        from poisekit import Graph, MulticastInstance
+
+        inst = MulticastInstance(Graph(3, [(0, 1), (1, 0), (1, 2)], directed=True), 0, {2}, 1)
+        inst_path, tree_path = tmp_path / "inst.json", tmp_path / "tree.json"
+        jsonio.save_instance(inst, inst_path)
+        tree_path.write_text('{"root": 0, "parent": {"0": 1, "1": 0, "2": 1}}')
+        assert run(["schedule", "--input", str(inst_path), "--tree", str(tree_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and 'field "parent" lists the root 0 as a key' in err
+
     @pytest.mark.parametrize(
         "text, needle", [case[1:] for case in MALFORMED_TREES],
         ids=[case[0] for case in MALFORMED_TREES],

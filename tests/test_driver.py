@@ -7,6 +7,7 @@ from poisekit import (
     run_sweep,
 )
 from poisekit.driver import BENCH_COLUMNS, bench_rows, solve_guess, stage_budget
+from poisekit.errors import InfeasibleGuessError
 from poisekit.graph import PoiseGuess
 
 from conftest import middles_instance
@@ -98,4 +99,31 @@ def test_sweep_runs_one_bfs_from_the_root(monkeypatch):
     report, _ = run_sweep(inst)
     rows = report.grid["D_max"]
     assert rows > 1 and any(not r["feasible"] for r in report.records)
+    assert len(calls) == 1
+
+
+def test_middles_sweep_packs_once(monkeypatch):
+    # the one D row past pruning packs its first round once, and every cell,
+    # traced or swept, ends in iteration 1: a later iteration would pack again
+    from poisekit import directed
+
+    inst = middles_instance(8)
+    original = directed.greedy_packing
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(directed, "greedy_packing", counting)
+    report, _ = run_sweep(inst)
+    assert len(calls) == 1
+    assert [r["feasible"] for r in report.records if r["D"] == 1] == [False] * 8
+    calls.clear()
+    stage = stage_budget(inst, 2)
+    for B in range(1, 9):
+        try:
+            stage.finish(B, {})  # a traced cell always solves
+        except InfeasibleGuessError:
+            assert B == 1
     assert len(calls) == 1

@@ -47,6 +47,12 @@ class TestGraph:
         g = Graph(3, [(0, 1)], directed=True)
         assert g.has_arc(0, 1) and not g.has_arc(1, 0)
 
+    @pytest.mark.parametrize("u, v", [(-1, 1), (3, 1), (0, -2), (0, 3)])
+    def test_has_arc_is_false_off_the_vertex_range(self, u, v):
+        # vertex -1 must not read vertex 2's adjacency, which holds the arc (2, 1)
+        g = Graph(3, [(0, 1), (2, 1)], directed=True)
+        assert not g.has_arc(u, v)
+
 
 class TestInstance:
     def test_root_cannot_be_terminal(self):
@@ -400,6 +406,17 @@ class TestBfsKernel:
 
     def test_subset_without_sources_has_no_parents(self):
         assert subset_bfs_parents(path_graph(3), {(0, 1)}, []) == {}
+
+    @pytest.mark.parametrize("arcs, bad", [
+        ([(-1, 1), (0, 1)], (-1, 1)),  # vertex 2's row holds the arc (2, 1)
+        ([(3, 1)], (3, 1)),
+        ([(0, 1), (0, 3)], (0, 3)),
+    ])
+    def test_subset_tail_off_the_vertex_range_is_named(self, arcs, bad):
+        g = Graph(3, [(0, 1), (2, 1)], directed=True)
+        with pytest.raises(ValueError) as info:
+            shortest_path_tree(g, arcs, 0)
+        assert str(info.value) == f"arc {bad} not present in the graph"
 
 
 @given(

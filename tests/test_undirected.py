@@ -14,6 +14,8 @@ from poisekit import (
     solve_undirected,
     tree_metrics,
 )
+from poisekit import undirected
+from poisekit.driver import stage_budget
 from poisekit.errors import InfeasibleGuessError
 from poisekit.undirected import _ceil_cbrt, _ceil_log2
 
@@ -58,6 +60,20 @@ class TestSmall:
         assert len(result) == 4
         assert all(len(t.terminals) == 2 for t in result)
 
+    def test_packs_inside_C_and_completes_outside_it(self):
+        # terminals 2, 5 hang off 1 and 4, 6 off 3; C leaves out 3, so the
+        # packing finds one 2-terminal tree (at 1), below rho = 2, and the
+        # completion, anchored at the root plus that tree, reaches 4 and 6
+        # through 3 (with 3 in C the packing would find two trees)
+        g = Graph(7, [(0, 1), (1, 2), (1, 5), (0, 3), (3, 4), (3, 6)], directed=False)
+        terms = {2, 4, 5, 6}
+        args = dict(t=4, k_remaining=4, B=1, D=2, root=0)
+        assert len(small(g, set(range(1, 7)), terms, **args)) == 2
+        result = small(g, {1, 2, 4, 5, 6}, terms, **args)
+        assert isinstance(result, PoiseTree)
+        assert result.root == 0
+        assert result.parent == {1: 0, 2: 1, 5: 1, 3: 0, 4: 3, 6: 3}
+
     def test_single_terminal_degenerates(self):
         g = Graph(3, [(0, 1), (1, 2)], directed=False)
         inst = MulticastInstance(g, 0, {2}, 1)
@@ -96,6 +112,29 @@ class TestFindGoodVertexWrtSuper:
         supers = self.make_supers()
         got = find_good_vertex_wrt_super(self.graph(), set(range(4, 9)), supers, 3, D=2)
         assert got is None
+
+
+class TestStaging:
+    def test_first_round_contracts_its_trees_once_per_row(self, monkeypatch):
+        # D = 3 is the one row past pruning; every cell aggregates the first
+        # round's super-terminals (large), then covers a fresh round's (pmcover)
+        contracted = []
+
+        def recording(i, tree, representatives):
+            contracted.append(tree)
+            return SuperTerminal(i, tree, representatives)
+
+        monkeypatch.setattr(undirected, "SuperTerminal", recording)
+        inst = hub_stars_instance()
+        stage = stage_budget(inst, 3)
+        for B in range(1, len(inst.terminals) + 1):
+            trace = {}  # a traced cell always solves
+            stage.finish(B, trace)
+            assert [r["branch"] for r in trace["iterations"]] == ["large", "pmcover"]
+        first = stage.first.trees
+        assert len(first) == 4
+        assert sum(any(t is f for f in first) for t in contracted) == len(first)
+        assert len({id(t) for t in contracted}) == len(contracted)
 
 
 class TestSolveUndirected:
