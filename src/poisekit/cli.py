@@ -9,7 +9,7 @@ import sys
 from pathlib import Path
 
 from . import jsonio
-from .driver import BENCH_COLUMNS, bench_rows, run_sweep, solve_guess
+from .driver import BENCH_COLUMNS, bench_rows, run_sweep, stage_budget
 from .errors import GenerationError, InfeasibleGuessError, InfeasibleInstanceError
 from .generators import MODELS, generate_instance
 from .graph import (
@@ -141,15 +141,9 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(json.dumps(result))
         if args.out:
             jsonio.save_tree(prep.tree_in_original(tree), args.out)
-        if args.trace and report.best is not None:
-            trace: dict = {}
-            solve_guess(
-                prep.instance,
-                PoiseGuess(report.best["B"], report.best["D"]),
-                args.mode,
-                trace=trace,
-            )
-            _write_trace(trace, args.trace)
+        if args.trace:
+            best = stage_budget(prep.instance, report.best["D"], args.mode)
+            _write_trace(best.solve(report.best["B"]).trace, args.trace)
         return EXIT_OK
     if args.B is None or args.D is None:
         raise _fail("error: provide --B and --D, or use --sweep")
@@ -157,19 +151,18 @@ def cmd_solve(args: argparse.Namespace) -> int:
         guess = PoiseGuess(args.B, args.D)
     except ValueError as exc:
         raise _fail(f"error: {exc}")
-    trace: dict = {}
     try:
-        tree = solve_guess(prep.instance, guess, args.mode, trace=trace)
+        solved = stage_budget(prep.instance, guess.D, args.mode).solve(guess.B)
     except InfeasibleGuessError as exc:
         print(json.dumps({"feasible": False, "B": args.B, "D": args.D, "reason": str(exc)}))
         return EXIT_INFEASIBLE
     print(json.dumps({
-        "feasible": True, "B": args.B, "D": args.D, "metrics": prep.metrics_pair(tree),
+        "feasible": True, "B": args.B, "D": args.D, "metrics": prep.metrics_pair(solved.tree),
     }))
     if args.out:
-        jsonio.save_tree(prep.tree_in_original(tree), args.out)
+        jsonio.save_tree(prep.tree_in_original(solved.tree), args.out)
     if args.trace:
-        _write_trace(trace, args.trace)
+        _write_trace(solved.trace, args.trace)
     return EXIT_OK
 
 

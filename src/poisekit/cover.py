@@ -343,37 +343,37 @@ def _closest_representatives(
     return closest
 
 
+@dataclass(frozen=True)
+class Solved:
+    """One solve of a (B, D) cell: its tree, the largest `peak_load` of its
+    covers (0 without a cover), and its trace (see the README's file
+    formats)."""
+
+    tree: PoiseTree
+    peak: int
+    trace: dict[str, Any]
+
+
 class SaturatedTree:
     """A sweep row's tree once its degree budget no longer binds.
 
     A stage reads the degree budget B only as the capacity of its covers'
     partition matroid, and the greedy reads the capacity only once a part
     holds that many picks.  So when every cover of one solve peaked below B
-    (see `CoverSelection.peak_load`), the capacity never bound, and every
-    budget above that peak replays the same picks and builds the same tree.
-    A stage keeps that one tree and returns it for those budgets unsolved.
+    (`Solved.peak`), the capacity never bound, and every budget above that
+    peak replays the same picks and builds the same tree.  A stage keeps that
+    one tree and returns it for those budgets unsolved.
     """
 
     def __init__(self) -> None:
         self.peak = 0
         self.tree: PoiseTree | None = None
 
-    def finish(
-        self,
-        B: int,
-        trace: dict[str, Any] | None,
-        solve: Callable[[int, dict[str, Any] | None, list[int]], PoiseTree],
-    ) -> PoiseTree:
-        """``solve(B, trace, peaks)`` solves the cell, appending each cover's
-        peak load to ``peaks``.  A traced solve always runs, so its trace is
-        complete, and is not kept."""
-        if trace is not None:
-            return solve(B, trace, [])
+    def finish(self, B: int, solve: Callable[[int], Solved]) -> PoiseTree:
+        """The tree at degree budget B; ``solve(B)`` solves the cell."""
         if self.tree is not None and B > self.peak:
             return self.tree
-        peaks: list[int] = []
-        tree = solve(B, None, peaks)
-        peak = max(peaks, default=0)
-        if peak < B:
-            self.peak, self.tree = peak, tree
-        return tree
+        solved = solve(B)
+        if solved.peak < B:
+            self.peak, self.tree = solved.peak, solved.tree
+        return solved.tree

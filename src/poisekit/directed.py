@@ -12,9 +12,9 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .cover import CoverRow, CoverSelection, SaturatedTree
+from .cover import CoverRow, CoverSelection, SaturatedTree, Solved
 from .errors import InfeasibleGuessError
 from .graph import (
     Graph,
@@ -256,20 +256,18 @@ def complete(
     terminals: Iterable[int],
     root_region: Iterable[int] | None = None,
     region_arcs: Iterable[Arc] = (),
-    trace: dict[str, Any] | None = None,
     row: CoverRow | None = None,
-    peaks: list[int] | None = None,
-) -> PoiseTree:
+) -> tuple[PoiseTree, CoverSelection | None]:
     """Finish a rho-additive partition: cover k_remaining terminals of C via
     the iterated matroid cover and return the shortest-path tree over the
-    assembled subgraph.
+    assembled subgraph, with the cover's selection (None when no terminal
+    was left to cover).
 
     ``root_region``/``region_arcs`` let a caller anchor A at an already-built
     region instead of the bare root (paths to packed-tree roots then start
     from the nearest region vertex and the region's arcs join the subgraph).
     ``row`` is the partition's terminal cover row (`Round.row`), when the
-    caller keeps one across degree budgets; otherwise it is built here.  The
-    cover's peak load is appended to ``peaks`` when given.
+    caller keeps one across degree budgets; otherwise it is built here.
     """
     terminals = frozenset(terminals)
     region = frozenset(root_region) if root_region is not None else frozenset({root})
@@ -286,18 +284,13 @@ def complete(
             reps = {t: (t,) for t in sorted(terminals & C)}
             row = CoverRow(graph, root, partition.A, C, reps, D)
         selection = row.cover(k_remaining, B)
-        if peaks is not None:
-            peaks.append(selection.peak_load)
         if len(selection.covered_elements) < k_remaining:
             raise InfeasibleGuessError(
                 "matroid cover hit its iteration cap below the coverage target"
             )
         H |= selection.chosen
         H |= _cover_forest(graph, row, selection.chosen)
-    if trace is not None:
-        trace["pmcover"] = selection.log if selection is not None else []
-        trace["k_remaining"] = k_remaining
-    return shortest_path_tree(graph, H, root)
+    return shortest_path_tree(graph, H, root), selection
 
 
 class Round:
@@ -332,17 +325,17 @@ class Round:
             {t: (t,) for t in sorted(self.terminals & C)}, self.D,
         )
 
-    def complete(
-        self, k_remaining: int, B: int,
-        trace: dict[str, Any] | None = None, peaks: list[int] | None = None,
-    ) -> PoiseTree:
+    def complete(self, k_remaining: int, B: int) -> Solved:
         """`complete` the partition at degree budget B: k_remaining terminals
-        are still required, of which the packed trees hold some."""
-        return complete(
-            self.graph, self.partition, self.root,
-            k_remaining - len(self.packed & self.terminals), B, self.D, self.terminals,
-            root_region=self.R, region_arcs=self.arcs, trace=trace, row=self.row, peaks=peaks,
+        are still required, of which the packed trees hold some.  The trace
+        holds the cover loop's log and the count left to cover."""
+        k_remaining -= len(self.packed & self.terminals)
+        tree, selection = complete(
+            self.graph, self.partition, self.root, k_remaining, B, self.D, self.terminals,
+            root_region=self.R, region_arcs=self.arcs, row=self.row,
         )
+        log, peak = ([], 0) if selection is None else (selection.log, selection.peak_load)
+        return Solved(tree, peak, {"pmcover": log, "k_remaining": k_remaining})
 
 
 @dataclass(frozen=True)
@@ -351,9 +344,9 @@ class DirectedStage:
 
     On an instance pruned to radius D it holds the packing round at {root}
     and, when that yields at least rho trees, their stitched tree, which then
-    answers every degree budget.  Otherwise `finish` completes the round's
-    few-trees partition for one degree budget B, until the budget saturates
-    (`SaturatedTree`).
+    answers every degree budget.  Otherwise `solve` completes the round's
+    few-trees partition for one degree budget B; `finish` does so until the
+    budget saturates (`SaturatedTree`).
     """
 
     instance: MulticastInstance
@@ -362,31 +355,23 @@ class DirectedStage:
     stitched: PoiseTree | None
     saturated: SaturatedTree = field(default_factory=SaturatedTree, compare=False)
 
-    def finish(self, B: int, trace: dict[str, Any] | None = None) -> PoiseTree:
-        return self.saturated.finish(B, trace, self._solve)
+    def finish(self, B: int) -> PoiseTree:
+        return self.saturated.finish(B, self.solve)
 
-    def _solve(self, B: int, trace: dict[str, Any] | None, peaks: list[int]) -> PoiseTree:
+    def solve(self, B: int) -> Solved:
         packing = self.round
         trees = packing.trees
-        if trace is not None:
-            trace["solver"] = "directed"
-            trace["rho"] = packing.rho
-            trace["good_trees"] = [
-                {"root": t.root_vertex, "terminals": sorted(t.terminals)} for t in trees
-            ]
-            trace["packing"] = {
-                "trees": len(trees),
-                "vertices": len(packing.packed),
-                "terminals": sum(len(t.terminals) for t in trees),
-            }
+        good = [{"root": t.root_vertex, "terminals": sorted(t.terminals)} for t in trees]
+        sizes = {"trees": len(trees), "vertices": len(packing.packed),
+                 "terminals": sum(len(t.terminals) for t in trees)}
+        trace = {"solver": "directed", "rho": packing.rho, "good_trees": good, "packing": sizes}
         if self.stitched is not None:
-            if trace is not None:
-                trace["branch"] = "many-trees"
-            return self.stitched
-        if trace is not None:
-            trace["branch"] = "few-trees"
-            trace["packed"] = sorted(packing.packed)
-        return packing.complete(self.instance.k, B, trace, peaks)
+            trace["branch"] = "many-trees"
+            return Solved(self.stitched, 0, trace)
+        trace["branch"] = "few-trees"
+        trace["packed"] = sorted(packing.packed)
+        solved = packing.complete(self.instance.k, B)
+        return Solved(solved.tree, solved.peak, trace | solved.trace)
 
 
 def stage_directed(instance: MulticastInstance, D: int) -> DirectedStage:
@@ -406,11 +391,7 @@ def stage_directed(instance: MulticastInstance, D: int) -> DirectedStage:
     return DirectedStage(instance, D, packing, stitched)
 
 
-def solve_directed(
-    instance: MulticastInstance,
-    guess: PoiseGuess,
-    trace: dict[str, Any] | None = None,
-) -> PoiseTree:
+def solve_directed(instance: MulticastInstance, guess: PoiseGuess) -> PoiseTree:
     """Minimum-poise k-tree heuristic for a directed instance at one budget.
 
     Expects a normalized instance already pruned to radius guess.D.  Covers at
@@ -418,4 +399,4 @@ def solve_directed(
     and height at most 3*D + 1 whenever the guess dominates an optimal tree;
     otherwise raises InfeasibleGuessError.
     """
-    return stage_directed(instance, guess.D).finish(guess.B, trace)
+    return stage_directed(instance, guess.D).finish(guess.B)

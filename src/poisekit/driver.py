@@ -6,6 +6,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from .cover import Solved
 from .directed import DirectedStage, stage_directed
 from .errors import GenerationError, InfeasibleGuessError
 from .generators import generate_instance
@@ -46,8 +47,10 @@ class InfeasibleStage:
 
     reason: str
 
-    def finish(self, B: int, trace: dict[str, Any] | None = None) -> PoiseTree:
+    def solve(self, B: int) -> Solved:
         raise InfeasibleGuessError(self.reason)
+
+    finish = solve  # both raise
 
 
 Stage = DirectedStage | UndirectedStage | InfeasibleStage
@@ -60,8 +63,9 @@ def stage_budget(
     root_dist: dict[int, int] | None = None,
 ) -> Stage:
     """The work shared by every guess with height budget D: prune to radius
-    D, then the solver's own D-only stage.  ``stage.finish(B)`` completes the
-    guess (B, D).  ``root_dist`` is passed on to `prune_beyond`.
+    D, then the solver's own D-only stage.  ``stage.solve(B)`` solves the
+    guess (B, D) into a `Solved`; ``stage.finish(B)`` gives only its tree,
+    kept while B saturates.  ``root_dist`` is passed on to `prune_beyond`.
 
     The instance must already be in normalized shape (leaf terminals).
     """
@@ -83,7 +87,6 @@ def solve_guess(
     instance: MulticastInstance,
     guess: PoiseGuess,
     mode: str = "auto",
-    trace: dict[str, Any] | None = None,
     stage: Stage | None = None,
 ) -> PoiseTree:
     """Solve one (B, D) guess: finish ``stage``, the guess's D-only stage
@@ -94,7 +97,7 @@ def solve_guess(
     """
     if stage is None:
         stage = stage_budget(instance, guess.D, mode)
-    return stage.finish(guess.B, trace)
+    return stage.finish(guess.B)
 
 
 def run_sweep(

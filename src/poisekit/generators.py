@@ -10,11 +10,15 @@ import random
 from typing import Mapping
 
 from .errors import GenerationError
-from .graph import Graph, MulticastInstance, bfs_distances, normalize_terminals
+from .graph import MAX_VERTICES, Graph, MulticastInstance, bfs_distances, normalize_terminals
 
 MODELS = ("random-digraph", "layered-dag", "grid", "star-of-stars")
 
 _RETRIES = 64
+
+# random-digraph lists every candidate arc before it samples m of them: at
+# most this many, which admits a directed n of 5,793 and an undirected 8,192.
+MAX_CANDIDATE_ARCS = 2**25
 
 
 def generate_instance(model: str, params: Mapping[str, object]) -> MulticastInstance:
@@ -23,17 +27,26 @@ def generate_instance(model: str, params: Mapping[str, object]) -> MulticastInst
     Common parameters: ``seed`` (default 0), ``k`` (default: all terminals),
     ``t`` (terminal count where the model does not fix it), ``directed``
     (model-specific default), ``connected`` (resample until the whole graph
-    hangs together; random-digraph only).
+    hangs together; random-digraph only).  Any other key, a non-int count,
+    or a non-bool ``directed``/``connected``, is a ValueError.  More than
+    MAX_VERTICES vertices, terminal leaves included, is a GenerationError
+    raised before any list is built.
     """
     builders = {
-        "random-digraph": _random_digraph,
-        "layered-dag": _layered_dag,
-        "grid": _grid,
-        "star-of-stars": _star_of_stars,
+        "random-digraph": (_random_digraph, ("n", "m", "t", "k", "directed", "connected")),
+        "layered-dag": (_layered_dag, ("width", "depth", "t", "k", "directed")),
+        "grid": (_grid, ("w", "h", "t", "k", "directed")),
+        "star-of-stars": (_star_of_stars, ("branch", "leaf", "k", "directed")),
     }
     if model not in builders:
         raise ValueError(f"unknown model {model!r}; choose from {', '.join(MODELS)}")
-    return builders[model](dict(params))
+    build, keys = builders[model]
+    for key, value in params.items():
+        if key != "seed" and key not in keys:
+            raise ValueError(f"{model}: unknown parameter {key!r}")
+        if key in ("directed", "connected") and not isinstance(value, bool):
+            raise ValueError(f"model parameter {key!r} must be true or false, got {value!r}")
+    return build(dict(params))
 
 
 def _int(params: dict, key: str, default=None) -> int:
@@ -41,7 +54,17 @@ def _int(params: dict, key: str, default=None) -> int:
         if default is None:
             raise ValueError(f"model parameter {key!r} is required")
         return int(default)
-    return int(params[key])  # type: ignore[arg-type]
+    value = params[key]
+    if type(value) is not int:  # int() would read True as 1 and cut 2.5 to 2
+        raise ValueError(f"model parameter {key!r} must be an integer, got {value!r}")
+    return value
+
+
+def _check_size(model: str, count: int, cap: int = MAX_VERTICES, what: str = "vertices") -> None:
+    """Reject a count over its cap; a vertex count includes the leaf that
+    normalizing attaches to each terminal."""
+    if count > cap:
+        raise GenerationError(f"{model}: {count} {what} exceed the cap of {cap}")
 
 
 def _finish(graph: Graph, root: int, terms: list[int], k: int) -> MulticastInstance:
@@ -61,6 +84,9 @@ def _random_digraph(params: dict) -> MulticastInstance:
     k = _int(params, "k", t)
     if n < 2 or t > n - 1 or k > t:
         raise GenerationError("random-digraph: need n >= 2 and k <= t <= n - 1")
+    _check_size("random-digraph", n + t)
+    pairs = n * (n - 1) // (1 if directed else 2)
+    _check_size("random-digraph", pairs, MAX_CANDIDATE_ARCS, "candidate arcs")
     rng = random.Random(seed)
     if directed:
         universe = [(u, v) for u in range(n) for v in range(n) if u != v]
@@ -91,6 +117,7 @@ def _layered_dag(params: dict) -> MulticastInstance:
     k = _int(params, "k", t)
     if t > width or k > t:
         raise GenerationError("layered-dag: need k <= t <= width")
+    _check_size("layered-dag", 1 + width * depth + t)
     rng = random.Random(seed)
     arcs: list[tuple[int, int]] = []
     layers = [[0]]
@@ -115,6 +142,15 @@ def _grid(params: dict) -> MulticastInstance:
     if w < 1 or h < 1 or w * h < 2:
         raise GenerationError("grid: need at least two vertices")
     n = w * h
+    corners = sorted({w - 1, (h - 1) * w, n - 1} - {0})
+    t = _int(params, "t", len(corners))
+    if t > n - 1:
+        raise GenerationError("grid: t exceeds the number of non-root vertices")
+    _check_size("grid", n + t)
+    terms = sorted(random.Random(seed).sample(range(1, n), t)) if "t" in params else corners
+    k = _int(params, "k", len(terms))
+    if k > len(terms):
+        raise GenerationError(f"grid: cannot cover k={k} with {len(terms)} terminals")
     arcs = []
     for y in range(h):
         for x in range(w):
@@ -123,17 +159,6 @@ def _grid(params: dict) -> MulticastInstance:
                 arcs.append((v, v + 1))
             if y + 1 < h:
                 arcs.append((v, v + w))
-    corners = sorted({w - 1, (h - 1) * w, n - 1} - {0})
-    if "t" in params:
-        t = _int(params, "t")
-        if t > n - 1:
-            raise GenerationError("grid: t exceeds the number of non-root vertices")
-        terms = sorted(random.Random(seed).sample(range(1, n), t))
-    else:
-        terms = corners
-    k = _int(params, "k", len(terms))
-    if k > len(terms):
-        raise GenerationError(f"grid: cannot cover k={k} with {len(terms)} terminals")
     return _finish(Graph(n, arcs, directed), 0, terms, k)
 
 
@@ -143,6 +168,7 @@ def _star_of_stars(params: dict) -> MulticastInstance:
     directed = bool(params.get("directed", True))
     if branch < 1 or leaf < 1:
         raise GenerationError("star-of-stars: need branch >= 1 and leaf >= 1")
+    _check_size("star-of-stars", 1 + branch + 2 * branch * leaf)  # every leaf is a terminal
     arcs = []
     hubs = list(range(1, branch + 1))
     leaves = []

@@ -22,6 +22,10 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import InfeasibleGuessError
 
+# A graph allocates lists of length n, so readers and generators bound n
+# before anything is built.
+MAX_VERTICES = 10**6
+
 
 @dataclass(frozen=True)
 class Graph:

@@ -10,7 +10,7 @@ import json
 import re
 from pathlib import Path
 
-from .graph import Graph, MulticastInstance, PoiseTree
+from .graph import MAX_VERTICES, Graph, MulticastInstance, PoiseTree
 from .scheduling import Schedule
 
 
@@ -28,8 +28,6 @@ def instance_to_json(instance: MulticastInstance) -> str:
 
 
 _INSTANCE_FIELDS = ("directed", "n", "edges", "root", "terminals", "k")
-# A graph allocates lists of length n, so n is bounded before anything is built.
-MAX_VERTICES = 10**6
 # Tree files key each vertex by its id in decimal, without sign or leading zeros.
 _VERTEX_KEY = re.compile(r"0|[1-9][0-9]*")
 # An error message quotes at most this many characters of the offending value.

@@ -40,8 +40,10 @@ def broadcast_rounds(tree: PoiseTree) -> dict[int, int]:
     b(leaf) = 0; otherwise sort children by b descending (ties to the lowest
     id) and take max over the 1-based position i of (i + b(child_i)).  b(root)
     is the minimum round count of any telephone schedule confined to the
-    tree's arcs.
+    tree's arcs.  A parent map that lists the root as a key is a ValueError.
     """
+    if tree.root in tree.parent:
+        raise ValueError(f'field "parent" lists the root {tree.root} as a key')
     children: dict[int, list[int]] = {v: [] for v in tree.vertices()}
     for v, p in tree.parent.items():
         children[p].append(v)

@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .cover import CoverRow, SaturatedTree, _closest_representatives
+from .cover import CoverRow, SaturatedTree, Solved, _closest_representatives
 from .directed import GoodTree, Round, _cover_forest
 from .errors import InfeasibleGuessError
 from .graph import (
@@ -40,11 +40,10 @@ class SuperTerminal:
 
 @dataclass
 class CoveredRegion:
-    """The root region grown so far, its oriented arcs and the iteration log."""
+    """The root region grown so far and its oriented arcs."""
 
     R: set[int]
     arcs: set[Arc] = field(default_factory=set)
-    iteration_log: list[dict[str, Any]] = field(default_factory=list)
 
     def edge_keys(self) -> set[frozenset[int]]:
         return {frozenset(a) for a in self.arcs}
@@ -77,11 +76,15 @@ def small(
     partition anchored at the root plus the packed vertices, so the cover
     completion finishes the whole job and the finished tree is returned.
     Otherwise the packed trees come back for contraction.
+
+    The solver does not call this: its first iteration is the stage's
+    `SuperRound`.  It stays as the first iteration on its own, for the tests
+    and for the benchmark's tracer, which counts calls to it.
     """
     packing = Round(graph, root, {root}, (), C, terminals, _ceil_cbrt(t), D)
     if len(packing.trees) >= packing.rho:
         return list(packing.trees)
-    return packing.complete(k_remaining, B)
+    return packing.complete(k_remaining, B).tree
 
 
 def find_good_vertex_wrt_super(
@@ -175,9 +178,10 @@ class UndirectedStage:
 
     On an instance pruned to radius D it holds the first iteration's round,
     packed while the region is just the root, with its super-terminal
-    search and cover rows.  `finish` runs the iterations for one degree
-    budget B, until the budget saturates (`SaturatedTree`); each later
-    iteration packs a fresh round outside the region grown so far.
+    search and cover rows.  `solve` runs the iterations for one degree
+    budget B, and `finish` does so until the budget saturates
+    (`SaturatedTree`); each later iteration packs a fresh round outside the
+    region grown so far.
     """
 
     instance: MulticastInstance
@@ -185,10 +189,10 @@ class UndirectedStage:
     first: SuperRound
     saturated: SaturatedTree = field(default_factory=SaturatedTree, compare=False)
 
-    def finish(self, B: int, trace: dict[str, Any] | None = None) -> PoiseTree:
-        return self.saturated.finish(B, trace, self._solve)
+    def finish(self, B: int) -> PoiseTree:
+        return self.saturated.finish(B, self.solve)
 
-    def _solve(self, B: int, trace: dict[str, Any] | None, peaks: list[int]) -> PoiseTree:
+    def solve(self, B: int) -> Solved:
         instance, D = self.instance, self.D
         g = instance.graph
         root, k = instance.root, instance.k
@@ -197,10 +201,11 @@ class UndirectedStage:
         region = CoveredRegion(R={root})
         s_prime = set(instance.terminals)
         k_rem = k
-        if trace is not None:
-            trace["solver"] = "undirected"
-            trace["rho"] = rho
-            trace["iterations"] = region.iteration_log
+        log: list[dict[str, Any]] = []
+        trace = {"solver": "undirected", "rho": rho, "iterations": log}
+        detail: list[dict[str, Any]] = []
+        small_trace: dict[str, Any] = {}
+        peak = 0
         iteration = 0
         while k_rem > 0:
             iteration += 1
@@ -215,9 +220,11 @@ class UndirectedStage:
                 s_prime, rho, D,
             )
             if len(packing.trees) < rho:
-                result = packing.complete(k_rem, B, trace, peaks)
-                region.iteration_log.append(_small_record(iteration, result, region, s_prime))
-                return result
+                solved = packing.complete(k_rem, B)
+                log.append(_small_record(iteration, solved.tree, region, s_prime))
+                tree, small_trace = solved.tree, solved.trace
+                peak = max(peak, solved.peak)
+                break
             supers = packing.supers
             r_before = frozenset(region.R)
             if packing.found is not None:
@@ -236,7 +243,7 @@ class UndirectedStage:
                 row = packing.super_row
                 cap = min(_ceil_log2(k), _ceil_log2(len(supers))) + 1
                 selection = row.cover(None, B, cap)
-                peaks.append(selection.peak_load)
+                peak = max(peak, selection.peak_load)
                 covered_ids = sorted(selection.covered_elements)
                 t_c = _cover_forest(g, row, selection.chosen)
                 covered_tree_arcs: list[Arc] = []
@@ -251,30 +258,20 @@ class UndirectedStage:
                 branch = "pmcover"
             if not covered and not discarded:
                 raise InfeasibleGuessError("iteration neither covered nor discarded terminals")
-            if trace is not None:
-                trace.setdefault("detail", []).append(
-                    {
-                        "iter": iteration,
-                        "branch": branch,
-                        "covered_terminals": sorted(covered),
-                        "discarded_terminals": sorted(discarded),
-                    }
-                )
+            detail.append({"iter": iteration, "branch": branch, "covered_terminals": sorted(covered),
+                           "discarded_terminals": sorted(discarded)})
             s_prime -= discarded
             k_rem -= len(covered)
             d_r, d_c = _degree_deltas(added, r_before)
-            region.iteration_log.append(
-                {
-                    "iter": iteration,
-                    "branch": branch,
-                    "supers": len(supers),
-                    "covered": len(covered),
-                    "discarded": len(discarded),
-                    "max_degree_delta_R": d_r,
-                    "max_degree_delta_C": d_c,
-                }
-            )
-        return shortest_path_tree(g, region.arcs, root)
+            log.append({
+                "iter": iteration, "branch": branch, "supers": len(supers), "covered": len(covered),
+                "discarded": len(discarded), "max_degree_delta_R": d_r, "max_degree_delta_C": d_c,
+            })
+        else:  # every required terminal is covered
+            tree = shortest_path_tree(g, region.arcs, root)
+        if detail:
+            trace["detail"] = detail
+        return Solved(tree, peak, trace | small_trace)
 
 
 def stage_undirected(instance: MulticastInstance, D: int) -> UndirectedStage:
@@ -290,11 +287,7 @@ def stage_undirected(instance: MulticastInstance, D: int) -> UndirectedStage:
     return UndirectedStage(instance, D, first)
 
 
-def solve_undirected(
-    instance: MulticastInstance,
-    guess: PoiseGuess,
-    trace: dict[str, Any] | None = None,
-) -> PoiseTree:
+def solve_undirected(instance: MulticastInstance, guess: PoiseGuess) -> PoiseTree:
     """Minimum-poise k-tree heuristic for an undirected instance at one budget.
 
     Expects a normalized instance pruned to radius guess.D.  Iterates small-tree
@@ -303,7 +296,7 @@ def solve_undirected(
     (ceil(log2 k) + 1) * B * ceil(t^(1/3)) + 2*ceil(t^(1/3)) + 2 whenever the
     budget dominates an optimal tree, else raises InfeasibleGuessError.
     """
-    return stage_undirected(instance, guess.D).finish(guess.B, trace)
+    return stage_undirected(instance, guess.D).finish(guess.B)
 
 
 def _small_record(
@@ -317,11 +310,6 @@ def _small_record(
     d_r, d_c = _degree_deltas(added, frozenset(region.R))
     covered = len(tree.vertices() & s_prime)
     return {
-        "iter": iteration,
-        "branch": "small",
-        "supers": 0,
-        "covered": covered,
-        "discarded": covered,
-        "max_degree_delta_R": d_r,
-        "max_degree_delta_C": d_c,
+        "iter": iteration, "branch": "small", "supers": 0, "covered": covered,
+        "discarded": covered, "max_degree_delta_R": d_r, "max_degree_delta_C": d_c,
     }

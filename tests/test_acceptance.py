@@ -20,7 +20,6 @@ from poisekit import (
     prune_beyond,
     run_sweep,
     solve_directed,
-    solve_undirected,
     tree_broadcast_schedule,
     tree_metrics,
     validate_schedule,
@@ -28,7 +27,7 @@ from poisekit import (
 from poisekit.cover import PartitionMatroid, default_iteration_cap
 from poisekit.driver import bench_rows
 from poisekit.errors import InfeasibleGuessError
-from poisekit.undirected import _ceil_cbrt, _ceil_log2
+from poisekit.undirected import _ceil_cbrt, _ceil_log2, stage_undirected
 
 from conftest import directed_stream, undirected_stream
 
@@ -73,12 +72,12 @@ def test_criterion_2_undirected_bounds():
         count += 1
         res = exact_min_poise_ktree(inst)
         pruned = prune_beyond(inst, res.D_star)
-        trace = {}
-        tree = solve_undirected(pruned, PoiseGuess(res.B_star, res.D_star), trace=trace)
+        solved = stage_undirected(pruned, res.D_star).solve(res.B_star)
+        tree = solved.tree
         m = tree_metrics(tree, inst)
         t = len(inst.terminals)
         rho = _ceil_cbrt(t)
-        log = trace["iterations"]
+        log = solved.trace["iterations"]
         if m.terminals_covered < inst.k:
             violations.append(("coverage", inst, m))
         if len(log) > rho + 1:

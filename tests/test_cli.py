@@ -35,6 +35,22 @@ class TestGen:
     def test_bad_model_exits_one(self):
         assert run(["gen", "--model", "nonsense"]) == 1
 
+    @pytest.mark.parametrize("params, named", [
+        (["w=100000", "h=100000"], "vertices exceed the cap of 1000000"),
+        (["w=3", "h=3", "directed=no"], "'directed' must be true or false, got 'no'"),
+        (["w=3", "h=3", "direction=true"], "unknown parameter 'direction'"),
+        (["w=true", "h=3"], "'w' must be an integer, got True"),
+    ])
+    def test_bad_grid_params_exit_one_with_one_line(self, params, named, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        argv = ["gen", "--model", "grid", "--k", "1", "--out", str(out)]
+        for item in params:
+            argv += ["--param", item]
+        assert run(argv) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and named in err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_fixed_guess_writes_tree(self, inst_path, tmp_path, capsys):

@@ -23,7 +23,7 @@ from poisekit import (
     solve_many_trees,
     tree_metrics,
 )
-from poisekit.directed import trim_to_terminals
+from poisekit.directed import stage_directed, trim_to_terminals
 from poisekit.errors import InfeasibleGuessError
 
 from conftest import directed_stream, random_graph, two_branch_instance
@@ -287,7 +287,7 @@ class TestComplete:
         partition = AdditivePartition(
             frozenset({0}), frozenset({1, 2, 3, 4}), (), rho=2
         )
-        tree = complete(inst.graph, partition, 0, 2, B=2, D=2, terminals=inst.terminals)
+        tree, _ = complete(inst.graph, partition, 0, 2, B=2, D=2, terminals=inst.terminals)
         assert tree.arcs() == {(0, 1), (0, 2), (1, 3), (2, 4)}
         m = tree_metrics(tree, inst)
         assert (m.max_out_degree, m.height) == (2, 2)
@@ -297,7 +297,7 @@ class TestComplete:
         trees, packed, C = greedy_packing(g, {1, 2, 3}, {2, 3}, rho=2, D=1)
         assert len(trees) == 1
         partition = AdditivePartition(frozenset({0}) | packed, C, tuple(trees), 2)
-        tree = complete(g, partition, 0, 0, B=1, D=1, terminals={2, 3})
+        tree, _ = complete(g, partition, 0, 0, B=1, D=1, terminals={2, 3})
         m = tree_metrics(tree, MulticastInstance(g, 0, {2, 3}, 2))
         assert m.terminals_covered == 2
         assert m.height <= 2
@@ -307,7 +307,7 @@ class TestComplete:
         g = Graph(5, [(0, 2), (1, 2), (0, 1), (2, 3), (2, 4)], directed=True)
         inst = MulticastInstance(g, 0, {3, 4}, 2)
         partition = AdditivePartition(frozenset({0, 1}), frozenset({2, 3, 4}), (), 2)
-        tree = complete(g, partition, 0, 2, B=1, D=2, terminals={3, 4})
+        tree, _ = complete(g, partition, 0, 2, B=1, D=2, terminals={3, 4})
         m = tree_metrics(tree, inst)
         assert m.terminals_covered == 2
         assert tree.parent[3] == 2 and tree.parent[4] == 2
@@ -318,9 +318,9 @@ class TestSolveDirected:
         # two hubs of two leaves suffice for k=4; terminals sit at depth 3
         # after leaf attachment, so (B, D) = (2, 3) dominates an optimal tree
         inst = generate_instance("star-of-stars", {"branch": 3, "leaf": 2, "k": 4})
-        trace = {}
         pruned = prune_beyond(inst, 3)
-        tree = solve_directed(pruned, PoiseGuess(2, 3), trace=trace)
+        solved = stage_directed(pruned, 3).solve(2)
+        tree, trace = solved.tree, solved.trace
         assert trace["branch"] == "many-trees"
         m = tree_metrics(tree, inst)
         k = inst.k
@@ -330,8 +330,8 @@ class TestSolveDirected:
 
     def test_few_trees_branch_on_two_branch_graph(self):
         inst = two_branch_instance()
-        trace = {}
-        tree = solve_directed(prune_beyond(inst, 2), PoiseGuess(2, 2), trace=trace)
+        solved = stage_directed(prune_beyond(inst, 2), 2).solve(2)
+        tree, trace = solved.tree, solved.trace
         assert trace["branch"] == "few-trees"
         assert tree.arcs() == {(0, 1), (0, 2), (1, 3), (2, 4)}
 
@@ -359,8 +359,8 @@ class TestSolveDirected:
         for inst in directed_stream(120, seed=424):
             res = exact_min_poise_ktree(inst)
             pruned = prune_beyond(inst, res.D_star)
-            trace = {}
-            tree = solve_directed(pruned, PoiseGuess(res.B_star, res.D_star), trace=trace)
+            solved = stage_directed(pruned, res.D_star).solve(res.B_star)
+            tree, trace = solved.tree, solved.trace
             m = tree_metrics(tree, inst)
             k = inst.k
             assert m.terminals_covered >= k
@@ -396,7 +396,7 @@ class TestSolveDirected:
             A = frozenset({inst.root} | packed)
             partition = AdditivePartition(A, C, tuple(trees), rho)
             k_remaining = inst.k - len(A & pruned.terminals)
-            tree = complete(
+            tree, _ = complete(
                 g, partition, inst.root, k_remaining, res.B_star, res.D_star,
                 pruned.terminals,
             )

@@ -104,7 +104,7 @@ def test_sweep_runs_one_bfs_from_the_root(monkeypatch):
 
 def test_middles_sweep_packs_once(monkeypatch):
     # the one D row past pruning packs its first round once, and every cell,
-    # traced or swept, ends in iteration 1: a later iteration would pack again
+    # solved or swept, ends in iteration 1: a later iteration would pack again
     from poisekit import directed
 
     inst = middles_instance(8)
@@ -123,7 +123,7 @@ def test_middles_sweep_packs_once(monkeypatch):
     stage = stage_budget(inst, 2)
     for B in range(1, 9):
         try:
-            stage.finish(B, {})  # a traced cell always solves
+            stage.solve(B)
         except InfeasibleGuessError:
             assert B == 1
     assert len(calls) == 1

@@ -10,8 +10,9 @@ iterations, which share their cover rows; directed random graphs pack many
 trees through the screened greedy packing.  Every feasible cell of
 the sweep grid must give a valid k-tree with a valid optimal schedule, and
 the row-staged solve must agree with an unstaged solve at every degree
-budget, both traced and along the sweep's own trace-less path, where a row
-reuses its tree once the degree budget saturates.
+budget, both solved afresh (`stage.solve`) and along the sweep's own path
+(`stage.finish`), where a row reuses its tree once the degree budget
+saturates.
 """
 
 from __future__ import annotations
@@ -35,23 +36,23 @@ def _outcome(solve):
 
 def check_every_cell(instance) -> list[str]:
     """Check every (B, D) cell; return the branches the feasible ones took,
-    plus "kept" for each cell whose trace-less solve returned the very tree
-    of the cell before it."""
+    plus "kept" for each cell whose `finish` returned the very tree of the
+    cell before it."""
     branches = []
     for D in range(1, eccentricity(instance.graph, instance.root) + 1):
         stage = stage_budget(instance, D)
         previous = None
         for B in range(1, len(instance.terminals) + 1):
-            trace: dict = {}
-            staged = _outcome(lambda: stage.finish(B, trace))
+            solved = _outcome(lambda: stage.solve(B))
             swept = _outcome(lambda: stage.finish(B))
             unstaged = _outcome(lambda: solve_guess(instance, PoiseGuess(B, D)))
             if swept is previous and not isinstance(swept, str):
                 branches.append("kept")
             previous = swept
-            if isinstance(staged, str):
-                assert staged == swept == unstaged
+            if isinstance(solved, str):
+                assert solved == swept == unstaged
                 continue
+            staged, trace = solved.tree, solved.trace
             assert not isinstance(unstaged, str) and staged.parent == unstaged.parent
             assert not isinstance(swept, str) and swept.parent == unstaged.parent
             m = tree_metrics(staged, instance)

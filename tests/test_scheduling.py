@@ -71,6 +71,12 @@ class TestTreeBroadcastSchedule:
             assert b >= max(height, root_degree)
             assert b <= degree * max(height, 1)
 
+    @pytest.mark.parametrize("schedule_rounds", [broadcast_rounds, tree_broadcast_schedule])
+    def test_root_listed_in_parent_map_is_named(self, schedule_rounds):
+        tree = PoiseTree(0, {0: 1, 1: 0, 2: 1})
+        with pytest.raises(ValueError, match='field "parent" lists the root 0 as a key'):
+            schedule_rounds(tree)
+
     def test_optimal_on_small_random_trees(self):
         rng = random.Random(26)
         for _ in range(60):

@@ -17,7 +17,7 @@ from poisekit import (
 from poisekit import undirected
 from poisekit.driver import stage_budget
 from poisekit.errors import InfeasibleGuessError
-from poisekit.undirected import _ceil_cbrt, _ceil_log2
+from poisekit.undirected import _ceil_cbrt, _ceil_log2, stage_undirected
 
 from conftest import hub_stars_instance, middles_instance, undirected_stream
 
@@ -128,8 +128,7 @@ class TestStaging:
         inst = hub_stars_instance()
         stage = stage_budget(inst, 3)
         for B in range(1, len(inst.terminals) + 1):
-            trace = {}  # a traced cell always solves
-            stage.finish(B, trace)
+            trace = stage.solve(B).trace
             assert [r["branch"] for r in trace["iterations"]] == ["large", "pmcover"]
         first = stage.first.trees
         assert len(first) == 4
@@ -140,16 +139,16 @@ class TestStaging:
 class TestSolveUndirected:
     def test_middles_small_success_first_iteration(self):
         inst = middles_instance(8)
-        trace = {}
-        tree = solve_undirected(prune_beyond(inst, 2), PoiseGuess(8, 2), trace=trace)
+        solved = stage_undirected(prune_beyond(inst, 2), 2).solve(8)
+        tree, trace = solved.tree, solved.trace
         m = tree_metrics(tree, inst)
         assert m.terminals_covered == 8
         assert [r["branch"] for r in trace["iterations"]] == ["small"]
 
     def test_constructed_large_then_pmcover(self):
         inst = hub_stars_instance()
-        trace = {}
-        tree = solve_undirected(prune_beyond(inst, 3), PoiseGuess(3, 3), trace=trace)
+        solved = stage_undirected(prune_beyond(inst, 3), 3).solve(3)
+        tree, trace = solved.tree, solved.trace
         m = tree_metrics(tree, inst)
         assert m.terminals_covered == 8
         log = trace["iterations"]
@@ -174,8 +173,7 @@ class TestSolveUndirected:
         for inst in undirected_stream(120, seed=33):
             res = exact_min_poise_ktree(inst)
             pruned = prune_beyond(inst, res.D_star)
-            trace = {}
-            tree = solve_undirected(pruned, PoiseGuess(res.B_star, res.D_star), trace=trace)
+            tree = solve_undirected(pruned, PoiseGuess(res.B_star, res.D_star))
             m = tree_metrics(tree, inst)
             assert m.terminals_covered >= inst.k
 
@@ -183,8 +181,7 @@ class TestSolveUndirected:
         for inst in undirected_stream(120, seed=77):
             res = exact_min_poise_ktree(inst)
             pruned = prune_beyond(inst, res.D_star)
-            trace = {}
-            solve_undirected(pruned, PoiseGuess(res.B_star, res.D_star), trace=trace)
+            trace = stage_undirected(pruned, res.D_star).solve(res.B_star).trace
             t = len(inst.terminals)
             rho = _ceil_cbrt(t)
             log = trace["iterations"]
@@ -218,12 +215,9 @@ class TestSolveUndirected:
         for inst in instances:
             res = exact_min_poise_ktree(inst, limit_n=14)
             opt_terms = res.best_tree.vertices() & inst.terminals
-            trace = {}
-            solve_undirected(
-                prune_beyond(inst, res.D_star),
-                PoiseGuess(res.B_star, res.D_star),
-                trace=trace,
-            )
+            trace = stage_undirected(prune_beyond(inst, res.D_star), res.D_star).solve(
+                res.B_star
+            ).trace
             for rec in trace.get("detail", []):
                 if rec["branch"] != "pmcover":
                     continue
