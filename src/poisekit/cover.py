@@ -1,7 +1,9 @@
 """Maximum coverage under a partition matroid, and the iterated cover loop.
 
 Coverage instances pair boundary arcs (a, c) with the element set reachable
-from c inside the far side of the partition.  The greedy picker is a
+from c inside the far side of the partition; one uncapped `reach_labels` pass
+from the elements' representatives gives every c's set at once, where a BFS
+per boundary vertex would cost O(boundary * m).  The greedy picker is a
 1/2-approximation for maximum coverage under one matroid constraint; the
 iterated loop re-runs it on the uncovered remainder, which halves the
 shortfall each round.  The system is built once per (A, C, D); a sweep
@@ -16,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Hashable, Iterable, Mapping
 
 from .errors import InfeasibleGuessError
-from .graph import Graph, PoiseTree, bfs_distances, bfs_parents, chain_parents
+from .graph import Graph, PoiseTree, bfs_parents, chain_parents, reach_labels
 
 Element = Hashable
 Pair = tuple[int, int]
@@ -109,7 +111,7 @@ def build_coverage_instance(
 ) -> CoverageSystem:
     """One pair per boundary arc (a in A, c in C); a pair covers an element
     when c is within D hops of one of the element's representative vertices
-    inside the induced subgraph on C.
+    inside the induced subgraph on C, read from one `reach_labels` pass.
     """
     A = frozenset(A)
     C = frozenset(C)
@@ -125,17 +127,9 @@ def build_coverage_instance(
             if c in C:
                 boundary.add((a, c))
     elements = list(elements)
-    located: dict[int, list[Element]] = {}
-    for e in elements:
-        for w in element_location[e]:
-            located.setdefault(w, []).append(e)
-    covered_from: dict[int, frozenset] = {}
-    pairs = []
-    for a, c in sorted(boundary):
-        if c not in covered_from:
-            reach = bfs_distances(graph, [c], restriction=C, max_depth=D)
-            covered_from[c] = frozenset(e for w in reach for e in located.get(w, ()))
-        pairs.append((a, c, covered_from[c]))
+    held = reach_labels(graph, C, {e: element_location[e] for e in elements}, D)
+    covered = {c: frozenset(held.get(c, ())) for _, c in boundary}  # shared by c's pairs
+    pairs = [(a, c, covered[c]) for a, c in sorted(boundary)]
     return CoverageSystem(elements, pairs)
 
 

@@ -23,6 +23,7 @@ from .graph import (
     PoiseTree,
     bfs_parents,
     chain_parents,
+    reach_labels,
     shortest_path_tree,
     subset_bfs_parents,
 )
@@ -102,39 +103,9 @@ def rho_good_vertices(
     D: int,
 ) -> frozenset[int]:
     """The vertices of C that reach at least rho terminals of C within D hops
-    inside G[C], found in one screen instead of one BFS per vertex.
-
-    A level-synchronous reverse BFS from the terminals in C, D levels deep,
-    where every terminal carries its own label and a vertex accepts a label
-    only while it holds fewer than rho of them; each accepted (vertex, label)
-    pair is forwarded once, so a screen costs O(rho * m).  No count below rho
-    is missed: a vertex on a shortest path to a terminal that refuses the
-    terminal's label is already full, and its rho labels reach every vertex
-    before it on the path within the same depth.
-    """
-    C = frozenset(C)
-    held: dict[int, set[int]] = {}
-    frontier: dict[int, list[int]] = {}
-    for t in terminals:
-        if t in C:
-            held[t] = {t}
-            frontier[t] = [t]
-    for _ in range(D):
-        accepted: dict[int, list[int]] = {}
-        for v, labels in frontier.items():
-            for u in graph.in_neighbors(v):
-                if u not in C:
-                    continue
-                have = held.get(u)
-                if have is None:
-                    have = held[u] = set()
-                for t in labels:
-                    if len(have) >= rho:
-                        break
-                    if t not in have:
-                        have.add(t)
-                        accepted.setdefault(u, []).append(t)
-        frontier = accepted
+    inside G[C], found in one `reach_labels` pass capped at rho instead of one
+    BFS per vertex: O(rho * m) per screen."""
+    held = reach_labels(graph, C, {t: (t,) for t in terminals}, D, rho)
     return frozenset(v for v, have in held.items() if len(have) >= rho)
 
 

@@ -6,6 +6,7 @@ instance whose root reaches at least k terminals.
 
 from __future__ import annotations
 
+import bisect
 import random
 from typing import Mapping
 
@@ -16,8 +17,7 @@ MODELS = ("random-digraph", "layered-dag", "grid", "star-of-stars")
 
 _RETRIES = 64
 
-# random-digraph lists every candidate arc before it samples m of them: at
-# most this many, which admits a directed n of 5,793 and an undirected 8,192.
+# The most arcs random-digraph builds: its sample and its graph grow with m.
 MAX_CANDIDATE_ARCS = 2**25
 
 
@@ -85,17 +85,13 @@ def _random_digraph(params: dict) -> MulticastInstance:
     if n < 2 or t > n - 1 or k > t:
         raise GenerationError("random-digraph: need n >= 2 and k <= t <= n - 1")
     _check_size("random-digraph", n + t)
+    _check_size("random-digraph", m, MAX_CANDIDATE_ARCS, "arcs")
     pairs = n * (n - 1) // (1 if directed else 2)
-    _check_size("random-digraph", pairs, MAX_CANDIDATE_ARCS, "candidate arcs")
-    rng = random.Random(seed)
-    if directed:
-        universe = [(u, v) for u in range(n) for v in range(n) if u != v]
-    else:
-        universe = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    if m > len(universe):
+    if m > pairs:
         raise GenerationError("random-digraph: m exceeds the number of possible arcs")
+    rng = random.Random(seed)
     for _ in range(_RETRIES):
-        arcs = rng.sample(universe, m)
+        arcs = _decode_arcs(rng.sample(range(pairs), m), n, directed)
         graph = Graph(n, arcs, directed)
         terms = rng.sample(range(1, n), t)
         reach = bfs_distances(graph, [0])
@@ -104,6 +100,25 @@ def _random_digraph(params: dict) -> MulticastInstance:
         if sum(1 for s in terms if s in reach) >= k:
             return _finish(graph, 0, terms, k)
     raise GenerationError("random-digraph: could not reach k terminals after retries")
+
+
+def _decode_arcs(indices: list[int], n: int, directed: bool) -> list[tuple[int, int]]:
+    """The arcs at ``indices`` in the row-major list of candidate arcs (u, v),
+    u != v directed or u < v undirected, without building the list: sampling
+    indices picks what sampling the list picks, as `random.Random.sample`
+    reads only the population's length and the items it picks."""
+    if directed:
+        arcs = []
+        for j in indices:
+            u, r = divmod(j, n - 1)
+            arcs.append((u, r + (r >= u)))
+        return arcs
+    starts = [u * (2 * n - u - 1) // 2 for u in range(n)]  # row u holds (u, u+1..n-1)
+    arcs = []
+    for j in indices:
+        u = bisect.bisect_right(starts, j) - 1
+        arcs.append((u, u + 1 + j - starts[u]))
+    return arcs
 
 
 def _layered_dag(params: dict) -> MulticastInstance:

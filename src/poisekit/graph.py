@@ -3,9 +3,11 @@
 Vertices are dense integers 0..n-1.  Undirected graphs store each edge once
 and answer adjacency queries in both directions.  Every BFS (`bfs_distances`,
 `bfs_parents`, `subset_bfs_parents`) runs one kernel, `_bfs`, which gives
-distances and the lowest-id parent one level up in a single pass.  All
-tie-breaks (BFS parent choice, equal-distance choices) resolve to the lowest
-vertex id so every operation is reproducible.
+distances and the lowest-id parent one level up in a single pass.  The
+question "which labels lie within D hops of a vertex" has one answer too,
+`reach_labels`: the rho-good screen asks it capped at rho, the coverage
+system uncapped.  All tie-breaks (BFS parent choice, equal-distance choices)
+resolve to the lowest vertex id so every operation is reproducible.
 
 The solvers build each sweep cell's tree from a union of picked arcs, so the
 passes over such a union are kept to one each: `subset_bfs_parents` checks
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import InfeasibleGuessError
 
@@ -268,6 +270,61 @@ def bfs_parents(
     search as in `bfs_distances`; it changes no distance or parent it keeps.
     """
     return _bfs(graph._out, sources, restriction, max_depth)  # type: ignore[attr-defined]
+
+
+def reach_labels(
+    graph: Graph,
+    C: Iterable[int],
+    location: Mapping[Hashable, Iterable[int]],
+    D: int,
+    cap: int | None = None,
+) -> dict[int, set]:
+    """Vertex of C -> the elements of ``location`` with a representative (a
+    vertex of ``location[e]`` inside C) within D hops of it inside G[C];
+    vertices that reach none are absent.  With ``cap``, a vertex ends with
+    ``cap`` or more labels exactly when it reaches ``cap`` or more.
+
+    One level-synchronous reverse BFS over ``in_neighbors`` inside C, D
+    levels deep, as in Cohen's reachability sketches and Thorup-Zwick
+    bunches.  Every representative starts with its element's label; a vertex
+    accepts a label only while it holds fewer than ``cap`` and forwards each
+    one it accepts once, so a pass costs O(cap * m), uncapped O(|location| *
+    m).  A vertex meets each label first on the level of its closest
+    representative, so uncapped every label within D hops arrives.  Capped,
+    take a vertex v that reaches ``cap`` labels but lacks one, and a shortest
+    path from v to that label's closest representative: the label went back
+    along the path until a vertex already full refused it, and that vertex's
+    ``cap`` labels go on towards v the same way within the same depth, so v
+    is full too.
+    """
+    C = frozenset(C)
+    if cap is None:
+        cap = len(location)  # no vertex can hold more labels
+    held: dict[int, set] = {}
+    frontier: dict[int, list] = {}
+    for e, reps in location.items():
+        for w in reps:
+            if w in C and e not in held.setdefault(w, set()):
+                held[w].add(e)
+                frontier.setdefault(w, []).append(e)
+    in_neighbors = graph._in  # type: ignore[attr-defined]
+    for _ in range(D):
+        accepted: dict[int, list] = {}
+        for v, labels in frontier.items():
+            for u in in_neighbors[v]:
+                if u not in C:
+                    continue
+                have = held.get(u)
+                if have is None:
+                    have = held[u] = set()
+                for e in labels:
+                    if len(have) >= cap:
+                        break
+                    if e not in have:
+                        have.add(e)
+                        accepted.setdefault(u, []).append(e)
+        frontier = accepted
+    return held
 
 
 def chain_parents(parent: Mapping[int, int], targets: Iterable[int]) -> dict[int, int]:

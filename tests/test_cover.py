@@ -66,23 +66,31 @@ class TestBuildCoverageInstance:
             )
 
     def test_coverage_agrees_with_reference_bfs(self):
-        # independent check: recompute coverage by hand BFS inside G[C]
+        # independent check: recompute coverage by hand BFS inside G[C], on
+        # directed graphs with one representative per element, then on
+        # undirected graphs and on elements with several representatives
         rng = random.Random(4)
-        for _ in range(30):
+        for directed, multi in [(True, False)] * 30 + [(False, False), (True, True), (False, True)] * 20:
             n = rng.randint(4, 10)
             arcs = set()
             for _ in range(rng.randint(n, 3 * n)):
                 u, v = rng.randrange(n), rng.randrange(n)
                 if u != v:
                     arcs.add((u, v))
-            g = Graph(n, arcs, directed=True)
+            g = Graph(n, arcs, directed=directed)
             C = set(rng.sample(range(1, n), rng.randint(1, n - 1)))
             A = set(range(n)) - C
-            elements = [v for v in C if rng.random() < 0.5]
+            if multi:
+                # representatives anywhere, shared or not, some outside C
+                location = {
+                    f"e{i}": rng.sample(range(n), rng.randint(1, 3))
+                    for i in range(rng.randint(1, 4))
+                }
+            else:
+                location = singleton_locations(v for v in C if rng.random() < 0.5)
+            elements = list(location)
             D = rng.randint(0, 3)
-            system = build_coverage_instance(
-                g, A, C, elements, singleton_locations(elements), D, root=0
-            )
+            system = build_coverage_instance(g, A, C, elements, location, D, root=0)
             for a, c, cov in system.pairs:
                 assert a in A and c in C and g.has_arc(a, c)
                 # reference BFS restricted to C
@@ -96,8 +104,29 @@ class TestBuildCoverageInstance:
                                 dist[w] = dist[u] + 1
                                 nxt.append(w)
                     frontier = nxt
-                expect = {e for e in elements if dist.get(e, D + 1) <= D}
+                expect = {
+                    e for e in elements if any(dist.get(w, D + 1) <= D for w in location[e])
+                }
                 assert set(cov) == expect
+
+    def test_makes_no_bfs_call(self, monkeypatch):
+        # the system comes from one `reach_labels` pass over the elements,
+        # not from a BFS per boundary vertex
+        from poisekit import graph as graph_module
+
+        bfs_calls = []
+        real_bfs = graph_module._bfs
+        monkeypatch.setattr(
+            graph_module, "_bfs", lambda *args: bfs_calls.append(args) or real_bfs(*args)
+        )
+        g = Graph(7, [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 5), (5, 6)], directed=True)
+        system = build_coverage_instance(
+            g, {0}, range(1, 7), ["x", "y"], {"x": (4,), "y": (6, 4)}, D=2, root=0
+        )
+        assert [(a, c, set(cov)) for a, c, cov in system.pairs] == [
+            (0, 1, {"x", "y"}), (0, 2, {"x", "y"}), (0, 3, {"y"}),
+        ]
+        assert bfs_calls == []
 
 
 class TestGreedyMatroidMax:

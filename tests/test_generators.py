@@ -1,7 +1,12 @@
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisekit import bfs_distances, generate_instance, is_normalized
 from poisekit.errors import GenerationError
+from poisekit.generators import _decode_arcs
 
 
 class TestStarOfStars:
@@ -39,6 +44,29 @@ class TestRandomDigraph:
         )
         assert not inst.graph.directed
         assert len(bfs_distances(inst.graph, {inst.root})) == inst.graph.n
+
+
+@given(
+    n=st.integers(2, 40),
+    directed=st.booleans(),
+    seed=st.integers(0, 10**6),
+    share=st.floats(0, 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_arc_sample_matches_list_sample_reference(n, directed, seed, share):
+    # sampling indices and decoding them picks the arcs, in the order, that
+    # sampling the full row-major candidate list picks, and leaves the same
+    # generator state for the terminal draw
+    if directed:
+        universe = [(u, v) for u in range(n) for v in range(n) if u != v]
+    else:
+        universe = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    m = round(share * len(universe))
+    want_rng, got_rng = random.Random(seed), random.Random(seed)
+    want = want_rng.sample(universe, m)
+    got = _decode_arcs(got_rng.sample(range(len(universe)), m), n, directed)
+    assert got == want
+    assert got_rng.getstate() == want_rng.getstate()
 
 
 class TestGrid:
@@ -104,10 +132,16 @@ class TestParameterChecks:
             generate_instance(model, params)
 
     @pytest.mark.parametrize("n, directed", [(5794, True), (8193, False)])
-    def test_random_digraph_candidate_list_is_capped(self, n, directed):
-        # n(n-1) directed or n(n-1)/2 undirected pairs, one past 2**25
-        with pytest.raises(GenerationError, match="candidate arcs exceed the cap of 33554432"):
-            generate_instance("random-digraph", {"n": n, "m": n, "directed": directed})
+    def test_random_digraph_arc_count_is_capped(self, n, directed):
+        # n(n-1) directed or n(n-1)/2 undirected pairs, more than 2**25: m
+        # may not be one past the cap
+        with pytest.raises(GenerationError, match="33554433 arcs exceed the cap of 33554432"):
+            generate_instance("random-digraph", {"n": n, "m": 2**25 + 1, "directed": directed})
+
+    def test_random_digraph_past_the_candidate_count_is_generated(self):
+        # 6000 * 5999 candidate arcs: only the m sampled ones are built
+        inst = generate_instance("random-digraph", {"n": 6000, "m": 18000, "t": 64, "k": 32})
+        assert len(inst.graph.arcs) == 18000 + 64
 
 
 def test_unknown_model_rejected():

@@ -18,7 +18,7 @@ from poisekit import (
     tree_metrics,
 )
 from poisekit.errors import InfeasibleGuessError
-from poisekit.graph import TreeMetrics, subset_bfs_parents
+from poisekit.graph import TreeMetrics, reach_labels, subset_bfs_parents
 from poisekit.oracle import poise_feasible
 
 from conftest import floyd_warshall, random_graph
@@ -591,3 +591,59 @@ def test_tree_metrics_match_reference(n, seed, directed):
         assert str(info.value) == str(exc)
     else:
         assert tree_metrics(tree, inst) == want
+
+
+def random_locations(rng: random.Random, n: int, overlapping: bool) -> dict:
+    """Up to five elements with one to three representatives each, drawn from
+    every vertex (so some may lie outside C): disjoint groups, or independent
+    draws that may share vertices."""
+    count = rng.randint(0, 5)
+    if overlapping:
+        return {f"e{i}": rng.sample(range(n), rng.randint(1, min(3, n))) for i in range(count)}
+    pool = rng.sample(range(n), n)
+    location = {}
+    for i in range(count):
+        size = rng.randint(1, 3)
+        reps, pool = pool[:size], pool[size:]
+        if reps:
+            location[f"e{i}"] = reps
+    return location
+
+
+def reference_reach(graph, C, location, D):
+    """Each vertex of C -> the elements with a representative in C within D
+    hops of it in G[C], from one depth-bounded `bfs_distances` per vertex."""
+    want = {}
+    for v in C:
+        dist = bfs_distances(graph, [v], restriction=C, max_depth=D)
+        want[v] = {e for e, reps in location.items() if any(w in dist for w in reps)}
+    return want
+
+
+@given(
+    n=st.integers(1, 14),
+    seed=st.integers(0, 10**6),
+    directed=st.booleans(),
+    overlapping=st.booleans(),
+    D=st.integers(0, 3),
+)
+@settings(max_examples=300, deadline=None)
+def test_reach_labels_match_per_vertex_bfs(n, seed, directed, overlapping, D):
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.randint(0, 3 * n), directed)
+    C = frozenset(v for v in range(n) if rng.random() < 0.7)
+    location = random_locations(rng, n, overlapping)
+    want = reference_reach(g, C, location, D)
+    held = reach_labels(g, C, location, D)
+    assert set(held) <= C
+    assert {v: held.get(v, set()) for v in C} == want
+    for cap in range(1, 5):
+        held = reach_labels(g, C, location, D, cap)
+        assert set(held) <= C
+        for v in C:
+            got = held.get(v, set())
+            own = {e for e, reps in location.items() if v in reps}
+            assert own <= got <= want[v]
+            assert len(got) <= max(cap, len(own))
+            assert (len(got) >= cap) == (len(want[v]) >= cap)
+
