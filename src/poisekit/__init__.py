@@ -4,14 +4,12 @@ and exhaustive desk-scale oracles for checking the solvers' guarantees."""
 from .cover import (
     CoverageSystem,
     CoverSelection,
-    PartitionMatroid,
     build_coverage_instance,
     greedy_matroid_max,
     pm_cover,
     pm_cover_system,
 )
 from .directed import (
-    AdditivePartition,
     GoodTree,
     complete,
     coverage_tree,

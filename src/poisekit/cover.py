@@ -4,10 +4,12 @@ Coverage instances pair boundary arcs (a, c) with the element set reachable
 from c inside the far side of the partition; one uncapped `reach_labels` pass
 from the elements' representatives gives every c's set at once, where a BFS
 per boundary vertex would cost O(boundary * m).  The greedy picker is a
-1/2-approximation for maximum coverage under one matroid constraint; the
-iterated loop re-runs it on the uncovered remainder, which halves the
-shortfall each round.  The system is built once per (A, C, D); a sweep
-keeps it for a whole row of degree budgets in a `CoverRow`.
+1/2-approximation for maximum coverage under one matroid constraint: the
+partition matroid whose parts are the pairs' anchors a, each taking at most
+a capacity of pairs.  The iterated loop re-runs it on the uncovered
+remainder, which halves the shortfall each round.  The system is built once
+per (A, C, D); a sweep keeps it for a whole row of degree budgets in a
+`CoverRow`, and the degree budget enters only as the capacity.
 """
 
 from __future__ import annotations
@@ -45,46 +47,6 @@ class CoverageSystem:
         object.__setattr__(
             self, "pairs", tuple((a, c, dedup[(a, c)]) for a, c in sorted(dedup))
         )
-
-
-@dataclass(frozen=True)
-class PartitionMatroid:
-    """Pair indices partitioned by their A-side anchor, uniform capacity."""
-
-    parts: tuple[tuple[int, tuple[int, ...]], ...]
-    capacity: int
-
-    def __init__(self, parts: Mapping[int, Iterable[int]], capacity: int):
-        if capacity < 0:
-            raise ValueError("capacity must be nonnegative")
-        seen: set[int] = set()
-        norm = []
-        for a in sorted(parts):
-            idxs = tuple(sorted(parts[a]))
-            if seen & set(idxs):
-                raise ValueError("matroid parts must be disjoint")
-            seen.update(idxs)
-            norm.append((a, idxs))
-        object.__setattr__(self, "parts", tuple(norm))
-        object.__setattr__(self, "capacity", capacity)
-
-    @classmethod
-    def for_system(cls, system: CoverageSystem, capacity: int) -> "PartitionMatroid":
-        parts: dict[int, list[int]] = {}
-        for i, (a, _, _) in enumerate(system.pairs):
-            parts.setdefault(a, []).append(i)
-        return cls(parts, capacity)
-
-    def part_of(self) -> dict[int, int]:
-        """Pair index -> anchor vertex of its part."""
-        owner = {}
-        for a, idxs in self.parts:
-            for i in idxs:
-                owner[i] = a
-        return owner
-
-    def covers_all_indices(self, count: int) -> bool:
-        return sorted(i for _, idxs in self.parts for i in idxs) == list(range(count))
 
 
 @dataclass
@@ -135,10 +97,11 @@ def build_coverage_instance(
 
 def greedy_matroid_max(
     system: CoverageSystem,
-    matroid: PartitionMatroid,
+    capacity: int,
     already_covered: Iterable[Element] = (),
 ) -> set[int]:
-    """Greedy maximum coverage under the partition matroid.
+    """Greedy maximum coverage under the partition matroid whose parts are
+    the pairs' anchors, each taking at most ``capacity`` pairs.
 
     Repeatedly adds the pair of largest marginal coverage whose part still has
     spare capacity, ties broken by (a, c) order; stops at zero marginal gain.
@@ -148,19 +111,19 @@ def greedy_matroid_max(
     heap holds each pair's last known gain, and a popped pair is re-evaluated
     and taken only if it still leads the heap.
     """
-    if not matroid.covers_all_indices(len(system.pairs)):
-        raise ValueError("matroid must index exactly the system's pairs")
-    owner = matroid.part_of()
+    if capacity < 0:
+        raise ValueError("capacity must be nonnegative")
+    pairs = system.pairs
     covered = set(already_covered)
     load: dict[int, int] = {}
     chosen: set[int] = set()
-    heap = [(-g, i) for i, (_, _, cov) in enumerate(system.pairs) if (g := len(cov - covered))]
+    heap = [(-g, i) for i, (_, _, cov) in enumerate(pairs) if (g := len(cov - covered))]
     heapq.heapify(heap)
     while heap:
         _, i = heapq.heappop(heap)
-        if load.get(owner[i], 0) >= matroid.capacity:
+        a, _, cov = pairs[i]
+        if load.get(a, 0) >= capacity:
             continue
-        cov = system.pairs[i][2]
         gain = len(cov - covered)
         if not gain:
             continue
@@ -168,7 +131,7 @@ def greedy_matroid_max(
             heapq.heappush(heap, (-gain, i))
             continue
         chosen.add(i)
-        load[owner[i]] = load.get(owner[i], 0) + 1
+        load[a] = load.get(a, 0) + 1
         covered |= cov
     return chosen
 
@@ -199,7 +162,8 @@ def pm_cover_system(
         max_iterations = default_iteration_cap(target)
     if max_iterations < 1:
         raise ValueError("max_iterations must be at least 1")
-    matroid = PartitionMatroid.for_system(system, capacity)
+    if capacity < 0:
+        raise ValueError("capacity must be nonnegative")
     selection = CoverSelection(chosen=set(), covered_elements=set(), iterations=0)
     covered = selection.covered_elements
     while selection.iterations < max_iterations:
@@ -207,7 +171,7 @@ def pm_cover_system(
             break
         if len(covered) == len(system.ground):
             break
-        picks = greedy_matroid_max(system, matroid, covered)
+        picks = greedy_matroid_max(system, capacity, covered)
         newly: set = set()
         arcs = []
         per_part: dict[int, int] = {}

@@ -4,7 +4,9 @@ minimum-poise k-trees.
 The solver guesses a (B, D) budget, greedily packs vertex-disjoint trees that
 each hold exactly rho terminals within height D, and either stitches rho of
 them to the root (many-trees case) or completes a partition with the iterated
-matroid cover (few-trees case).
+matroid cover (few-trees case).  The packing, the paths from the region to
+the packed trees and the cover row read only D and are kept per `Round`; the
+degree budget B reaches only the cover.
 """
 
 from __future__ import annotations
@@ -44,17 +46,6 @@ class GoodTree:
         for u, v in self.edges:
             verts.update((u, v))
         return verts
-
-
-@dataclass(frozen=True)
-class AdditivePartition:
-    """Disjoint (A, C) where A anchors the root plus the packed trees and C
-    contains no rho-good vertex."""
-
-    A: frozenset[int]
-    C: frozenset[int]
-    trees: tuple[GoodTree, ...]
-    rho: int
 
 
 def coverage_tree(
@@ -105,6 +96,8 @@ def rho_good_vertices(
     """The vertices of C that reach at least rho terminals of C within D hops
     inside G[C], found in one `reach_labels` pass capped at rho instead of one
     BFS per vertex: O(rho * m) per screen."""
+    if rho < 1:
+        raise ValueError("rho must be at least 1")
     held = reach_labels(graph, C, {t: (t,) for t in terminals}, D, rho)
     return frozenset(v for v, have in held.items() if len(have) >= rho)
 
@@ -219,59 +212,37 @@ def _cover_forest(graph: Graph, row: CoverRow, chosen: Iterable[Arc]) -> set[Arc
 
 def complete(
     graph: Graph,
-    partition: AdditivePartition,
     root: int,
+    base: Iterable[Arc],
+    row: CoverRow,
     k_remaining: int,
     B: int,
-    D: int,
-    terminals: Iterable[int],
-    root_region: Iterable[int] | None = None,
-    region_arcs: Iterable[Arc] = (),
-    row: CoverRow | None = None,
 ) -> tuple[PoiseTree, CoverSelection | None]:
-    """Finish a rho-additive partition: cover k_remaining terminals of C via
-    the iterated matroid cover and return the shortest-path tree over the
-    assembled subgraph, with the cover's selection (None when no terminal
-    was left to cover).
-
-    ``root_region``/``region_arcs`` let a caller anchor A at an already-built
-    region instead of the bare root (paths to packed-tree roots then start
-    from the nearest region vertex and the region's arcs join the subgraph).
-    ``row`` is the partition's terminal cover row (`Round.row`), when the
-    caller keeps one across degree budgets; otherwise it is built here.
-    """
-    terminals = frozenset(terminals)
-    region = frozenset(root_region) if root_region is not None else frozenset({root})
-    if root not in region:
-        raise ValueError("root must belong to the root region")
-    H: set[Arc] = set(region_arcs)
-    for tr in partition.trees:
-        H |= tr.edges
-    H |= _paths_to_tree_roots(graph, sorted(region), partition.trees)
-    selection: CoverSelection | None = None
-    if k_remaining > 0:
-        if row is None:
-            C = partition.C
-            reps = {t: (t,) for t in sorted(terminals & C)}
-            row = CoverRow(graph, root, partition.A, C, reps, D)
-        selection = row.cover(k_remaining, B)
-        if len(selection.covered_elements) < k_remaining:
-            raise InfeasibleGuessError(
-                "matroid cover hit its iteration cap below the coverage target"
-            )
-        H |= selection.chosen
-        H |= _cover_forest(graph, row, selection.chosen)
+    """Finish a rho-additive partition at degree budget B: cover k_remaining
+    terminals from ``row`` with the iterated matroid cover, add the picks and
+    their in-C forest to the ``base`` arcs (`Round.base`), and return the
+    shortest-path tree over the union with the cover's selection (None when
+    no terminal was left to cover)."""
+    if k_remaining <= 0:
+        return shortest_path_tree(graph, base, root), None
+    selection = row.cover(k_remaining, B)
+    if len(selection.covered_elements) < k_remaining:
+        raise InfeasibleGuessError(
+            "matroid cover hit its iteration cap below the coverage target"
+        )
+    H = set(base).union(selection.chosen, _cover_forest(graph, row, selection.chosen))
     return shortest_path_tree(graph, H, root), selection
 
 
 class Round:
     """One packing round: trees of exactly rho terminals packed greedily
-    inside C, and the additive partition they leave, anchored at the region R
-    plus the packed vertices.
+    inside C, and the additive partition they leave: A = R plus the packed
+    vertices, and C = V - A, which holds no rho-good vertex.
 
     The solvers pack everything outside R.  All of it reads only (R, its arcs
     ``arcs``, D), so a sweep row keeps the round at R = {root} for every
-    degree budget; the partition's terminal cover row is built on first use.
+    degree budget.  Its base arcs and terminal cover row are built on first
+    use; only the cover in `complete` reads the degree budget.
     """
 
     def __init__(
@@ -283,17 +254,25 @@ class Round:
         self.terminals = frozenset(terminals)
         trees, self.packed, _ = greedy_packing(graph, self.C, self.terminals, rho, D)
         self.trees = tuple(trees)
-        A = self.R | self.packed
-        self.partition = AdditivePartition(A, frozenset(graph.vertices()) - A, self.trees, rho)
+
+    @functools.cached_property
+    def base(self) -> frozenset[Arc]:
+        """R's arcs, the packed trees' edges and the shortest paths from R to
+        their roots; raises InfeasibleGuessError when a root is unreachable."""
+        H = set(self.arcs)
+        for tr in self.trees:
+            H |= tr.edges
+        H |= _paths_to_tree_roots(self.graph, sorted(self.R), self.trees)
+        return frozenset(H)
 
     @functools.cached_property
     def row(self) -> CoverRow:
         """The partition's cover row over the terminals in C, each its own
-        only representative: the row `complete` builds when given none."""
-        C = self.partition.C
+        only representative."""
+        A = self.R | self.packed
+        C = frozenset(self.graph.vertices()) - A
         return CoverRow(
-            self.graph, self.root, self.partition.A, C,
-            {t: (t,) for t in sorted(self.terminals & C)}, self.D,
+            self.graph, self.root, A, C, {t: (t,) for t in sorted(self.terminals & C)}, self.D
         )
 
     def complete(self, k_remaining: int, B: int) -> Solved:
@@ -301,10 +280,7 @@ class Round:
         are still required, of which the packed trees hold some.  The trace
         holds the cover loop's log and the count left to cover."""
         k_remaining -= len(self.packed & self.terminals)
-        tree, selection = complete(
-            self.graph, self.partition, self.root, k_remaining, B, self.D, self.terminals,
-            root_region=self.R, region_arcs=self.arcs, row=self.row,
-        )
+        tree, selection = complete(self.graph, self.root, self.base, self.row, k_remaining, B)
         log, peak = ([], 0) if selection is None else (selection.log, selection.peak_load)
         return Solved(tree, peak, {"pmcover": log, "k_remaining": k_remaining})
 

@@ -281,8 +281,8 @@ def reach_labels(
 ) -> dict[int, set]:
     """Vertex of C -> the elements of ``location`` with a representative (a
     vertex of ``location[e]`` inside C) within D hops of it inside G[C];
-    vertices that reach none are absent.  With ``cap``, a vertex ends with
-    ``cap`` or more labels exactly when it reaches ``cap`` or more.
+    vertices that reach none are absent.  With ``cap`` (at least 1), a vertex
+    ends with ``cap`` or more labels exactly when it reaches ``cap`` or more.
 
     One level-synchronous reverse BFS over ``in_neighbors`` inside C, D
     levels deep, as in Cohen's reachability sketches and Thorup-Zwick
@@ -297,9 +297,11 @@ def reach_labels(
     ``cap`` labels go on towards v the same way within the same depth, so v
     is full too.
     """
-    C = frozenset(C)
     if cap is None:
         cap = len(location)  # no vertex can hold more labels
+    elif cap < 1:
+        raise ValueError("cap must be at least 1")
+    C = frozenset(C)
     held: dict[int, set] = {}
     frontier: dict[int, list] = {}
     for e, reps in location.items():

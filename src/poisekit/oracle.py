@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cover import CoverageSystem, PartitionMatroid
+from .cover import CoverageSystem
 from .errors import InfeasibleInstanceError
 from .graph import MulticastInstance, PoiseTree, bfs_distances
 
@@ -314,17 +314,17 @@ def exact_multicast_rounds(
     raise InfeasibleInstanceError("the root cannot inform k terminals at all")
 
 
-def exact_matroid_coverage(system: CoverageSystem, matroid: PartitionMatroid) -> int:
-    """Maximum element coverage over all independent selections, by enumeration."""
+def exact_matroid_coverage(system: CoverageSystem, capacity: int) -> int:
+    """Maximum element coverage over all selections taking at most
+    ``capacity`` pairs per anchor, by enumeration."""
+    if capacity < 0:
+        raise ValueError("capacity must be nonnegative")
     if len(system.pairs) > 20:
         raise ValueError(f"too many pairs for exhaustive coverage ({len(system.pairs)})")
-    if not matroid.covers_all_indices(len(system.pairs)):
-        raise ValueError("matroid must index exactly the system's pairs")
     element_bit = {e: i for i, e in enumerate(sorted(system.ground, key=repr))}
     covers = [
         sum(1 << element_bit[e] for e in cov) for _, _, cov in system.pairs
     ]
-    owner = matroid.part_of()
     m = len(covers)
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
@@ -338,8 +338,8 @@ def exact_matroid_coverage(system: CoverageSystem, matroid: PartitionMatroid) ->
             return
         if bin(covered | suffix[i]).count("1") <= best:
             return
-        a = owner[i]
-        if load.get(a, 0) < matroid.capacity:
+        a = system.pairs[i][0]
+        if load.get(a, 0) < capacity:
             load[a] = load.get(a, 0) + 1
             rec(i + 1, covered | covers[i], load)
             load[a] -= 1

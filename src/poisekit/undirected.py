@@ -151,8 +151,10 @@ def _degree_deltas(added: Iterable[Arc], r_before: frozenset[int]) -> tuple[int,
 class SuperRound(Round):
     """An undirected packing round outside the covered region R.  When it
     packs at least rho trees they contract into super-terminals, searched
-    for a vertex aggregating rho of them or else covered from the
-    super-terminal row; each of these is built on first use."""
+    for a vertex aggregating rho of them, joined to R when found, or else
+    covered from the super-terminal row; each of these is built on first
+    use.  R is the region when the round was packed, so a stage's first
+    round serves every degree budget's first iteration."""
 
     @functools.cached_property
     def supers(self) -> list[SuperTerminal]:
@@ -161,6 +163,20 @@ class SuperRound(Round):
     @functools.cached_property
     def found(self) -> tuple[int, PoiseTree] | None:
         return find_good_vertex_wrt_super(self.graph, self.C, self.supers, self.rho, self.D)
+
+    @functools.cached_property
+    def aggregate(self) -> tuple[list[Arc], list[Arc]]:
+        """The arcs that join the found tree to R: the BFS path from R to its
+        nearest vertex, then the tree's own arcs, sorted.  Raises
+        InfeasibleGuessError when no vertex of the tree is reachable."""
+        _, big = self.found
+        dist, parent = bfs_parents(self.graph, sorted(self.R))
+        candidates = [(dist[w], w) for w in big.vertices() if w in dist]
+        if not candidates:
+            raise InfeasibleGuessError("aggregated tree unreachable from the region")
+        _, attach = min(candidates)
+        path = [(p, u) for u, p in chain_parents(parent, [attach]).items()]
+        return path, sorted(big.arcs())
 
     @functools.cached_property
     def super_row(self) -> CoverRow:
@@ -178,10 +194,10 @@ class UndirectedStage:
 
     On an instance pruned to radius D it holds the first iteration's round,
     packed while the region is just the root, with its super-terminal
-    search and cover rows.  `solve` runs the iterations for one degree
-    budget B, and `finish` does so until the budget saturates
-    (`SaturatedTree`); each later iteration packs a fresh round outside the
-    region grown so far.
+    search, aggregation path and cover rows.  `solve` runs the iterations
+    for one degree budget B, and `finish` does so until the budget
+    saturates (`SaturatedTree`); each later iteration packs a fresh round
+    outside the region grown so far.
     """
 
     instance: MulticastInstance
@@ -229,13 +245,7 @@ class UndirectedStage:
             r_before = frozenset(region.R)
             if packing.found is not None:
                 _, big = packing.found
-                dist, parent = bfs_parents(g, sorted(region.R))
-                candidates = [(dist[w], w) for w in big.vertices() if w in dist]
-                if not candidates:
-                    raise InfeasibleGuessError("aggregated tree unreachable from the region")
-                _, attach = min(candidates)
-                path = [(p, u) for u, p in chain_parents(parent, [attach]).items()]
-                added = _merge_arcs(region, [path, sorted(big.arcs())])
+                added = _merge_arcs(region, packing.aggregate)
                 covered = big.vertices() & s_prime
                 discarded = set(covered)
                 branch = "large"

@@ -24,7 +24,7 @@ from poisekit import (
     tree_metrics,
     validate_schedule,
 )
-from poisekit.cover import PartitionMatroid, default_iteration_cap
+from poisekit.cover import default_iteration_cap
 from poisekit.driver import bench_rows
 from poisekit.errors import InfeasibleGuessError
 from poisekit.undirected import _ceil_cbrt, _ceil_log2, stage_undirected
@@ -134,7 +134,7 @@ def test_criterion_3_pmcover_independence_and_halving():
             continue
         g, A, C, elems, location, capacity = made
         system = build_coverage_instance(g, A, C, elems, location, D=1, root=0)
-        matroid = PartitionMatroid.for_system(system, capacity)
+        matroid = capacity
         best = exact_matroid_coverage(system, matroid)
         if best == 0:
             continue
@@ -168,7 +168,7 @@ def test_criterion_4_greedy_half_guarantee():
             continue
         g, A, C, elems, location, capacity = made
         system = build_coverage_instance(g, A, C, elems, location, D=1, root=0)
-        matroid = PartitionMatroid.for_system(system, capacity)
+        matroid = capacity
         checked += 1
         picks = greedy_matroid_max(system, matroid)
         got = len(set().union(*(system.pairs[i][2] for i in picks)) if picks else set())

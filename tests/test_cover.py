@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from poisekit import (
     CoverageSystem,
     Graph,
-    PartitionMatroid,
     bfs_parents,
     build_coverage_instance,
     coverage_tree,
@@ -135,8 +134,7 @@ class TestGreedyMatroidMax:
             {1, 2, 3},
             [(0, 1, frozenset({1, 2})), (0, 2, frozenset({2, 3})), (0, 3, frozenset({3}))],
         )
-        matroid = PartitionMatroid.for_system(system, capacity=2)
-        picks = greedy_matroid_max(system, matroid)
+        picks = greedy_matroid_max(system, 2)
         chosen = {system.pairs[i][:2] for i in picks}
         assert chosen == {(0, 1), (0, 2)}
 
@@ -145,29 +143,28 @@ class TestGreedyMatroidMax:
             {1, 2, 3, 4, 5},
             [(0, 1, frozenset({1, 2})), (0, 2, frozenset({3, 4, 5}))],
         )
-        matroid = PartitionMatroid.for_system(system, capacity=1)
-        picks = greedy_matroid_max(system, matroid)
+        picks = greedy_matroid_max(system, 1)
         assert {system.pairs[i][:2] for i in picks} == {(0, 2)}
 
     def test_half_of_optimum_on_random_systems(self, rng):
         for _ in range(120):
-            system, matroid = random_system(rng, max_pairs=10, max_elems=8)
-            picks = greedy_matroid_max(system, matroid)
+            system, capacity = random_system(rng, max_pairs=10, max_elems=8)
+            picks = greedy_matroid_max(system, capacity)
             got = len(set().union(*(system.pairs[i][2] for i in picks)) if picks else set())
-            best = exact_matroid_coverage(system, matroid)
+            best = exact_matroid_coverage(system, capacity)
             assert 2 * got >= best
 
 
-def eager_greedy(system, matroid, already_covered):
+def eager_greedy(system, capacity, already_covered):
     """Reference greedy: rescan every pair's marginal gain before each pick."""
-    owner = matroid.part_of()
+    owner = [a for a, _, _ in system.pairs]
     covered = set(already_covered)
     load = {}
     chosen = set()
     while True:
         best_idx, best_gain = None, 0
         for i, (_, _, cov) in enumerate(system.pairs):
-            if i in chosen or load.get(owner[i], 0) >= matroid.capacity:
+            if i in chosen or load.get(owner[i], 0) >= capacity:
                 continue
             gain = len(cov - covered)
             if gain > best_gain:
@@ -188,14 +185,14 @@ def tied_system(rng):
         pairs[(rng.randint(0, 2), rng.randint(10, 20))] = cov
     system = CoverageSystem(elems, [(a, c, cov) for (a, c), cov in pairs.items()])
     already = frozenset(rng.sample(elems, rng.randint(1, (len(elems) + 1) // 2)))
-    return system, PartitionMatroid.for_system(system, rng.randint(0, 3)), already
+    return system, rng.randint(0, 3), already
 
 
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=300, deadline=None)
 def test_lazy_greedy_matches_eager_scan(seed):
-    system, matroid, already = tied_system(random.Random(seed))
-    assert greedy_matroid_max(system, matroid, already) == eager_greedy(system, matroid, already)
+    system, capacity, already = tied_system(random.Random(seed))
+    assert greedy_matroid_max(system, capacity, already) == eager_greedy(system, capacity, already)
 
 
 def random_system(rng, max_pairs=10, max_elems=8, capacity=None):
@@ -212,7 +209,7 @@ def random_system(rng, max_pairs=10, max_elems=8, capacity=None):
         pairs.append((a, c, cov))
     system = CoverageSystem(elems, pairs)
     cap = capacity if capacity is not None else rng.randint(1, 3)
-    return system, PartitionMatroid.for_system(system, cap)
+    return system, cap
 
 
 @given(st.integers(0, 2**32 - 1), st.sampled_from([tied_system, random_system]))
@@ -221,7 +218,7 @@ def test_capacity_above_peak_load_changes_nothing(seed, make):
     # A part never held more than peak_load picks, so the capacity test never
     # fired: any larger capacity replays the same picks.
     rng = random.Random(seed)
-    system, matroid = make(rng)[:2]
+    system, drawn = make(rng)[:2]
     target = rng.choice([None, rng.randint(1, len(system.ground))])
     cap = None if target is not None else default_iteration_cap(len(system.ground))
 
@@ -231,7 +228,7 @@ def test_capacity_above_peak_load_changes_nothing(seed, make):
         except InfeasibleGuessError as exc:
             return str(exc)
 
-    for capacity in (matroid.capacity, len(system.pairs) + 1):
+    for capacity in (drawn, len(system.pairs) + 1):
         base = run(capacity)
         if isinstance(base, str):
             continue
@@ -276,15 +273,15 @@ class TestPmCover:
 
     def test_per_iteration_selections_are_independent(self, rng):
         for _ in range(60):
-            system, matroid = random_system(rng)
+            system, capacity = random_system(rng)
             target = rng.randint(1, len(system.ground))
             try:
-                sel = pm_cover_system(system, matroid.capacity, target)
+                sel = pm_cover_system(system, capacity, target)
             except InfeasibleGuessError:
                 continue
             for record in sel.log:
                 assert all(
-                    count <= matroid.capacity for count in record["per_part"].values()
+                    count <= capacity for count in record["per_part"].values()
                 )
 
     def test_soundness_of_chosen_pairs(self):
@@ -300,12 +297,12 @@ class TestPmCover:
         # whenever the exact oracle certifies a target coverable by one
         # independent selection, the loop reaches it within ceil(log2)+1 rounds
         for _ in range(80):
-            system, matroid = random_system(rng)
-            best = exact_matroid_coverage(system, matroid)
+            system, capacity = random_system(rng)
+            best = exact_matroid_coverage(system, capacity)
             if best == 0:
                 continue
             target = rng.randint(1, best)
-            sel = pm_cover_system(system, matroid.capacity, target)
+            sel = pm_cover_system(system, capacity, target)
             assert len(sel.covered_elements) >= target
             assert sel.iterations <= default_iteration_cap(target)
 
@@ -397,32 +394,40 @@ def test_row_arcs_match_coverage_tree_and_super_reference(n, seed, directed):
         assert super_row.arcs(c) == reference_super_arcs(g, C, c, groups, D)
 
 
+def test_negative_capacity_rejected():
+    system = CoverageSystem({1}, [(0, 1, frozenset({1}))])
+    with pytest.raises(ValueError, match="capacity must be nonnegative"):
+        greedy_matroid_max(system, -1)
+    with pytest.raises(ValueError, match="capacity must be nonnegative"):
+        pm_cover_system(system, -1, target=1)
+    with pytest.raises(ValueError, match="capacity must be nonnegative"):
+        exact_matroid_coverage(system, -1)
+
+
 class TestExactMatroidCoverage:
     def test_single_part_capacity_one(self):
         system = CoverageSystem({1, 2, 3}, [(0, 1, frozenset({1, 2})), (0, 2, frozenset({3}))])
-        matroid = PartitionMatroid.for_system(system, 1)
-        assert exact_matroid_coverage(system, matroid) == 2
+        assert exact_matroid_coverage(system, 1) == 2
 
     def test_capacity_zero(self):
         system = CoverageSystem({1}, [(0, 1, frozenset({1}))])
-        matroid = PartitionMatroid.for_system(system, 0)
-        assert exact_matroid_coverage(system, matroid) == 0
+        assert exact_matroid_coverage(system, 0) == 0
 
     def test_two_branch_system_by_capacity(self):
         g = two_branch_graph()
         system = build_coverage_instance(
             g, {0}, {1, 2, 3, 4}, [3, 4], singleton_locations([3, 4]), D=2, root=0
         )
-        assert exact_matroid_coverage(system, PartitionMatroid.for_system(system, 1)) == 1
-        assert exact_matroid_coverage(system, PartitionMatroid.for_system(system, 2)) == 2
+        assert exact_matroid_coverage(system, 1) == 1
+        assert exact_matroid_coverage(system, 2) == 2
 
     def test_matches_brute_force_reference(self, rng):
         # independent reference: plain itertools enumeration, no pruning
         import itertools
 
         for _ in range(40):
-            system, matroid = random_system(rng, max_pairs=7, max_elems=6)
-            owner = matroid.part_of()
+            system, capacity = random_system(rng, max_pairs=7, max_elems=6)
+            owner = [a for a, _, _ in system.pairs]
             best = 0
             idxs = range(len(system.pairs))
             for r in range(len(system.pairs) + 1):
@@ -431,11 +436,11 @@ class TestExactMatroidCoverage:
                     ok = True
                     for i in combo:
                         loads[owner[i]] = loads.get(owner[i], 0) + 1
-                        if loads[owner[i]] > matroid.capacity:
+                        if loads[owner[i]] > capacity:
                             ok = False
                             break
                     if not ok:
                         continue
                     cov = set().union(*(system.pairs[i][2] for i in combo)) if combo else set()
                     best = max(best, len(cov))
-            assert exact_matroid_coverage(system, matroid) == best
+            assert exact_matroid_coverage(system, capacity) == best

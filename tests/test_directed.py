@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import poisekit.directed as directed
 from poisekit import (
-    AdditivePartition,
     Graph,
     MulticastInstance,
     PoiseGuess,
@@ -23,8 +22,10 @@ from poisekit import (
     solve_many_trees,
     tree_metrics,
 )
-from poisekit.directed import stage_directed, trim_to_terminals
+from poisekit.cover import CoverRow
+from poisekit.directed import Round, stage_directed, trim_to_terminals
 from poisekit.errors import InfeasibleGuessError
+from poisekit.graph import reach_labels
 
 from conftest import directed_stream, random_graph, two_branch_instance
 
@@ -284,20 +285,17 @@ class TestComplete:
         # oracle certifies the guess used here is the optimum
         res = exact_min_poise_ktree(inst)
         assert (res.B_star, res.D_star, res.poise_star) == (2, 2, 4)
-        partition = AdditivePartition(
-            frozenset({0}), frozenset({1, 2, 3, 4}), (), rho=2
-        )
-        tree, _ = complete(inst.graph, partition, 0, 2, B=2, D=2, terminals=inst.terminals)
+        row = CoverRow(inst.graph, 0, {0}, {1, 2, 3, 4}, {t: (t,) for t in inst.terminals}, D=2)
+        tree, _ = complete(inst.graph, 0, (), row, 2, B=2)
         assert tree.arcs() == {(0, 1), (0, 2), (1, 3), (2, 4)}
         m = tree_metrics(tree, inst)
         assert (m.max_out_degree, m.height) == (2, 2)
 
     def test_zero_remaining_short_circuits(self):
         g = Graph(4, [(0, 1), (1, 2), (1, 3)], directed=True)
-        trees, packed, C = greedy_packing(g, {1, 2, 3}, {2, 3}, rho=2, D=1)
-        assert len(trees) == 1
-        partition = AdditivePartition(frozenset({0}) | packed, C, tuple(trees), 2)
-        tree, _ = complete(g, partition, 0, 0, B=1, D=1, terminals={2, 3})
+        packing = Round(g, 0, {0}, (), {1, 2, 3}, {2, 3}, rho=2, D=1)
+        assert len(packing.trees) == 1
+        tree, _ = complete(g, 0, packing.base, packing.row, 0, B=1)
         m = tree_metrics(tree, MulticastInstance(g, 0, {2, 3}, 2))
         assert m.terminals_covered == 2
         assert m.height <= 2
@@ -306,8 +304,8 @@ class TestComplete:
         # two anchors point at the same c; its coverage tree appears once
         g = Graph(5, [(0, 2), (1, 2), (0, 1), (2, 3), (2, 4)], directed=True)
         inst = MulticastInstance(g, 0, {3, 4}, 2)
-        partition = AdditivePartition(frozenset({0, 1}), frozenset({2, 3, 4}), (), 2)
-        tree, _ = complete(g, partition, 0, 2, B=1, D=2, terminals={3, 4})
+        row = CoverRow(g, 0, {0, 1}, {2, 3, 4}, {3: (3,), 4: (4,)}, D=2)
+        tree, _ = complete(g, 0, (), row, 2, B=1)
         m = tree_metrics(tree, inst)
         assert m.terminals_covered == 2
         assert tree.parent[3] == 2 and tree.parent[4] == 2
@@ -387,19 +385,14 @@ class TestSolveDirected:
             pruned = prune_beyond(inst, res.D_star)
             g = pruned.graph
             rho = rng.randint(1, 3)
-            trees, packed, C = greedy_packing(
-                g, set(g.vertices()) - {inst.root}, pruned.terminals, rho, res.D_star
+            packing = Round(
+                g, inst.root, {inst.root}, (), set(g.vertices()) - {inst.root},
+                pruned.terminals, rho, res.D_star,
             )
-            if len(trees) >= rho:
+            if len(packing.trees) >= rho:
                 continue
             checked += 1
-            A = frozenset({inst.root} | packed)
-            partition = AdditivePartition(A, C, tuple(trees), rho)
-            k_remaining = inst.k - len(A & pruned.terminals)
-            tree, _ = complete(
-                g, partition, inst.root, k_remaining, res.B_star, res.D_star,
-                pruned.terminals,
-            )
+            tree = packing.complete(inst.k, res.B_star).tree
             m = tree_metrics(tree, inst)
             assert m.terminals_covered >= inst.k
             assert m.max_out_degree <= log_factor(inst.k) * res.B_star + 2 * rho
@@ -416,3 +409,16 @@ class TestSolveDirected:
             _, _, C = greedy_packing(g, set(range(1, n)), terms, rho, D)
             for c in C:
                 assert not is_rho_good(g, C, c, terms, rho, D)
+
+
+def test_screen_rejects_a_cap_below_one():
+    # 0 reaches all three terminals within 2 hops; a cap of 0 or -1 would
+    # mark every labelled vertex good, so the cap is refused instead
+    g = Graph(5, [(0, 1), (1, 2), (1, 3), (1, 4)], directed=True)
+    terminals = {2, 3, 4}
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="cap must be at least 1"):
+            reach_labels(g, range(5), {t: (t,) for t in terminals}, 2, bad)
+        with pytest.raises(ValueError, match="rho must be at least 1"):
+            rho_good_vertices(g, range(5), terminals, bad, 2)
+    assert rho_good_vertices(g, range(5), terminals, 3, 2) == {0, 1}

@@ -127,3 +127,56 @@ def test_middles_sweep_packs_once(monkeypatch):
         except InfeasibleGuessError:
             assert B == 1
     assert len(calls) == 1
+
+
+def _counting(calls, original, keep=lambda *args, **kwargs: True):
+    def counting(*args, **kwargs):
+        if keep(*args, **kwargs):
+            calls.append(1)
+        return original(*args, **kwargs)
+
+    return counting
+
+
+def test_directed_row_builds_paths_to_packed_roots_once(monkeypatch):
+    # the few-trees round packs trees, and the paths from the root to them
+    # read only D: one BFS serves every degree budget the row solves
+    from poisekit import directed
+
+    inst = normalize_terminals(generate_instance(
+        "random-digraph", {"n": 12, "m": 26, "t": 6, "k": 6, "seed": 2}
+    ))
+    paths, completes = [], []
+    monkeypatch.setattr(
+        directed, "_paths_to_tree_roots", _counting(paths, directed._paths_to_tree_roots)
+    )
+    monkeypatch.setattr(directed, "complete", _counting(completes, directed.complete))
+    stage = stage_budget(inst, 5)
+    assert stage.stitched is None and len(stage.round.trees) >= 1
+    for B in range(1, len(inst.terminals) + 1):
+        stage.finish(B)
+    assert len(completes) >= 2
+    assert len(paths) == 1
+
+
+def test_undirected_row_builds_its_aggregation_path_once(monkeypatch):
+    # every solved degree budget's first iteration aggregates the same found
+    # tree from the root: one region BFS serves the row
+    from poisekit import undirected
+
+    inst = normalize_terminals(generate_instance(
+        "random-digraph", {"n": 11, "m": 23, "t": 6, "k": 5, "seed": 1, "directed": False}
+    ))
+    region_bfs = []
+
+    def from_root(graph, sources, **kwargs):
+        return list(sources) == [inst.root] and not kwargs
+
+    monkeypatch.setattr(
+        undirected, "bfs_parents", _counting(region_bfs, undirected.bfs_parents, from_root)
+    )
+    stage = stage_budget(inst, 4)
+    solved = [stage.solve(B) for B in (1, 2)]
+    assert solved[0].peak >= 1  # so a sweep solves B = 2 as well
+    assert [s.trace["iterations"][0]["branch"] for s in solved] == ["large", "large"]
+    assert len(region_bfs) == 1
