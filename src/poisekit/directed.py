@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 from .cover import CoverRow, CoverSelection, SaturatedTree, Solved
 from .errors import InfeasibleGuessError
@@ -217,21 +217,33 @@ def complete(
     row: CoverRow,
     k_remaining: int,
     B: int,
+    assembled: dict[frozenset[Arc], PoiseTree] | None = None,
 ) -> tuple[PoiseTree, CoverSelection | None]:
     """Finish a rho-additive partition at degree budget B: cover k_remaining
     terminals from ``row`` with the iterated matroid cover, add the picks and
     their in-C forest to the ``base`` arcs (`Round.base`), and return the
     shortest-path tree over the union with the cover's selection (None when
-    no terminal was left to cover)."""
-    if k_remaining <= 0:
-        return shortest_path_tree(graph, base, root), None
-    selection = row.cover(k_remaining, B)
-    if len(selection.covered_elements) < k_remaining:
-        raise InfeasibleGuessError(
-            "matroid cover hit its iteration cap below the coverage target"
-        )
-    H = set(base).union(selection.chosen, _cover_forest(graph, row, selection.chosen))
-    return shortest_path_tree(graph, H, root), selection
+    no terminal was left to cover).
+
+    The tree is a function of the picks alone, so ``assembled`` (one per
+    base and row, `Round.assembled`) keeps each tree by its picks, the empty
+    set when none were needed: a budget whose cover picks what another
+    budget's did gets that budget's tree object, unbuilt.
+    """
+    selection = None
+    if k_remaining > 0:
+        selection = row.cover(k_remaining, B)
+        if len(selection.covered_elements) < k_remaining:
+            raise InfeasibleGuessError(
+                "matroid cover hit its iteration cap below the coverage target"
+            )
+    chosen = frozenset(selection.chosen) if selection else frozenset()
+    if assembled is None:
+        assembled = {}
+    if chosen not in assembled:
+        H = set(base).union(chosen, _cover_forest(graph, row, chosen)) if chosen else base
+        assembled[chosen] = shortest_path_tree(graph, H, root)
+    return assembled[chosen], selection
 
 
 class Round:
@@ -242,7 +254,10 @@ class Round:
     The solvers pack everything outside R.  All of it reads only (R, its arcs
     ``arcs``, D), so a sweep row keeps the round at R = {root} for every
     degree budget.  Its base arcs and terminal cover row are built on first
-    use; only the cover in `complete` reads the degree budget.
+    use; only the cover in `complete` reads the degree budget.  The trees it
+    assembles are kept in ``assembled`` by the cover's picks, so budgets
+    whose covers pick alike share one tree object for as long as the round
+    lives.
     """
 
     def __init__(
@@ -254,6 +269,7 @@ class Round:
         self.terminals = frozenset(terminals)
         trees, self.packed, _ = greedy_packing(graph, self.C, self.terminals, rho, D)
         self.trees = tuple(trees)
+        self.assembled: dict[frozenset[Arc], PoiseTree] = {}
 
     @functools.cached_property
     def base(self) -> frozenset[Arc]:
@@ -280,7 +296,9 @@ class Round:
         are still required, of which the packed trees hold some.  The trace
         holds the cover loop's log and the count left to cover."""
         k_remaining -= len(self.packed & self.terminals)
-        tree, selection = complete(self.graph, self.root, self.base, self.row, k_remaining, B)
+        tree, selection = complete(
+            self.graph, self.root, self.base, self.row, k_remaining, B, self.assembled
+        )
         log, peak = ([], 0) if selection is None else (selection.log, selection.peak_load)
         return Solved(tree, peak, {"pmcover": log, "k_remaining": k_remaining})
 
@@ -305,7 +323,10 @@ class DirectedStage:
     def finish(self, B: int) -> PoiseTree:
         return self.saturated.finish(B, self.solve)
 
-    def solve(self, B: int) -> Solved:
+    @functools.cached_property
+    def shared_trace(self) -> dict[str, Any]:
+        """The part of every solve's trace that reads no degree budget: the
+        packed trees and the branch.  Solves copy it before adding theirs."""
         packing = self.round
         trees = packing.trees
         good = [{"root": t.root_vertex, "terminals": sorted(t.terminals)} for t in trees]
@@ -314,11 +335,16 @@ class DirectedStage:
         trace = {"solver": "directed", "rho": packing.rho, "good_trees": good, "packing": sizes}
         if self.stitched is not None:
             trace["branch"] = "many-trees"
-            return Solved(self.stitched, 0, trace)
-        trace["branch"] = "few-trees"
-        trace["packed"] = sorted(packing.packed)
-        solved = packing.complete(self.instance.k, B)
-        return Solved(solved.tree, solved.peak, trace | solved.trace)
+        else:
+            trace["branch"] = "few-trees"
+            trace["packed"] = sorted(packing.packed)
+        return trace
+
+    def solve(self, B: int) -> Solved:
+        if self.stitched is not None:
+            return Solved(self.stitched, 0, dict(self.shared_trace))
+        solved = self.round.complete(self.instance.k, B)
+        return Solved(solved.tree, solved.peak, self.shared_trace | solved.trace)
 
 
 def stage_directed(instance: MulticastInstance, D: int) -> DirectedStage:

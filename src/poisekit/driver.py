@@ -14,6 +14,7 @@ from .graph import (
     MulticastInstance,
     PoiseGuess,
     PoiseTree,
+    TreeMetrics,
     bfs_distances,
     prune_beyond,
     tree_metrics,
@@ -110,9 +111,11 @@ def run_sweep(
     smallest (B, D)).  One BFS from the root gives the eccentricity and the
     distances every row prunes from.  The sweep runs one D row at a time and
     builds the row's D-only stage once; the first cell of each row carries the
-    stage's time in its ``wall_ms``.  A cell that returns the same tree object as the cell
-    before it (a saturated degree budget, or a stitched tree) reuses that
-    cell's metrics.  Records are reported in (B, D) order.
+    stage's time in its ``wall_ms``.  A row's cells share tree objects (a
+    saturated degree budget, a stitched tree, or a tree the stage kept for
+    the same cover picks), so each tree is measured once per row: a map from
+    each tree object to its metrics lives, with the trees it holds, until
+    the row ends.  Records are reported in (B, D) order.
     """
     root_dist = bfs_distances(instance.graph, [instance.root])
     ecc = max(root_dist.values())
@@ -121,15 +124,16 @@ def run_sweep(
     records: dict[tuple[int, int], dict[str, Any]] = {}
     best_key = None
     best_tree = None
-    measured = m = None
     for D in range(1, ecc + 1):
         start = time.perf_counter()
         stage = stage_budget(instance, D, mode, root_dist)
+        measured: dict[int, tuple[PoiseTree, TreeMetrics]] = {}  # keeps each id's tree
         for B in range(1, t + 1):
             try:
                 tree = solve_guess(instance, PoiseGuess(B, D), mode, stage=stage)
-                if tree is not measured:
-                    measured, m = tree, tree_metrics(tree, instance)
+                if id(tree) not in measured:
+                    measured[id(tree)] = tree, tree_metrics(tree, instance)
+                m = measured[id(tree)][1]
                 rec = {
                     "B": B,
                     "D": D,
@@ -149,7 +153,7 @@ def run_sweep(
             if rec["feasible"] and (best_key is None or (rec["poise"], B, D) < best_key):
                 best_key, best_tree = (rec["poise"], B, D), tree
                 report.best = dict(rec)
-        del stage  # not held while the next row builds its own
+        del stage, measured  # not held while the next row builds its own
     report.records = [records[key] for key in sorted(records)]
     return report, best_tree
 

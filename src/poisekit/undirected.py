@@ -197,13 +197,19 @@ class UndirectedStage:
     search, aggregation path and cover rows.  `solve` runs the iterations
     for one degree budget B, and `finish` does so until the budget
     saturates (`SaturatedTree`); each later iteration packs a fresh round
-    outside the region grown so far.
+    outside the region grown so far.  The final tree is a function of the
+    region's arcs alone, so ``assembled`` keeps each by those arcs: budgets
+    that grow the same region share one tree object for as long as the
+    stage lives.
     """
 
     instance: MulticastInstance
     D: int
     first: SuperRound
     saturated: SaturatedTree = field(default_factory=SaturatedTree, compare=False)
+    assembled: dict[frozenset[Arc], PoiseTree] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def finish(self, B: int) -> PoiseTree:
         return self.saturated.finish(B, self.solve)
@@ -278,7 +284,10 @@ class UndirectedStage:
                 "discarded": len(discarded), "max_degree_delta_R": d_r, "max_degree_delta_C": d_c,
             })
         else:  # every required terminal is covered
-            tree = shortest_path_tree(g, region.arcs, root)
+            arcs = frozenset(region.arcs)
+            if arcs not in self.assembled:
+                self.assembled[arcs] = shortest_path_tree(g, arcs, root)
+            tree = self.assembled[arcs]
         if detail:
             trace["detail"] = detail
         return Solved(tree, peak, trace | small_trace)

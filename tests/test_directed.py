@@ -24,6 +24,7 @@ from poisekit import (
 )
 from poisekit.cover import CoverRow
 from poisekit.directed import Round, stage_directed, trim_to_terminals
+from poisekit.driver import stage_budget
 from poisekit.errors import InfeasibleGuessError
 from poisekit.graph import reach_labels
 
@@ -422,3 +423,33 @@ def test_screen_rejects_a_cap_below_one():
         with pytest.raises(ValueError, match="rho must be at least 1"):
             rho_good_vertices(g, range(5), terminals, bad, 2)
     assert rho_good_vertices(g, range(5), terminals, 3, 2) == {0, 1}
+
+
+def test_row_assembles_each_cover_selection_once(monkeypatch):
+    # the sweep-dir-layered shape: no vertex is rho-good, so every degree
+    # budget covers, and several budgets pick the same boundary arcs; the
+    # row's tree is a function of those picks, so it is assembled once each
+    inst = generate_instance("layered-dag", {"width": 90, "depth": 2, "t": 90, "k": 72, "seed": 0})
+    forests = []
+    original = directed._cover_forest
+
+    def recording(graph, row, chosen):
+        forests.append(frozenset(chosen))
+        return original(graph, row, chosen)
+
+    monkeypatch.setattr(directed, "_cover_forest", recording)
+    stage = stage_budget(inst, 3)
+    assert stage.stitched is None
+    trees = {}
+    for B in range(1, len(inst.terminals) + 1):
+        try:
+            trees[B] = stage.solve(B).tree
+        except InfeasibleGuessError:
+            pass
+    kept = forests[:]
+    forests.clear()
+    for B, tree in trees.items():
+        assert tree.parent == stage_budget(inst, 3).solve(B).tree.parent
+    assert len(forests) == len(trees)  # one forest per fresh solve
+    assert len(kept) == len(set(kept)) == len(set(forests)) < len(trees)
+    assert set(kept) == set(forests)

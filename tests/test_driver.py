@@ -180,3 +180,38 @@ def test_undirected_row_builds_its_aggregation_path_once(monkeypatch):
     assert solved[0].peak >= 1  # so a sweep solves B = 2 as well
     assert [s.trace["iterations"][0]["branch"] for s in solved] == ["large", "large"]
     assert len(region_bfs) == 1
+
+
+def test_sweep_measures_each_distinct_tree_once_per_row(monkeypatch):
+    # an undirected star of stars is itself a tree, so a cell's tree is the
+    # region it grew, and equal regions give the row's one kept tree: the
+    # sweep measures it once, yet reports the metrics of every cell
+    from poisekit import driver
+    from poisekit.graph import tree_metrics
+
+    inst = generate_instance("star-of-stars", {"branch": 10, "leaf": 4, "k": 30, "directed": False})
+    measured = []
+    monkeypatch.setattr(driver, "tree_metrics", _counting(measured, tree_metrics))
+    report, _ = run_sweep(inst)
+    expected, distinct = [], 0
+    for D in range(1, report.grid["D_max"] + 1):
+        stage = stage_budget(inst, D)
+        trees = set()
+        for B in range(1, report.grid["B_max"] + 1):
+            try:
+                tree = stage.finish(B)
+            except InfeasibleGuessError as exc:
+                expected.append({"B": B, "D": D, "feasible": False, "reason": str(exc)})
+                continue
+            m = tree_metrics(tree, inst)
+            expected.append({
+                "B": B, "D": D, "feasible": True, "poise": m.poise,
+                "max_out_degree": m.max_out_degree, "height": m.height,
+                "terminals_covered": m.terminals_covered,
+            })
+            trees.add(frozenset(tree.parent.items()))
+        distinct += len(trees)
+    expected.sort(key=lambda rec: (rec["B"], rec["D"]))
+    assert [{k: v for k, v in r.items() if k != "wall_ms"} for r in report.records] == expected
+    feasible = sum(r["feasible"] for r in expected)
+    assert len(measured) == distinct < feasible

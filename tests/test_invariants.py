@@ -37,7 +37,8 @@ def _outcome(solve):
 def check_every_cell(instance) -> list[str]:
     """Check every (B, D) cell; return the branches the feasible ones took,
     plus "kept" for each cell whose `finish` returned the very tree of the
-    cell before it."""
+    cell before it: the tree a row keeps while the budget saturates, or one
+    that comes back from the row's memo of assembled trees."""
     branches = []
     for D in range(1, eccentricity(instance.graph, instance.root) + 1):
         stage = stage_budget(instance, D)

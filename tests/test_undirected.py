@@ -9,6 +9,7 @@ from poisekit import (
     SuperTerminal,
     exact_min_poise_ktree,
     find_good_vertex_wrt_super,
+    generate_instance,
     prune_beyond,
     small,
     solve_undirected,
@@ -225,3 +226,33 @@ class TestSolveUndirected:
                 overlap = len(set(rec["discarded_terminals"]) & opt_terms)
                 assert len(rec["covered_terminals"]) >= overlap
         assert checked >= 1  # the constructed instance always exercises it
+
+
+def test_stage_assembles_each_final_region_once(monkeypatch):
+    # the sweep-und-clusters shape: every hub is a super-terminal that only
+    # the cover reaches, and many degree budgets grow the same region; the
+    # final tree is a function of the region's arcs, so it is built once each
+    inst = generate_instance("star-of-stars", {"branch": 10, "leaf": 4, "k": 30, "directed": False})
+    regions = []
+    original = undirected.shortest_path_tree
+
+    def recording(graph, arcs, root):
+        if root == inst.root:  # the super-terminal search roots its trees in C
+            regions.append(frozenset(arcs))
+        return original(graph, arcs, root)
+
+    monkeypatch.setattr(undirected, "shortest_path_tree", recording)
+    stage = stage_budget(inst, 3)
+    trees = {}
+    for B in range(1, len(inst.terminals) + 1):
+        try:
+            trees[B] = stage.solve(B).tree
+        except InfeasibleGuessError:
+            pass
+    kept = regions[:]
+    regions.clear()
+    for B, tree in trees.items():
+        assert tree.parent == stage_budget(inst, 3).solve(B).tree.parent
+    assert len(regions) == len(trees)  # one final tree per fresh solve
+    assert len(kept) == len(set(kept)) == len(set(regions)) < len(trees)
+    assert set(kept) == set(regions)
