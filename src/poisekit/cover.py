@@ -10,6 +10,16 @@ a capacity of pairs.  The iterated loop re-runs it on the uncovered
 remainder, which halves the shortfall each round.  The system is built once
 per (A, C, D); a sweep keeps it for a whole row of degree budgets in a
 `CoverRow`, and the degree budget enters only as the capacity.
+
+Each system keeps, as int bitmasks, one uncapped greedy order O from nothing
+covered, and the greedy replays O instead of searching again.  Two facts make
+that exact.  From the coverage of a prefix O[:p] the uncapped greedy picks
+O[p:], since the prefix's pairs have no gain left.  With fresh loads and a
+capacity, the greedy picks O[p:m], m the first position whose pair falls in a
+full part, as long as O ends there or no pair of a part under capacity has
+gain there.  A cover starts from nothing covered and each replayed iteration
+ends on a prefix's coverage, so with one part each cover at capacity B cuts
+O into blocks of B; any other call runs the lazy heap.
 """
 
 from __future__ import annotations
@@ -47,6 +57,10 @@ class CoverageSystem:
         object.__setattr__(
             self, "pairs", tuple((a, c, dedup[(a, c)]) for a, c in sorted(dedup))
         )
+
+    @functools.cached_property
+    def _greedy(self) -> _GreedyOrder:
+        return _GreedyOrder(self)
 
 
 @dataclass
@@ -107,33 +121,112 @@ def greedy_matroid_max(
     spare capacity, ties broken by (a, c) order; stops at zero marginal gain.
     The result covers at least half as much as any independent selection.
 
-    Gains only shrink as coverage grows, so the scan is lazy (Minoux 1978): a
-    heap holds each pair's last known gain, and a popped pair is re-evaluated
-    and taken only if it still leads the heap.
+    The picks are replayed from the system's uncapped greedy order O when
+    ``already_covered`` is the coverage of a prefix O[:p], which is exact:
+
+    1. Prefix consistency: from that coverage the uncapped greedy picks
+       O[p:], since the pairs of O[:p] have no gain left.
+    2. Capacity: with fresh loads the capped greedy picks O[p:m], m the first
+       position whose pair falls in a part already holding ``capacity``
+       picks, provided O ends at m or no pair of a part still under capacity
+       has gain there.
+
+    Otherwise the greedy runs lazily (Minoux 1978): a heap holds each pair's
+    last known gain, and a popped pair is re-evaluated and taken only if it
+    still leads the heap.
     """
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
-    pairs = system.pairs
-    covered = set(already_covered)
-    load: dict[int, int] = {}
-    chosen: set[int] = set()
-    heap = [(-g, i) for i, (_, _, cov) in enumerate(pairs) if (g := len(cov - covered))]
+    greedy = system._greedy
+    covered = greedy.mask(already_covered)
+    p = greedy.position.get(covered)
+    picks = None if p is None else greedy.replay(p, capacity)
+    if picks is None:
+        picks = _lazy_greedy(greedy.masks, greedy.parts, capacity, covered)
+    return set(picks)
+
+
+def _lazy_greedy(masks: list[int], parts: list[int], capacity: int, covered: int) -> list[int]:
+    """The lazy heap greedy on bitmask pairs from the ``covered`` mask; the
+    picks in the order taken.  Stops once every part that had a pair with
+    gain is full."""
+    uncovered = ~covered
+    heap = [(-g, i) for i, m in enumerate(masks) if (g := (m & uncovered).bit_count())]
     heapq.heapify(heap)
-    while heap:
+    live = len({parts[i] for _, i in heap})
+    full = 0
+    load: dict[int, int] = {}
+    picks: list[int] = []
+    while heap and full < live:
         _, i = heapq.heappop(heap)
-        a, _, cov = pairs[i]
+        a = parts[i]
         if load.get(a, 0) >= capacity:
             continue
-        gain = len(cov - covered)
+        gain = (masks[i] & uncovered).bit_count()
         if not gain:
             continue
         if heap and (-gain, i) > heap[0]:
             heapq.heappush(heap, (-gain, i))
             continue
-        chosen.add(i)
+        picks.append(i)
         load[a] = load.get(a, 0) + 1
-        covered |= cov
-    return chosen
+        full += load[a] == capacity
+        uncovered &= ~masks[i]
+    return picks
+
+
+class _GreedyOrder:
+    """A coverage system as int bitmasks, with its uncapped greedy order.
+
+    Element j of ``elements`` (the ground set in repr order) is bit j, so a
+    pair's gain over a covered mask is ``(mask & ~covered).bit_count()`` and
+    a mask decodes to its elements in repr order.  ``order`` is the uncapped
+    greedy's picks from nothing covered; ``states[p]`` is the coverage of
+    the prefix order[:p] and ``position`` maps it back to p.
+    ``part_union`` ORs each part's pair masks.
+    """
+
+    def __init__(self, system: CoverageSystem):
+        self.elements = sorted(system.ground, key=repr)
+        self.bit = {e: 1 << j for j, e in enumerate(self.elements)}
+        self.parts = [a for a, _, _ in system.pairs]
+        self.masks = [self.mask(cov) for _, _, cov in system.pairs]
+        self.part_union: dict[int, int] = {}
+        for a, m in zip(self.parts, self.masks):
+            self.part_union[a] = self.part_union.get(a, 0) | m
+        self.order = _lazy_greedy(self.masks, self.parts, len(self.masks), 0)
+        self.states = [0]
+        for i in self.order:
+            self.states.append(self.states[-1] | self.masks[i])
+        self.position = {state: p for p, state in enumerate(self.states)}
+
+    def mask(self, elements: Iterable[Element]) -> int:
+        bit, mask = self.bit, 0
+        for e in elements:
+            mask |= bit.get(e, 0)
+        return mask
+
+    def elements_of(self, mask: int) -> list[Element]:
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.elements[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    def replay(self, p: int, capacity: int) -> list[int] | None:
+        """The capped greedy's picks from the coverage of order[:p], or None
+        when the order cannot give them (fact 2 of `greedy_matroid_max`)."""
+        load: dict[int, int] = {}
+        for j in range(p, len(self.order)):
+            a = self.parts[self.order[j]]
+            if load.get(a, 0) >= capacity:
+                left = ~self.states[j]
+                if any(m & left for b, m in self.part_union.items() if load.get(b, 0) < capacity):
+                    return None
+                return self.order[p:j]
+            load[a] = load.get(a, 0) + 1
+        return self.order[p:]
 
 
 def default_iteration_cap(target: int) -> int:
@@ -166,28 +259,30 @@ def pm_cover_system(
         raise ValueError("capacity must be nonnegative")
     selection = CoverSelection(chosen=set(), covered_elements=set(), iterations=0)
     covered = selection.covered_elements
+    covered_mask = 0
     while selection.iterations < max_iterations:
         if target is not None and len(covered) >= target:
             break
         if len(covered) == len(system.ground):
             break
         picks = greedy_matroid_max(system, capacity, covered)
-        newly: set = set()
+        greedy = system._greedy
+        union = 0
         arcs = []
         per_part: dict[int, int] = {}
         for i in sorted(picks):
-            a, c, cov = system.pairs[i]
+            a, c, _ = system.pairs[i]
             arcs.append((a, c))
             per_part[a] = per_part.get(a, 0) + 1
-            newly |= cov
-        newly -= covered
+            union |= greedy.masks[i]
+        newly = greedy.elements_of(union & ~covered_mask)
         selection.iterations += 1
         selection.peak_load = max(selection.peak_load, *per_part.values(), 0)
         selection.log.append(
             {
                 "iteration": selection.iterations,
                 "chosen": arcs,
-                "covered": sorted(newly, key=repr),
+                "covered": newly,
                 "per_part": per_part,
             }
         )
@@ -198,7 +293,8 @@ def pm_cover_system(
                 )
             break
         selection.chosen.update(arcs)
-        covered |= newly
+        covered.update(newly)
+        covered_mask |= union
     return selection
 
 

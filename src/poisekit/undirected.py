@@ -40,13 +40,22 @@ class SuperTerminal:
 
 @dataclass
 class CoveredRegion:
-    """The root region grown so far and its oriented arcs."""
+    """The root region grown so far and its oriented arcs.  ``keys`` holds
+    each arc's undirected edge (`_edge_key`); `_merge_arcs`, which grows the
+    arcs, keeps it in step."""
 
     R: set[int]
     arcs: set[Arc] = field(default_factory=set)
+    keys: set[Arc] = field(init=False, repr=False, compare=False)
 
-    def edge_keys(self) -> set[frozenset[int]]:
-        return {frozenset(a) for a in self.arcs}
+    def __post_init__(self) -> None:
+        self.keys = {_edge_key(a) for a in self.arcs}
+
+
+def _edge_key(arc: Arc) -> Arc:
+    """The undirected edge of an arc: its endpoints in ascending order."""
+    u, v = arc
+    return (u, v) if u < v else (v, u)
 
 
 def _ceil_cbrt(t: int) -> int:
@@ -122,11 +131,11 @@ def find_good_vertex_wrt_super(
 def _merge_arcs(region: CoveredRegion, groups: Iterable[Iterable[Arc]]) -> list[Arc]:
     """Append arcs to the region, one orientation per undirected edge, in
     group order; returns the freshly added arcs."""
-    keys = region.edge_keys()
+    keys = region.keys
     added: list[Arc] = []
     for group in groups:
         for arc in group:
-            key = frozenset(arc)
+            key = _edge_key(arc)
             if key in keys:
                 continue
             keys.add(key)
@@ -324,8 +333,8 @@ def _small_record(
     region: CoveredRegion,
     s_prime: set[int],
 ) -> dict[str, Any]:
-    keys = region.edge_keys()
-    added = [a for a in tree.arcs() if frozenset(a) not in keys]
+    keys = region.keys
+    added = [a for a in tree.arcs() if _edge_key(a) not in keys]
     d_r, d_c = _degree_deltas(added, frozenset(region.R))
     covered = len(tree.vertices() & s_prime)
     return {

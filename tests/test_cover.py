@@ -155,12 +155,13 @@ class TestGreedyMatroidMax:
             assert 2 * got >= best
 
 
-def eager_greedy(system, capacity, already_covered):
-    """Reference greedy: rescan every pair's marginal gain before each pick."""
+def eager_picks(system, capacity, already_covered):
+    """Reference greedy: rescan every pair's marginal gain before each pick;
+    the picks in the order taken."""
     owner = [a for a, _, _ in system.pairs]
     covered = set(already_covered)
     load = {}
-    chosen = set()
+    chosen = []
     while True:
         best_idx, best_gain = None, 0
         for i, (_, _, cov) in enumerate(system.pairs):
@@ -171,9 +172,13 @@ def eager_greedy(system, capacity, already_covered):
                 best_gain, best_idx = gain, i
         if best_idx is None:
             return chosen
-        chosen.add(best_idx)
+        chosen.append(best_idx)
         load[owner[best_idx]] = load.get(owner[best_idx], 0) + 1
         covered |= system.pairs[best_idx][2]
+
+
+def eager_greedy(system, capacity, already_covered):
+    return set(eager_picks(system, capacity, already_covered))
 
 
 def tied_system(rng):
@@ -184,15 +189,7 @@ def tied_system(rng):
         cov = frozenset(e for e in elems if rng.random() < 0.5)
         pairs[(rng.randint(0, 2), rng.randint(10, 20))] = cov
     system = CoverageSystem(elems, [(a, c, cov) for (a, c), cov in pairs.items()])
-    already = frozenset(rng.sample(elems, rng.randint(1, (len(elems) + 1) // 2)))
-    return system, rng.randint(0, 3), already
-
-
-@given(st.integers(0, 2**32 - 1))
-@settings(max_examples=300, deadline=None)
-def test_lazy_greedy_matches_eager_scan(seed):
-    system, capacity, already = tied_system(random.Random(seed))
-    assert greedy_matroid_max(system, capacity, already) == eager_greedy(system, capacity, already)
+    return system, rng.randint(0, 3)
 
 
 def random_system(rng, max_pairs=10, max_elems=8, capacity=None):
@@ -212,13 +209,97 @@ def random_system(rng, max_pairs=10, max_elems=8, capacity=None):
     return system, cap
 
 
+def reference_pm_cover(system, capacity, target, max_iterations):
+    """The iterated cover loop written out on `eager_greedy`: (chosen,
+    covered, iterations, log, peak load)."""
+    chosen, covered, log = set(), set(), []
+    while len(log) < max_iterations and covered != system.ground:
+        if target is not None and len(covered) >= target:
+            break
+        picks = sorted(eager_greedy(system, capacity, covered))
+        per_part = {}
+        for i in picks:
+            per_part[system.pairs[i][0]] = per_part.get(system.pairs[i][0], 0) + 1
+        newly = set().union(*(system.pairs[i][2] for i in picks)) - covered
+        log.append({
+            "iteration": len(log) + 1,
+            "chosen": [system.pairs[i][:2] for i in picks],
+            "covered": sorted(newly, key=repr),
+            "per_part": per_part,
+        })
+        if not newly:
+            if target is not None:
+                raise InfeasibleGuessError("coverage stalled")
+            break
+        chosen.update(system.pairs[i][:2] for i in picks)
+        covered |= newly
+    peak = max((n for record in log for n in record["per_part"].values()), default=0)
+    return chosen, covered, len(log), log, peak
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([tied_system, random_system]),
+    st.integers(0, 4),
+    st.booleans(),
+)
+@settings(max_examples=400, deadline=None)
+def test_lazy_greedy_matches_eager_scan(seed, make, capacity, prefix):
+    # from the coverage of a prefix of the uncapped greedy order, where the
+    # greedy replays that order, and from arbitrary coverage
+    rng = random.Random(seed)
+    system, _ = make(rng)
+    if prefix:
+        order = eager_picks(system, len(system.pairs), ())
+        already = set().union(*(system.pairs[i][2] for i in order[: rng.randint(0, len(order))]))
+    else:
+        already = {e for e in system.ground if rng.random() < 0.5}
+    assert greedy_matroid_max(system, capacity, already) == eager_greedy(system, capacity, already)
+
+    target = rng.choice([None, rng.randint(1, len(system.ground))])
+    cap = default_iteration_cap(target or len(system.ground))
+
+    def run(cover_loop):
+        try:
+            return cover_loop()
+        except InfeasibleGuessError:
+            return "stalled"
+
+    def got():
+        sel = pm_cover_system(system, capacity, target, cap)
+        return sel.chosen, sel.covered_elements, sel.iterations, sel.log, sel.peak_load
+
+    assert run(got) == run(lambda: reference_pm_cover(system, capacity, target, cap))
+
+
+def test_greedy_falls_back_when_a_full_part_blocks_the_order():
+    # uncapped order: (0, 10), (0, 11), (1, 12).  At capacity 1 its second
+    # pick falls in the full part 0 while part 1 still has gain, so the
+    # capped picks are not a prefix of the order
+    system = CoverageSystem(
+        [4, 5, 6, 9, 10, 11],
+        [(0, 10, frozenset({9, 10, 11})), (0, 11, frozenset({4, 5})), (1, 12, frozenset({6}))],
+    )
+    assert system._greedy.order == [0, 1, 2]
+    assert system._greedy.replay(0, 1) is None
+    assert greedy_matroid_max(system, 1) == eager_greedy(system, 1, ()) == {0, 2}
+    sel = pm_cover_system(system, 1, None, 3)
+    assert (sel.chosen, sel.covered_elements, sel.iterations, sel.log, sel.peak_load) == (
+        reference_pm_cover(system, 1, None, 3)
+    )
+    assert [(record["chosen"], record["covered"]) for record in sel.log] == [
+        ([(0, 10), (1, 12)], [10, 11, 6, 9]),  # repr order
+        ([(0, 11)], [4, 5]),
+    ]
+
+
 @given(st.integers(0, 2**32 - 1), st.sampled_from([tied_system, random_system]))
 @settings(max_examples=300, deadline=None)
 def test_capacity_above_peak_load_changes_nothing(seed, make):
     # A part never held more than peak_load picks, so the capacity test never
     # fired: any larger capacity replays the same picks.
     rng = random.Random(seed)
-    system, drawn = make(rng)[:2]
+    system, drawn = make(rng)
     target = rng.choice([None, rng.randint(1, len(system.ground))])
     cap = None if target is not None else default_iteration_cap(len(system.ground))
 

@@ -1,3 +1,4 @@
+import heapq
 import math
 import random
 
@@ -5,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import poisekit.cover as cover
 import poisekit.directed as directed
 from poisekit import (
     Graph,
@@ -453,3 +455,34 @@ def test_row_assembles_each_cover_selection_once(monkeypatch):
     assert len(forests) == len(trees)  # one forest per fresh solve
     assert len(kept) == len(set(kept)) == len(set(forests)) < len(trees)
     assert set(kept) == set(forests)
+
+
+def test_row_runs_the_heap_greedy_once_per_coverage_system(monkeypatch):
+    # the same shape: each system has one part, so every cover iteration at
+    # every degree budget replays the system's one uncapped greedy order
+    inst = generate_instance("layered-dag", {"width": 90, "depth": 2, "t": 90, "k": 72, "seed": 0})
+    heaps = []
+    systems = {}
+    real_heapify = heapq.heapify
+    real_greedy = cover.greedy_matroid_max
+
+    def recording(system, capacity, already_covered=()):
+        systems[id(system)] = system
+        return real_greedy(system, capacity, already_covered)
+
+    monkeypatch.setattr(
+        heapq, "heapify", lambda heap: heaps.append(len(heap)) or real_heapify(heap)
+    )
+    monkeypatch.setattr(cover, "greedy_matroid_max", recording)
+    stage = stage_budget(inst, 3)
+    trees = {}
+    for B in range(1, len(inst.terminals) + 1):
+        try:
+            trees[B] = stage.solve(B).tree
+        except InfeasibleGuessError:
+            pass
+    assert trees
+    assert len(heaps) == len(systems)  # one order per system, no fallback
+    monkeypatch.undo()
+    for B, tree in trees.items():
+        assert tree.parent == stage_budget(inst, 3).solve(B).tree.parent
