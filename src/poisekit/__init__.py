@@ -58,7 +58,6 @@ from .scheduling import (
     validate_schedule,
 )
 from .undirected import (
-    CoveredRegion,
     SuperTerminal,
     find_good_vertex_wrt_super,
     small,

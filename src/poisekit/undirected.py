@@ -13,7 +13,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .cover import CoverRow, SaturatedTree, Solved, _closest_representatives
+from .cover import CoverRow, CoverSelection, SaturatedTree, Solved, _closest_representatives
 from .directed import GoodTree, Round, _cover_forest
 from .errors import InfeasibleGuessError
 from .graph import (
@@ -36,20 +36,6 @@ class SuperTerminal:
     id: int
     tree: GoodTree
     representatives: frozenset[int]
-
-
-@dataclass
-class CoveredRegion:
-    """The root region grown so far and its oriented arcs.  ``keys`` holds
-    each arc's undirected edge (`_edge_key`); `_merge_arcs`, which grows the
-    arcs, keeps it in step."""
-
-    R: set[int]
-    arcs: set[Arc] = field(default_factory=set)
-    keys: set[Arc] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        self.keys = {_edge_key(a) for a in self.arcs}
 
 
 def _edge_key(arc: Arc) -> Arc:
@@ -128,10 +114,9 @@ def find_good_vertex_wrt_super(
     return None
 
 
-def _merge_arcs(region: CoveredRegion, groups: Iterable[Iterable[Arc]]) -> list[Arc]:
-    """Append arcs to the region, one orientation per undirected edge, in
-    group order; returns the freshly added arcs."""
-    keys = region.keys
+def _merge_arcs(keys: set[Arc], groups: Iterable[Iterable[Arc]]) -> list[Arc]:
+    """The arcs of ``groups`` whose undirected edge is not in ``keys`` yet,
+    one orientation per edge, in group order; adds their edges to ``keys``."""
     added: list[Arc] = []
     for group in groups:
         for arc in group:
@@ -140,9 +125,6 @@ def _merge_arcs(region: CoveredRegion, groups: Iterable[Iterable[Arc]]) -> list[
                 continue
             keys.add(key)
             added.append(arc)
-    region.arcs.update(added)
-    for p, c in added:
-        region.R.update((p, c))
     return added
 
 
@@ -158,12 +140,28 @@ def _degree_deltas(added: Iterable[Arc], r_before: frozenset[int]) -> tuple[int,
 
 
 class SuperRound(Round):
-    """An undirected packing round outside the covered region R.  When it
-    packs at least rho trees they contract into super-terminals, searched
-    for a vertex aggregating rho of them, joined to R when found, or else
-    covered from the super-terminal row; each of these is built on first
-    use.  R is the region when the round was packed, so a stage's first
-    round serves every degree budget's first iteration."""
+    """An undirected packing round outside the covered region R, the
+    ``depth``-th iteration of a solve.  When it packs at least rho trees
+    they contract into super-terminals, searched for a vertex aggregating
+    rho of them, joined to R when found, or else covered from the
+    super-terminal row; each of these is built on first use.
+
+    ``keys`` holds the undirected edges of R's arcs.  The round reads no
+    degree budget: its cover does, and the iteration's `Step` is a function
+    of the round and what the cover picked.  ``steps`` keeps each step by
+    those picks (None for the budget-free aggregation), the way
+    ``assembled`` keeps trees, so every degree budget of a row walks one
+    shared tree of steps from the stage's first round.
+    """
+
+    def __init__(
+        self, graph: Graph, root: int, R: frozenset[int], arcs: frozenset[Arc],
+        keys: frozenset[Arc], terminals: Iterable[int], rho: int, D: int, k: int,
+        depth: int = 1,
+    ):
+        super().__init__(graph, root, R, arcs, set(graph.vertices()) - R, terminals, rho, D)
+        self.keys, self.k, self.depth = keys, k, depth
+        self.steps: dict[frozenset[Arc] | None, Step] = {}
 
     @functools.cached_property
     def supers(self) -> list[SuperTerminal]:
@@ -196,20 +194,117 @@ class SuperRound(Round):
             {s.id: s.representatives for s in self.supers}, self.D,
         )
 
+    def step(self, B: int) -> tuple[Step, int]:
+        """This round's iteration at degree budget B, with its cover's
+        ``peak_load`` (0 when it aggregates).  Only the cover runs per
+        budget; the step is built once per distinct picks."""
+        if self.found is not None:
+            key, selection = None, None
+        else:
+            cap = min(_ceil_log2(self.k), _ceil_log2(len(self.supers))) + 1
+            selection = self.super_row.cover(None, B, cap)
+            key = frozenset(selection.chosen)
+        if key not in self.steps:
+            self.steps[key] = self._aggregated() if selection is None else self._covered(selection)
+        return self.steps[key], 0 if selection is None else selection.peak_load
+
+    def _aggregated(self) -> Step:
+        _, big = self.found
+        covered = big.vertices() & self.terminals
+        return self._advance("large", self.aggregate, covered, covered)
+
+    def _covered(self, selection: CoverSelection) -> Step:
+        supers = self.supers
+        t_c = _cover_forest(self.graph, self.super_row, selection.chosen)
+        covered_tree_arcs: list[Arc] = []
+        covered: set[int] = set()
+        for i in sorted(selection.covered_elements):
+            covered_tree_arcs.extend(sorted(supers[i].tree.edges))
+            covered |= supers[i].tree.terminals
+        groups = [sorted(selection.chosen), sorted(t_c), covered_tree_arcs]
+        discarded = self.terminals & set().union(*(tr.terminals for tr in self.trees))
+        return self._advance("pmcover", groups, covered, discarded)
+
+    def _advance(
+        self, branch: str, groups: Iterable[Iterable[Arc]], covered: set[int],
+        discarded: set[int] | frozenset[int],
+    ) -> Step:
+        """The step that joins ``groups``' arcs to the region and retires the
+        discarded terminals, with its trace records."""
+        if not covered and not discarded:
+            raise InfeasibleGuessError("iteration neither covered nor discarded terminals")
+        keys = set(self.keys)
+        added = _merge_arcs(keys, groups)
+        d_r, d_c = _degree_deltas(added, self.R)
+        record = {
+            "iter": self.depth, "branch": branch, "supers": len(self.supers),
+            "covered": len(covered), "discarded": len(discarded),
+            "max_degree_delta_R": d_r, "max_degree_delta_C": d_c,
+        }
+        detail = {"iter": self.depth, "branch": branch, "covered_terminals": sorted(covered),
+                  "discarded_terminals": sorted(discarded)}
+        return Step(
+            self.R.union(*added), self.arcs.union(added), frozenset(keys),
+            self.terminals - discarded, len(covered), record, detail,
+        )
+
+    def following(self, step: Step) -> SuperRound:
+        """The round after ``step``, packed outside its region on first use."""
+        if step.next is None:
+            step.next = SuperRound(
+                self.graph, self.root, step.R, step.arcs, step.keys, step.s_prime,
+                self.rho, self.D, self.k, self.depth + 1,
+            )
+        return step.next
+
+    def small_record(self, tree: PoiseTree) -> dict[str, Any]:
+        """The trace record of a last iteration that completes this round's
+        partition into ``tree``."""
+        added = [a for a in tree.arcs() if _edge_key(a) not in self.keys]
+        d_r, d_c = _degree_deltas(added, self.R)
+        covered = len(tree.vertices() & self.terminals)
+        return {
+            "iter": self.depth, "branch": "small", "supers": 0, "covered": covered,
+            "discarded": covered, "max_degree_delta_R": d_r, "max_degree_delta_C": d_c,
+        }
+
+
+@dataclass(eq=False)
+class Step:
+    """One iteration's outcome: the region after it (R, its arcs and their
+    undirected edges), the terminals still in play, how many it covered,
+    and its ``iterations`` and ``detail`` trace records.  It is a function
+    of its round and the cover's picks alone, so every degree budget that
+    picks alike shares it, records included: nothing may mutate them.
+    ``next`` is the following iteration's round, packed on first use by
+    `SuperRound.following`; a step holds no reference back to its round, so
+    a stage's tree of rounds and steps is freed as soon as the stage is."""
+
+    R: frozenset[int]
+    arcs: frozenset[Arc]
+    keys: frozenset[Arc]
+    s_prime: frozenset[int]
+    covered: int
+    record: dict[str, Any]
+    detail: dict[str, Any]
+    next: SuperRound | None = None
+
 
 @dataclass(frozen=True)
 class UndirectedStage:
     """The undirected solver's work that reads only the height budget D.
 
     On an instance pruned to radius D it holds the first iteration's round,
-    packed while the region is just the root, with its super-terminal
-    search, aggregation path and cover rows.  `solve` runs the iterations
+    packed while the region is just the root.  `solve` runs the iterations
     for one degree budget B, and `finish` does so until the budget
-    saturates (`SaturatedTree`); each later iteration packs a fresh round
-    outside the region grown so far.  The final tree is a function of the
-    region's arcs alone, so ``assembled`` keeps each by those arcs: budgets
-    that grow the same region share one tree object for as long as the
-    stage lives.
+    saturates (`SaturatedTree`).  A solve runs only its covers, which read
+    B; every other part of an iteration is the round's `Step` for the
+    cover's picks, and each later round is the step's ``next``, so the
+    budgets of a row share one tree of steps rooted at ``first`` and build
+    each distinct step once.  The final tree is a function of the region's
+    arcs alone, so ``assembled`` keeps each by those arcs: budgets that grow
+    the same region, even by different picks, share one tree object for as
+    long as the stage lives.
     """
 
     instance: MulticastInstance
@@ -224,82 +319,42 @@ class UndirectedStage:
         return self.saturated.finish(B, self.solve)
 
     def solve(self, B: int) -> Solved:
-        instance, D = self.instance, self.D
-        g = instance.graph
-        root, k = instance.root, instance.k
-        t = len(instance.terminals)
-        rho = _ceil_cbrt(t)
-        region = CoveredRegion(R={root})
-        s_prime = set(instance.terminals)
-        k_rem = k
-        log: list[dict[str, Any]] = []
-        trace = {"solver": "undirected", "rho": rho, "iterations": log}
-        detail: list[dict[str, Any]] = []
-        small_trace: dict[str, Any] = {}
+        t = len(self.instance.terminals)
+        k_rem = self.instance.k
+        packing = self.first
+        s_prime = packing.terminals
+        walked: list[Step] = []
+        small: Solved | None = None
         peak = 0
-        iteration = 0
         while k_rem > 0:
-            iteration += 1
-            if iteration > t + 2:
+            if len(walked) >= t + 2:
                 raise InfeasibleGuessError("no progress across iterations")
             if k_rem > len(s_prime):
                 raise InfeasibleGuessError(
                     f"{len(s_prime)} terminals remain but {k_rem} are still required"
                 )
-            packing = self.first if iteration == 1 else SuperRound(
-                g, root, region.R, frozenset(region.arcs), set(g.vertices()) - region.R,
-                s_prime, rho, D,
-            )
-            if len(packing.trees) < rho:
-                solved = packing.complete(k_rem, B)
-                log.append(_small_record(iteration, solved.tree, region, s_prime))
-                tree, small_trace = solved.tree, solved.trace
-                peak = max(peak, solved.peak)
+            if walked:
+                packing = packing.following(walked[-1])
+            if len(packing.trees) < packing.rho:
+                small = packing.complete(k_rem, B)
+                peak = max(peak, small.peak)
                 break
-            supers = packing.supers
-            r_before = frozenset(region.R)
-            if packing.found is not None:
-                _, big = packing.found
-                added = _merge_arcs(region, packing.aggregate)
-                covered = big.vertices() & s_prime
-                discarded = set(covered)
-                branch = "large"
-            else:
-                row = packing.super_row
-                cap = min(_ceil_log2(k), _ceil_log2(len(supers))) + 1
-                selection = row.cover(None, B, cap)
-                peak = max(peak, selection.peak_load)
-                covered_ids = sorted(selection.covered_elements)
-                t_c = _cover_forest(g, row, selection.chosen)
-                covered_tree_arcs: list[Arc] = []
-                covered: set[int] = set()
-                for i in covered_ids:
-                    covered_tree_arcs.extend(sorted(supers[i].tree.edges))
-                    covered |= supers[i].tree.terminals
-                added = _merge_arcs(
-                    region, [sorted(selection.chosen), sorted(t_c), covered_tree_arcs]
-                )
-                discarded = s_prime & set().union(*(tr.terminals for tr in packing.trees))
-                branch = "pmcover"
-            if not covered and not discarded:
-                raise InfeasibleGuessError("iteration neither covered nor discarded terminals")
-            detail.append({"iter": iteration, "branch": branch, "covered_terminals": sorted(covered),
-                           "discarded_terminals": sorted(discarded)})
-            s_prime -= discarded
-            k_rem -= len(covered)
-            d_r, d_c = _degree_deltas(added, r_before)
-            log.append({
-                "iter": iteration, "branch": branch, "supers": len(supers), "covered": len(covered),
-                "discarded": len(discarded), "max_degree_delta_R": d_r, "max_degree_delta_C": d_c,
-            })
-        else:  # every required terminal is covered
-            arcs = frozenset(region.arcs)
-            if arcs not in self.assembled:
-                self.assembled[arcs] = shortest_path_tree(g, arcs, root)
-            tree = self.assembled[arcs]
-        if detail:
-            trace["detail"] = detail
-        return Solved(tree, peak, trace | small_trace)
+            step, load = packing.step(B)
+            peak = max(peak, load)
+            walked.append(step)
+            s_prime = step.s_prime
+            k_rem -= step.covered
+        log = [step.record for step in walked]
+        trace = {"solver": "undirected", "rho": self.first.rho, "iterations": log}
+        if walked:
+            trace["detail"] = [step.detail for step in walked]
+        if small is not None:
+            log.append(packing.small_record(small.tree))
+            return Solved(small.tree, peak, trace | small.trace)
+        arcs = walked[-1].arcs if walked else self.first.arcs
+        if arcs not in self.assembled:
+            self.assembled[arcs] = shortest_path_tree(self.instance.graph, arcs, self.instance.root)
+        return Solved(self.assembled[arcs], peak, trace)
 
 
 def stage_undirected(instance: MulticastInstance, D: int) -> UndirectedStage:
@@ -310,7 +365,8 @@ def stage_undirected(instance: MulticastInstance, D: int) -> UndirectedStage:
         raise ValueError("the undirected solver requires an undirected graph")
     root, terminals = instance.root, instance.terminals
     first = SuperRound(
-        g, root, {root}, (), set(g.vertices()) - {root}, terminals, _ceil_cbrt(len(terminals)), D
+        g, root, frozenset({root}), frozenset(), frozenset(), terminals,
+        _ceil_cbrt(len(terminals)), D, instance.k,
     )
     return UndirectedStage(instance, D, first)
 
@@ -326,18 +382,3 @@ def solve_undirected(instance: MulticastInstance, guess: PoiseGuess) -> PoiseTre
     """
     return stage_undirected(instance, guess.D).finish(guess.B)
 
-
-def _small_record(
-    iteration: int,
-    tree: PoiseTree,
-    region: CoveredRegion,
-    s_prime: set[int],
-) -> dict[str, Any]:
-    keys = region.keys
-    added = [a for a in tree.arcs() if _edge_key(a) not in keys]
-    d_r, d_c = _degree_deltas(added, frozenset(region.R))
-    covered = len(tree.vertices() & s_prime)
-    return {
-        "iter": iteration, "branch": "small", "supers": 0, "covered": covered,
-        "discarded": covered, "max_degree_delta_R": d_r, "max_degree_delta_C": d_c,
-    }

@@ -1,4 +1,9 @@
+import gc
+import weakref
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from poisekit import (
     Graph,
@@ -7,6 +12,7 @@ from poisekit import (
     PoiseGuess,
     PoiseTree,
     SuperTerminal,
+    eccentricity,
     exact_min_poise_ktree,
     find_good_vertex_wrt_super,
     generate_instance,
@@ -18,7 +24,7 @@ from poisekit import (
 from poisekit import undirected
 from poisekit.driver import stage_budget
 from poisekit.errors import InfeasibleGuessError
-from poisekit.undirected import _ceil_cbrt, _ceil_log2, stage_undirected
+from poisekit.undirected import UndirectedStage, _ceil_cbrt, _ceil_log2, stage_undirected
 
 from conftest import hub_stars_instance, middles_instance, undirected_stream
 
@@ -256,3 +262,103 @@ def test_stage_assembles_each_final_region_once(monkeypatch):
     assert len(regions) == len(trees)  # one final tree per fresh solve
     assert len(kept) == len(set(kept)) == len(set(regions)) < len(trees)
     assert set(kept) == set(regions)
+
+
+def _steps(packing):
+    """Every step a stage has built from ``packing`` on, depth first."""
+    for step in packing.steps.values():
+        yield step
+        if step.next is not None:
+            yield from _steps(step.next)
+
+
+def _cell(stage, B):
+    """A cell's (root, parent map in order, peak, trace), or its infeasibility
+    message."""
+    try:
+        solved = stage.solve(B)
+    except InfeasibleGuessError as exc:
+        return str(exc)
+    return solved.tree.root, list(solved.tree.parent.items()), solved.peak, solved.trace
+
+
+def test_row_merges_and_covers_once_per_distinct_step(monkeypatch):
+    # the sweep-und-clusters shape at its one covering row: every budget
+    # covers the first round's super-terminals, and many budgets pick alike;
+    # the region's growth and its cover forest are functions of the picks
+    inst = generate_instance("star-of-stars", {"branch": 10, "leaf": 4, "k": 30, "directed": False})
+    merges, forests = [], []
+    merge, forest = undirected._merge_arcs, undirected._cover_forest
+
+    def merging(*args):
+        merges.append(args)
+        return merge(*args)
+
+    def covering(graph, row, chosen):
+        forests.append(frozenset(chosen))
+        return forest(graph, row, chosen)
+
+    monkeypatch.setattr(undirected, "_merge_arcs", merging)
+    monkeypatch.setattr(undirected, "_cover_forest", covering)
+    stage = stage_budget(inst, 3)
+    budgets = range(1, len(inst.terminals) + 1)
+    solves = [_cell(stage, B) for B in budgets]
+    assert sum(isinstance(cell, str) for cell in solves) == 1
+    assert len(merges) == len(forests) == len(set(forests)) < len(solves) - 1
+    assert len(merges) == len(list(_steps(stage.first)))
+    monkeypatch.undo()
+    assert solves == [_cell(stage_budget(inst, 3), B) for B in budgets]
+
+
+@pytest.mark.parametrize("make", [
+    hub_stars_instance,
+    lambda: generate_instance("grid", {"w": 8, "h": 8, "t": 24, "k": 12, "seed": 2}),
+], ids=["hub-stars", "grid"])
+def test_shared_stage_solves_every_budget_as_a_fresh_stage(monkeypatch, make):
+    # multi-iteration solves: each later round is packed once per distinct
+    # step, however many budgets walk through it, and the rounds and steps
+    # are freed with the stage, without waiting for the cycle collector
+    inst = make()
+    built = []
+
+    class Recording(undirected.SuperRound):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(weakref.ref(self))
+
+    monkeypatch.setattr(undirected, "SuperRound", Recording)
+    budgets = range(1, len(inst.terminals) + 1)
+    later_rounds = 0
+    for D in range(1, eccentricity(inst.graph, inst.root) + 1):
+        stage = stage_budget(inst, D)
+        if not isinstance(stage, UndirectedStage):
+            continue
+        built.clear()
+        shared = [_cell(stage, B) for B in budgets]
+        later = [ref() for ref in built if ref().depth > 1]
+        nexts = [step.next for step in _steps(stage.first) if step.next is not None]
+        assert len(later) == len(nexts) == len({id(r) for r in later} | {id(r) for r in nexts})
+        later_rounds += len(later)
+        del later, nexts
+        gc.disable()
+        try:
+            del stage
+            assert all(ref() is None for ref in built)
+        finally:
+            gc.enable()
+        assert shared == [_cell(stage_budget(inst, D), B) for B in budgets]
+    assert later_rounds > 0
+
+
+@given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
+@settings(max_examples=150, deadline=None)
+def test_shared_stage_matches_fresh_stages_on_random_instances(seed, rng):
+    # one stage per row, its budgets solved in a random order, against a
+    # fresh stage per cell; infeasible cells must give the same message
+    inst = next(undirected_stream(1, seed))
+    budgets = list(range(1, len(inst.terminals) + 1))
+    for D in range(1, eccentricity(inst.graph, inst.root) + 2):
+        stage = stage_budget(inst, D)
+        rng.shuffle(budgets)
+        for B in budgets:
+            assert _cell(stage, B) == _cell(stage_budget(inst, D), B)
