@@ -36,31 +36,72 @@ Element = Hashable
 Pair = tuple[int, int]
 
 
-@dataclass(frozen=True)
 class CoverageSystem:
-    """Ground elements plus (a, c, covered) pairs, unique and sorted by (a, c)."""
+    """Ground elements plus (a, c, covered) pairs, unique and sorted by (a, c),
+    kept as int bitmasks with their uncapped greedy order.
 
-    ground: frozenset
-    pairs: tuple[tuple[int, int, frozenset], ...]
+    Element j of ``elements`` (the ground set in repr order) is bit j, so a
+    pair's gain over a covered mask is ``(mask & ~covered).bit_count()`` and
+    a mask decodes to its elements in repr order.  ``masks[i]`` and
+    ``parts[i]`` are pair i's coverage and anchor; ``part_union`` ORs each
+    part's pair masks.  ``order`` is the uncapped greedy's picks from nothing
+    covered; ``states[p]`` is the coverage of the prefix order[:p] and
+    ``position`` maps it back to p.
+    """
 
     def __init__(self, ground: Iterable[Element], pairs: Iterable[tuple[int, int, frozenset]]):
-        ground = frozenset(ground)
+        self.ground = frozenset(ground)
         dedup: dict[Pair, frozenset] = {}
         for a, c, covered in pairs:
             covered = frozenset(covered)
-            if not covered <= ground:
+            if not covered <= self.ground:
                 raise ValueError(f"pair ({a}, {c}) covers elements outside the ground set")
             if (a, c) in dedup:
                 raise ValueError(f"duplicate pair ({a}, {c})")
             dedup[(a, c)] = covered
-        object.__setattr__(self, "ground", ground)
-        object.__setattr__(
-            self, "pairs", tuple((a, c, dedup[(a, c)]) for a, c in sorted(dedup))
-        )
+        self.pairs = tuple((a, c, dedup[(a, c)]) for a, c in sorted(dedup))
+        self.elements = sorted(self.ground, key=repr)
+        self.bit = {e: 1 << j for j, e in enumerate(self.elements)}
+        self.parts = [a for a, _, _ in self.pairs]
+        self.masks = [self.mask(cov) for _, _, cov in self.pairs]
+        self.part_union: dict[int, int] = {}
+        for a, m in zip(self.parts, self.masks):
+            self.part_union[a] = self.part_union.get(a, 0) | m
+        self.order = _lazy_greedy(self.masks, self.parts, len(self.masks), 0)
+        self.states = [0]
+        for i in self.order:
+            self.states.append(self.states[-1] | self.masks[i])
+        self.position = {state: p for p, state in enumerate(self.states)}
 
-    @functools.cached_property
-    def _greedy(self) -> _GreedyOrder:
-        return _GreedyOrder(self)
+    def mask(self, elements: Iterable[Element]) -> int:
+        """The bitmask of ``elements``; any outside the ground set are ignored."""
+        bit, mask = self.bit, 0
+        for e in elements:
+            mask |= bit.get(e, 0)
+        return mask
+
+    def elements_of(self, mask: int) -> list[Element]:
+        """The elements whose bits ``mask`` sets, in repr order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.elements[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    def replay(self, p: int, capacity: int) -> list[int] | None:
+        """The capped greedy's picks from the coverage of order[:p], or None
+        when the order cannot give them (fact 2 of `greedy_matroid_max`)."""
+        load: dict[int, int] = {}
+        for j in range(p, len(self.order)):
+            a = self.parts[self.order[j]]
+            if load.get(a, 0) >= capacity:
+                left = ~self.states[j]
+                if any(m & left for b, m in self.part_union.items() if load.get(b, 0) < capacity):
+                    return None
+                return self.order[p:j]
+            load[a] = load.get(a, 0) + 1
+        return self.order[p:]
 
 
 @dataclass
@@ -71,9 +112,12 @@ class CoverSelection:
 
     chosen: set[Pair]
     covered_elements: set
-    iterations: int
     log: list[dict[str, Any]] = field(default_factory=list)
     peak_load: int = 0
+
+    @property
+    def iterations(self) -> int:
+        return len(self.log)
 
 
 def build_coverage_instance(
@@ -137,12 +181,11 @@ def greedy_matroid_max(
     """
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
-    greedy = system._greedy
-    covered = greedy.mask(already_covered)
-    p = greedy.position.get(covered)
-    picks = None if p is None else greedy.replay(p, capacity)
+    covered = system.mask(already_covered)
+    p = system.position.get(covered)
+    picks = None if p is None else system.replay(p, capacity)
     if picks is None:
-        picks = _lazy_greedy(greedy.masks, greedy.parts, capacity, covered)
+        picks = _lazy_greedy(system.masks, system.parts, capacity, covered)
     return set(picks)
 
 
@@ -175,60 +218,6 @@ def _lazy_greedy(masks: list[int], parts: list[int], capacity: int, covered: int
     return picks
 
 
-class _GreedyOrder:
-    """A coverage system as int bitmasks, with its uncapped greedy order.
-
-    Element j of ``elements`` (the ground set in repr order) is bit j, so a
-    pair's gain over a covered mask is ``(mask & ~covered).bit_count()`` and
-    a mask decodes to its elements in repr order.  ``order`` is the uncapped
-    greedy's picks from nothing covered; ``states[p]`` is the coverage of
-    the prefix order[:p] and ``position`` maps it back to p.
-    ``part_union`` ORs each part's pair masks.
-    """
-
-    def __init__(self, system: CoverageSystem):
-        self.elements = sorted(system.ground, key=repr)
-        self.bit = {e: 1 << j for j, e in enumerate(self.elements)}
-        self.parts = [a for a, _, _ in system.pairs]
-        self.masks = [self.mask(cov) for _, _, cov in system.pairs]
-        self.part_union: dict[int, int] = {}
-        for a, m in zip(self.parts, self.masks):
-            self.part_union[a] = self.part_union.get(a, 0) | m
-        self.order = _lazy_greedy(self.masks, self.parts, len(self.masks), 0)
-        self.states = [0]
-        for i in self.order:
-            self.states.append(self.states[-1] | self.masks[i])
-        self.position = {state: p for p, state in enumerate(self.states)}
-
-    def mask(self, elements: Iterable[Element]) -> int:
-        bit, mask = self.bit, 0
-        for e in elements:
-            mask |= bit.get(e, 0)
-        return mask
-
-    def elements_of(self, mask: int) -> list[Element]:
-        out = []
-        while mask:
-            low = mask & -mask
-            out.append(self.elements[low.bit_length() - 1])
-            mask ^= low
-        return out
-
-    def replay(self, p: int, capacity: int) -> list[int] | None:
-        """The capped greedy's picks from the coverage of order[:p], or None
-        when the order cannot give them (fact 2 of `greedy_matroid_max`)."""
-        load: dict[int, int] = {}
-        for j in range(p, len(self.order)):
-            a = self.parts[self.order[j]]
-            if load.get(a, 0) >= capacity:
-                left = ~self.states[j]
-                if any(m & left for b, m in self.part_union.items() if load.get(b, 0) < capacity):
-                    return None
-                return self.order[p:j]
-            load[a] = load.get(a, 0) + 1
-        return self.order[p:]
-
-
 def default_iteration_cap(target: int) -> int:
     """Iterations at which a halving cover loop must reach a feasible target:
     ceil(log2(target)) + 1."""
@@ -257,16 +246,15 @@ def pm_cover_system(
         raise ValueError("max_iterations must be at least 1")
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
-    selection = CoverSelection(chosen=set(), covered_elements=set(), iterations=0)
-    covered = selection.covered_elements
+    selection = CoverSelection(chosen=set(), covered_elements=set())
+    covered, log = selection.covered_elements, selection.log
     covered_mask = 0
-    while selection.iterations < max_iterations:
+    while len(log) < max_iterations:
         if target is not None and len(covered) >= target:
             break
         if len(covered) == len(system.ground):
             break
         picks = greedy_matroid_max(system, capacity, covered)
-        greedy = system._greedy
         union = 0
         arcs = []
         per_part: dict[int, int] = {}
@@ -274,13 +262,12 @@ def pm_cover_system(
             a, c, _ = system.pairs[i]
             arcs.append((a, c))
             per_part[a] = per_part.get(a, 0) + 1
-            union |= greedy.masks[i]
-        newly = greedy.elements_of(union & ~covered_mask)
-        selection.iterations += 1
+            union |= system.masks[i]
+        newly = system.elements_of(union & ~covered_mask)
         selection.peak_load = max(selection.peak_load, *per_part.values(), 0)
-        selection.log.append(
+        log.append(
             {
-                "iteration": selection.iterations,
+                "iteration": len(log) + 1,
                 "chosen": arcs,
                 "covered": newly,
                 "per_part": per_part,

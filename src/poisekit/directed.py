@@ -253,7 +253,8 @@ class Round:
 
     The solvers pack everything outside R.  All of it reads only (R, its arcs
     ``arcs``, D), so a sweep row keeps the round at R = {root} for every
-    degree budget.  Its base arcs and terminal cover row are built on first
+    degree budget; an undirected region lists each edge once, as its (min,
+    max) key.  Its base arcs and terminal cover row are built on first
     use; only the cover in `complete` reads the degree budget.  The trees it
     assembles are kept in ``assembled`` by the cover's picks, so budgets
     whose covers pick alike share one tree object for as long as the round

@@ -34,7 +34,8 @@ class Graph:
     """Vertex/arc container with a directedness flag.
 
     Arcs are ordered pairs (u, v) without self-loops.  For undirected graphs
-    each edge is canonicalized to (min, max) and exposed in both directions.
+    each edge is canonicalized to (min, max) and exposed in both directions,
+    from one adjacency that answers both `out_neighbors` and `in_neighbors`.
     """
 
     n: int
@@ -55,15 +56,15 @@ class Graph:
         object.__setattr__(self, "arcs", tuple(sorted(seen)))
         object.__setattr__(self, "directed", directed)
         out: list[list[int]] = [[] for _ in range(n)]
-        inc: list[list[int]] = [[] for _ in range(n)]
+        inc: list[list[int]] = [[] for _ in range(n)] if directed else out
         for u, v in self.arcs:
             out[u].append(v)
             inc[v].append(u)
-            if not directed:
-                out[v].append(u)
-                inc[u].append(v)
-        object.__setattr__(self, "_out", tuple(tuple(sorted(a)) for a in out))
-        object.__setattr__(self, "_in", tuple(tuple(sorted(a)) for a in inc))
+        adjacency = tuple(tuple(sorted(a)) for a in out)
+        object.__setattr__(self, "_out", adjacency)
+        if directed:
+            adjacency = tuple(tuple(sorted(a)) for a in inc)
+        object.__setattr__(self, "_in", adjacency)
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
         return self._out[v]  # type: ignore[attr-defined]
@@ -104,8 +105,10 @@ class Graph:
             sub, "arcs", tuple([(u, v) for u, v in self.arcs if u in keep and v in keep])
         )
         object.__setattr__(sub, "directed", self.directed)
-        object.__setattr__(sub, "_out", restrict(self._out))  # type: ignore[attr-defined]
-        object.__setattr__(sub, "_in", restrict(self._in))  # type: ignore[attr-defined]
+        out = restrict(self._out)  # type: ignore[attr-defined]
+        inc = restrict(self._in) if self.directed else out  # type: ignore[attr-defined]
+        object.__setattr__(sub, "_out", out)
+        object.__setattr__(sub, "_in", inc)
         return sub
 
 
@@ -311,6 +314,8 @@ def reach_labels(
                 frontier.setdefault(w, []).append(e)
     in_neighbors = graph._in  # type: ignore[attr-defined]
     for _ in range(D):
+        if not frontier:
+            break  # nothing left to forward: every later level is empty
         accepted: dict[int, list] = {}
         for v, labels in frontier.items():
             for u in in_neighbors[v]:

@@ -13,7 +13,10 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .cover import CoverRow, CoverSelection, SaturatedTree, Solved, _closest_representatives
+from .cover import (
+    CoverRow, CoverSelection, SaturatedTree, Solved, _closest_representatives,
+    default_iteration_cap,
+)
 from .directed import GoodTree, Round, _cover_forest
 from .errors import InfeasibleGuessError
 from .graph import (
@@ -49,10 +52,6 @@ def _ceil_cbrt(t: int) -> int:
     while r * r * r < t:
         r += 1
     return r
-
-
-def _ceil_log2(x: int) -> int:
-    return (x - 1).bit_length() if x >= 1 else 0
 
 
 def small(
@@ -114,16 +113,16 @@ def find_good_vertex_wrt_super(
     return None
 
 
-def _merge_arcs(keys: set[Arc], groups: Iterable[Iterable[Arc]]) -> list[Arc]:
-    """The arcs of ``groups`` whose undirected edge is not in ``keys`` yet,
-    one orientation per edge, in group order; adds their edges to ``keys``."""
+def _merge_arcs(edges: set[Arc], groups: Iterable[Iterable[Arc]]) -> list[Arc]:
+    """The arcs of ``groups`` whose undirected edge is not in ``edges`` yet,
+    one orientation per edge, in group order; adds their edges to ``edges``."""
     added: list[Arc] = []
     for group in groups:
         for arc in group:
             key = _edge_key(arc)
-            if key in keys:
+            if key in edges:
                 continue
-            keys.add(key)
+            edges.add(key)
             added.append(arc)
     return added
 
@@ -146,21 +145,21 @@ class SuperRound(Round):
     rho of them, joined to R when found, or else covered from the
     super-terminal row; each of these is built on first use.
 
-    ``keys`` holds the undirected edges of R's arcs.  The round reads no
-    degree budget: its cover does, and the iteration's `Step` is a function
-    of the round and what the cover picked.  ``steps`` keeps each step by
-    those picks (None for the budget-free aggregation), the way
-    ``assembled`` keeps trees, so every degree budget of a row walks one
-    shared tree of steps from the stage's first round.
+    The region's ``arcs`` are its undirected edges, each once as a (min,
+    max) key: every tree built over them reads an edge in both directions.
+    The round reads no degree budget: its cover does, and the iteration's
+    `Step` is a function of the round and what the cover picked.  ``steps``
+    keeps each step by those picks (None for the budget-free aggregation),
+    the way ``assembled`` keeps trees, so every degree budget of a row walks
+    one shared tree of steps from the stage's first round.
     """
 
     def __init__(
-        self, graph: Graph, root: int, R: frozenset[int], arcs: frozenset[Arc],
-        keys: frozenset[Arc], terminals: Iterable[int], rho: int, D: int, k: int,
-        depth: int = 1,
+        self, graph: Graph, root: int, R: frozenset[int], edges: frozenset[Arc],
+        terminals: Iterable[int], rho: int, D: int, k: int, depth: int = 1,
     ):
-        super().__init__(graph, root, R, arcs, set(graph.vertices()) - R, terminals, rho, D)
-        self.keys, self.k, self.depth = keys, k, depth
+        super().__init__(graph, root, R, edges, set(graph.vertices()) - R, terminals, rho, D)
+        self.k, self.depth = k, depth
         self.steps: dict[frozenset[Arc] | None, Step] = {}
 
     @functools.cached_property
@@ -201,7 +200,7 @@ class SuperRound(Round):
         if self.found is not None:
             key, selection = None, None
         else:
-            cap = min(_ceil_log2(self.k), _ceil_log2(len(self.supers))) + 1
+            cap = min(default_iteration_cap(self.k), default_iteration_cap(len(self.supers)))
             selection = self.super_row.cover(None, B, cap)
             key = frozenset(selection.chosen)
         if key not in self.steps:
@@ -233,8 +232,8 @@ class SuperRound(Round):
         discarded terminals, with its trace records."""
         if not covered and not discarded:
             raise InfeasibleGuessError("iteration neither covered nor discarded terminals")
-        keys = set(self.keys)
-        added = _merge_arcs(keys, groups)
+        edges = set(self.arcs)
+        added = _merge_arcs(edges, groups)
         d_r, d_c = _degree_deltas(added, self.R)
         record = {
             "iter": self.depth, "branch": branch, "supers": len(self.supers),
@@ -244,23 +243,23 @@ class SuperRound(Round):
         detail = {"iter": self.depth, "branch": branch, "covered_terminals": sorted(covered),
                   "discarded_terminals": sorted(discarded)}
         return Step(
-            self.R.union(*added), self.arcs.union(added), frozenset(keys),
-            self.terminals - discarded, len(covered), record, detail,
+            self.R.union(*added), frozenset(edges), self.terminals - discarded, len(covered),
+            record, detail,
         )
 
     def following(self, step: Step) -> SuperRound:
         """The round after ``step``, packed outside its region on first use."""
         if step.next is None:
             step.next = SuperRound(
-                self.graph, self.root, step.R, step.arcs, step.keys, step.s_prime,
-                self.rho, self.D, self.k, self.depth + 1,
+                self.graph, self.root, step.R, step.edges, step.s_prime, self.rho, self.D,
+                self.k, self.depth + 1,
             )
         return step.next
 
     def small_record(self, tree: PoiseTree) -> dict[str, Any]:
         """The trace record of a last iteration that completes this round's
         partition into ``tree``."""
-        added = [a for a in tree.arcs() if _edge_key(a) not in self.keys]
+        added = [a for a in tree.arcs() if _edge_key(a) not in self.arcs]
         d_r, d_c = _degree_deltas(added, self.R)
         covered = len(tree.vertices() & self.terminals)
         return {
@@ -271,9 +270,9 @@ class SuperRound(Round):
 
 @dataclass(eq=False)
 class Step:
-    """One iteration's outcome: the region after it (R, its arcs and their
-    undirected edges), the terminals still in play, how many it covered,
-    and its ``iterations`` and ``detail`` trace records.  It is a function
+    """One iteration's outcome: the region after it (R and its ``edges`` as
+    (min, max) keys), the terminals still in play, how many it covered, and
+    its ``iterations`` and ``detail`` trace records.  It is a function
     of its round and the cover's picks alone, so every degree budget that
     picks alike shares it, records included: nothing may mutate them.
     ``next`` is the following iteration's round, packed on first use by
@@ -281,8 +280,7 @@ class Step:
     a stage's tree of rounds and steps is freed as soon as the stage is."""
 
     R: frozenset[int]
-    arcs: frozenset[Arc]
-    keys: frozenset[Arc]
+    edges: frozenset[Arc]
     s_prime: frozenset[int]
     covered: int
     record: dict[str, Any]
@@ -302,9 +300,10 @@ class UndirectedStage:
     cover's picks, and each later round is the step's ``next``, so the
     budgets of a row share one tree of steps rooted at ``first`` and build
     each distinct step once.  The final tree is a function of the region's
-    arcs alone, so ``assembled`` keeps each by those arcs: budgets that grow
-    the same region, even by different picks, share one tree object for as
-    long as the stage lives.
+    edges alone, so ``assembled`` keeps each by those edges: budgets that
+    grow the same region, even by different picks, share one tree object for
+    as long as the stage lives.  ``k`` is at least 1, so a solve either walks
+    a step or completes a round's partition directly.
     """
 
     instance: MulticastInstance
@@ -351,10 +350,12 @@ class UndirectedStage:
         if small is not None:
             log.append(packing.small_record(small.tree))
             return Solved(small.tree, peak, trace | small.trace)
-        arcs = walked[-1].arcs if walked else self.first.arcs
-        if arcs not in self.assembled:
-            self.assembled[arcs] = shortest_path_tree(self.instance.graph, arcs, self.instance.root)
-        return Solved(self.assembled[arcs], peak, trace)
+        edges = walked[-1].edges
+        if edges not in self.assembled:
+            self.assembled[edges] = shortest_path_tree(
+                self.instance.graph, edges, self.instance.root
+            )
+        return Solved(self.assembled[edges], peak, trace)
 
 
 def stage_undirected(instance: MulticastInstance, D: int) -> UndirectedStage:
@@ -365,8 +366,8 @@ def stage_undirected(instance: MulticastInstance, D: int) -> UndirectedStage:
         raise ValueError("the undirected solver requires an undirected graph")
     root, terminals = instance.root, instance.terminals
     first = SuperRound(
-        g, root, frozenset({root}), frozenset(), frozenset(), terminals,
-        _ceil_cbrt(len(terminals)), D, instance.k,
+        g, root, frozenset({root}), frozenset(), terminals, _ceil_cbrt(len(terminals)), D,
+        instance.k,
     )
     return UndirectedStage(instance, D, first)
 

@@ -27,7 +27,7 @@ from poisekit import (
 from poisekit.cover import default_iteration_cap
 from poisekit.driver import bench_rows
 from poisekit.errors import InfeasibleGuessError
-from poisekit.undirected import _ceil_cbrt, _ceil_log2, stage_undirected
+from poisekit.undirected import _ceil_cbrt, stage_undirected
 
 from conftest import directed_stream, undirected_stream
 
@@ -38,7 +38,7 @@ def ceil_sqrt(k: int) -> int:
 
 
 def log_factor(k: int) -> int:
-    return _ceil_log2(k) + 1
+    return default_iteration_cap(k)
 
 
 def test_criterion_1_directed_additive_bound():

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import poisekit
 from poisekit import jsonio
 from poisekit.cli import main
 
@@ -9,6 +14,7 @@ from conftest import (
     MALFORMED_INSTANCES,
     MALFORMED_SCHEDULES,
     MALFORMED_TREES,
+    hub_stars_instance,
     two_branch_instance,
 )
 
@@ -72,6 +78,21 @@ class TestSolve:
         payload = json.loads(capsys.readouterr().out)
         assert payload["best"]["poise"] == 4
         assert len(payload["records"]) == payload["grid"]["D_max"] * payload["grid"]["B_max"]
+
+    @pytest.mark.parametrize("make", [two_branch_instance, hub_stars_instance],
+                             ids=["directed", "undirected"])
+    def test_huge_height_budget_solves_promptly(self, make, tmp_path):
+        # the search stops once nothing is left to reach, not after D levels
+        path = tmp_path / "inst.json"
+        jsonio.save_instance(make(), path)
+        env = dict(os.environ, PYTHONPATH=str(Path(poisekit.__file__).parent.parent))
+        done = subprocess.run(
+            [sys.executable, "-m", "poisekit.cli", "solve", "--input", str(path),
+             "--B", "2", "--D", str(10**11)],
+            env=env, capture_output=True, text=True, timeout=30,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout)["feasible"]
 
     def test_infeasible_guess_exits_two(self, inst_path):
         assert run(["solve", "--input", inst_path, "--B", "1", "--D", "1"]) == 2

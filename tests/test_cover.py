@@ -280,8 +280,8 @@ def test_greedy_falls_back_when_a_full_part_blocks_the_order():
         [4, 5, 6, 9, 10, 11],
         [(0, 10, frozenset({9, 10, 11})), (0, 11, frozenset({4, 5})), (1, 12, frozenset({6}))],
     )
-    assert system._greedy.order == [0, 1, 2]
-    assert system._greedy.replay(0, 1) is None
+    assert system.order == [0, 1, 2]
+    assert system.replay(0, 1) is None
     assert greedy_matroid_max(system, 1) == eager_greedy(system, 1, ()) == {0, 2}
     sel = pm_cover_system(system, 1, None, 3)
     assert (sel.chosen, sel.covered_elements, sel.iterations, sel.log, sel.peak_load) == (

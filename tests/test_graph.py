@@ -276,6 +276,9 @@ def test_induced_equals_rebuilt_graph(n, seed, directed):
     rebuilt = Graph(n, [(u, v) for u, v in g.arcs if u in keep and v in keep], directed)
     assert graph_fields(sub) == graph_fields(rebuilt)
     assert sub == rebuilt
+    if not directed:  # one adjacency answers both directions, in each copy
+        for graph in (g, sub):
+            assert all(graph.in_neighbors(v) is graph.out_neighbors(v) for v in range(n))
 
 
 @given(n=st.integers(2, 20), seed=st.integers(0, 10**6), directed=st.booleans())

@@ -7,7 +7,9 @@ stars whose leaf count is at least ceil(t^(1/3)) turn every hub into a
 super-terminal that only the cover loop can reach.  Grids of either
 orientation and undirected random graphs mix the small, large and cover
 iterations, which share their cover rows; directed random graphs pack many
-trees through the screened greedy packing.  Every feasible cell of
+trees through the screened greedy packing.  The undirected stars of stars
+and grids are swept by the directed solver too (``mode="directed"``), the
+one solver choice that changes behaviour.  Every feasible cell of
 the sweep grid must give a valid k-tree with a valid optimal schedule, and
 the row-staged solve must agree with an unstaged solve at every degree
 budget, both solved afresh (`stage.solve`) and along the sweep's own path
@@ -34,19 +36,20 @@ def _outcome(solve):
         return str(exc)
 
 
-def check_every_cell(instance) -> list[str]:
-    """Check every (B, D) cell; return the branches the feasible ones took,
-    plus "kept" for each cell whose `finish` returned the very tree of the
-    cell before it: the tree a row keeps while the budget saturates, or one
-    that comes back from the row's memo of assembled trees."""
+def check_every_cell(instance, mode: str = "auto") -> list[str]:
+    """Check every (B, D) cell of solver ``mode``; return the branches the
+    feasible ones took, plus "kept" for each cell whose `finish` returned the
+    very tree of the cell before it: the tree a row keeps while the budget
+    saturates, or one that comes back from the row's memo of assembled
+    trees."""
     branches = []
     for D in range(1, eccentricity(instance.graph, instance.root) + 1):
-        stage = stage_budget(instance, D)
+        stage = stage_budget(instance, D, mode)
         previous = None
         for B in range(1, len(instance.terminals) + 1):
             solved = _outcome(lambda: stage.solve(B))
             swept = _outcome(lambda: stage.finish(B))
-            unstaged = _outcome(lambda: solve_guess(instance, PoiseGuess(B, D)))
+            unstaged = _outcome(lambda: solve_guess(instance, PoiseGuess(B, D), mode))
             if swept is previous and not isinstance(swept, str):
                 branches.append("kept")
             previous = swept
@@ -99,6 +102,7 @@ def test_star_of_stars_pmcover_cells(leaf, data):
     )
     branches = check_every_cell(instance)
     assert "undirected-pmcover" in branches and "kept" in branches
+    check_every_cell(instance, "directed")  # the directed solver on an undirected graph
 
 
 @given(
@@ -117,6 +121,8 @@ def test_grid_cells(w, h, t_share, k_share, directed, seed):
         "grid", {"w": w, "h": h, "t": t, "k": k, "seed": seed, "directed": directed}
     )
     check_every_cell(instance)
+    if not directed:
+        check_every_cell(instance, "directed")
 
 
 @given(

@@ -22,9 +22,10 @@ from poisekit import (
     tree_metrics,
 )
 from poisekit import undirected
+from poisekit.cover import default_iteration_cap
 from poisekit.driver import stage_budget
 from poisekit.errors import InfeasibleGuessError
-from poisekit.undirected import UndirectedStage, _ceil_cbrt, _ceil_log2, stage_undirected
+from poisekit.undirected import UndirectedStage, _ceil_cbrt, stage_undirected
 
 from conftest import hub_stars_instance, middles_instance, undirected_stream
 
@@ -193,7 +194,7 @@ class TestSolveUndirected:
             rho = _ceil_cbrt(t)
             log = trace["iterations"]
             assert len(log) <= rho + 1
-            lg = _ceil_log2(inst.k) + 1
+            lg = default_iteration_cap(inst.k)
             for rec in log:
                 assert rec["max_degree_delta_C"] <= 2 * rho + 2
                 if rec["branch"] == "pmcover":
