@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import sys
 from pathlib import Path
@@ -35,6 +36,14 @@ EXIT_INVALID = 3
 def _fail(message: str, code: int = EXIT_USAGE) -> SystemExit:
     print(message, file=sys.stderr)
     return SystemExit(code)
+
+
+def _write(path: str, text: str) -> None:
+    # newline="" keeps "\n" on every platform, as the bench CSV always had
+    try:
+        Path(path).write_text(text, newline="")
+    except OSError as exc:
+        raise _fail(f"error: cannot write {path!r}: {exc.strerror or exc}")
 
 
 def _load_instance(path: str) -> MulticastInstance:
@@ -120,7 +129,7 @@ def cmd_gen(args: argparse.Namespace) -> int:
         raise _fail(f"error: {exc}")
     text = jsonio.instance_to_json(instance)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write(args.out, text + "\n")
     else:
         print(text)
     return EXIT_OK
@@ -140,10 +149,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         result["metrics"] = prep.metrics_pair(tree)
         print(json.dumps(result))
         if args.out:
-            jsonio.save_tree(prep.tree_in_original(tree), args.out)
+            _write(args.out, jsonio.tree_to_json(prep.tree_in_original(tree)) + "\n")
         if args.trace:
             best = stage_budget(prep.instance, report.best["D"], args.mode)
-            _write_trace(best.solve(report.best["B"]).trace, args.trace)
+            _write_trace(best.trace(report.best["B"]), args.trace)
         return EXIT_OK
     if args.B is None or args.D is None:
         raise _fail("error: provide --B and --D, or use --sweep")
@@ -151,18 +160,19 @@ def cmd_solve(args: argparse.Namespace) -> int:
         guess = PoiseGuess(args.B, args.D)
     except ValueError as exc:
         raise _fail(f"error: {exc}")
+    stage = stage_budget(prep.instance, guess.D, args.mode)
     try:
-        solved = stage_budget(prep.instance, guess.D, args.mode).solve(guess.B)
+        tree = stage.solve(guess.B)
     except InfeasibleGuessError as exc:
         print(json.dumps({"feasible": False, "B": args.B, "D": args.D, "reason": str(exc)}))
         return EXIT_INFEASIBLE
     print(json.dumps({
-        "feasible": True, "B": args.B, "D": args.D, "metrics": prep.metrics_pair(solved.tree),
+        "feasible": True, "B": args.B, "D": args.D, "metrics": prep.metrics_pair(tree),
     }))
     if args.out:
-        jsonio.save_tree(prep.tree_in_original(solved.tree), args.out)
+        _write(args.out, jsonio.tree_to_json(prep.tree_in_original(tree)) + "\n")
     if args.trace:
-        _write_trace(solved.trace, args.trace)
+        _write_trace(stage.trace(guess.B), args.trace)
     return EXIT_OK
 
 
@@ -171,9 +181,9 @@ def _write_trace(trace: dict, path: str) -> None:
     # are a single JSON object
     if trace.get("solver") == "undirected":
         lines = [json.dumps(rec) for rec in trace.get("iterations", [])]
-        Path(path).write_text("\n".join(lines) + ("\n" if lines else ""))
+        _write(path, "\n".join(lines) + ("\n" if lines else ""))
     else:
-        Path(path).write_text(json.dumps(trace) + "\n")
+        _write(path, json.dumps(trace) + "\n")
 
 
 def cmd_schedule(args: argparse.Namespace) -> int:
@@ -188,7 +198,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         raise _fail(f"error: tree inconsistent with instance: {exc}")
     schedule = tree_broadcast_schedule(tree)
     if args.out:
-        jsonio.save_schedule(schedule, args.out)
+        _write(args.out, jsonio.schedule_to_json(schedule) + "\n")
     doubling, poise_half = round_lower_bounds(instance, tree)
     print(json.dumps({
         "rounds": len(schedule.rounds),
@@ -207,7 +217,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     report = validate_schedule(instance, schedule, instance.k)
     text = json.dumps(report.to_dict())
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        _write(args.out, text + "\n")
     print(text)
     return EXIT_OK if report.valid else EXIT_INVALID
 
@@ -234,12 +244,12 @@ def cmd_bench(args: argparse.Namespace) -> int:
     except (ValueError, GenerationError) as exc:
         raise _fail(f"error: {exc}")
     columns = BENCH_COLUMNS + (["time_ms"] if args.with_timing else [])
-    out = Path(args.out)
-    with out.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=columns, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    print(f"wrote {len(rows)} rows to {out}")
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    _write(args.out, text.getvalue())
+    print(f"wrote {len(rows)} rows to {Path(args.out)}")
     return EXIT_OK
 
 

@@ -27,10 +27,10 @@ from __future__ import annotations
 import functools
 import heapq
 from dataclasses import dataclass, field
-from typing import Any, Callable, Hashable, Iterable, Mapping
+from typing import Any, Hashable, Iterable, Mapping
 
 from .errors import InfeasibleGuessError
-from .graph import Graph, PoiseTree, bfs_parents, chain_parents, reach_labels
+from .graph import Graph, bfs_parents, chain_parents, reach_labels
 
 Element = Hashable
 Pair = tuple[int, int]
@@ -110,7 +110,7 @@ class CoverSelection:
     log.  ``peak_load`` is the most pairs any one part took in one iteration:
     while it stays below the capacity, the capacity never bound a pick."""
 
-    chosen: set[Pair]
+    chosen: frozenset[Pair]
     covered_elements: set
     log: list[dict[str, Any]] = field(default_factory=list)
     peak_load: int = 0
@@ -246,9 +246,10 @@ def pm_cover_system(
         raise ValueError("max_iterations must be at least 1")
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
-    selection = CoverSelection(chosen=set(), covered_elements=set())
-    covered, log = selection.covered_elements, selection.log
-    covered_mask = 0
+    chosen: set[Pair] = set()
+    covered: set = set()
+    log: list[dict[str, Any]] = []
+    covered_mask = peak_load = 0
     while len(log) < max_iterations:
         if target is not None and len(covered) >= target:
             break
@@ -264,7 +265,7 @@ def pm_cover_system(
             per_part[a] = per_part.get(a, 0) + 1
             union |= system.masks[i]
         newly = system.elements_of(union & ~covered_mask)
-        selection.peak_load = max(selection.peak_load, *per_part.values(), 0)
+        peak_load = max(peak_load, *per_part.values(), 0)
         log.append(
             {
                 "iteration": len(log) + 1,
@@ -279,10 +280,10 @@ def pm_cover_system(
                     "coverage stalled: an iteration covered no new elements"
                 )
             break
-        selection.chosen.update(arcs)
+        chosen.update(arcs)
         covered.update(newly)
         covered_mask |= union
-    return selection
+    return CoverSelection(frozenset(chosen), covered, log, peak_load)
 
 
 def pm_cover(
@@ -325,6 +326,13 @@ class CoverRow:
     disjoint representatives.
     Nothing is computed until first asked for: the coverage system on the
     first cover, c's arcs on the first ``arcs(c)``.
+
+    The row is the one place the degree budget B reaches, as the capacity of
+    its covers, and the greedy reads the capacity only once a part holds that
+    many picks.  So a cover whose ``peak_load`` stayed below B never met its
+    capacity, and every budget above that ``peak_load`` replays the same
+    picks: the row keeps the last such selection per (target,
+    max_iterations) and returns it for those budgets without covering again.
     """
 
     def __init__(
@@ -340,6 +348,7 @@ class CoverRow:
         self.A, self.C = frozenset(A), frozenset(C)
         self.location = element_location
         self._arcs: dict[int, frozenset[Pair]] = {}
+        self._unbound: dict[tuple[int | None, int | None], CoverSelection] = {}
 
     @functools.cached_property
     def system(self) -> CoverageSystem:
@@ -354,11 +363,20 @@ class CoverRow:
     def cover(
         self, target: int | None, B: int, max_iterations: int | None = None
     ) -> CoverSelection:
-        """`pm_cover` at degree budget B on this row's system."""
-        return pm_cover(
+        """`pm_cover` at degree budget B on this row's system, or the kept
+        selection when B is above its ``peak_load``; callers share it and
+        must not modify it."""
+        key = (target, max_iterations)
+        kept = self._unbound.get(key)
+        if kept is not None and B > kept.peak_load:
+            return kept
+        selection = pm_cover(
             self.graph, self.root, self.A, self.C, self.location, self.location,
             target, B, self.D, max_iterations, system=self.system,
         )
+        if selection.peak_load < B:
+            self._unbound[key] = selection
+        return selection
 
     def arcs(self, c: int) -> frozenset[Pair]:
         """The arcs that realise c's coverage: the BFS paths in G[C] from c to
@@ -383,38 +401,3 @@ def _closest_representatives(
             closest[e] = (d, w)
     return closest
 
-
-@dataclass(frozen=True)
-class Solved:
-    """One solve of a (B, D) cell: its tree, the largest `peak_load` of its
-    covers (0 without a cover), and its trace (see the README's file
-    formats)."""
-
-    tree: PoiseTree
-    peak: int
-    trace: dict[str, Any]
-
-
-class SaturatedTree:
-    """A sweep row's tree once its degree budget no longer binds.
-
-    A stage reads the degree budget B only as the capacity of its covers'
-    partition matroid, and the greedy reads the capacity only once a part
-    holds that many picks.  So when every cover of one solve peaked below B
-    (`Solved.peak`), the capacity never bound, and every budget above that
-    peak replays the same picks and builds the same tree.  A stage keeps that
-    one tree and returns it for those budgets unsolved.
-    """
-
-    def __init__(self) -> None:
-        self.peak = 0
-        self.tree: PoiseTree | None = None
-
-    def finish(self, B: int, solve: Callable[[int], Solved]) -> PoiseTree:
-        """The tree at degree budget B; ``solve(B)`` solves the cell."""
-        if self.tree is not None and B > self.peak:
-            return self.tree
-        solved = solve(B)
-        if solved.peak < B:
-            self.peak, self.tree = solved.peak, solved.tree
-        return solved.tree

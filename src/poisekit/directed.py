@@ -13,10 +13,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Sequence
 
-from .cover import CoverRow, CoverSelection, SaturatedTree, Solved
+from .cover import CoverRow, CoverSelection
 from .errors import InfeasibleGuessError
 from .graph import (
     Graph,
@@ -237,7 +237,7 @@ def complete(
             raise InfeasibleGuessError(
                 "matroid cover hit its iteration cap below the coverage target"
             )
-    chosen = frozenset(selection.chosen) if selection else frozenset()
+    chosen = selection.chosen if selection else frozenset()
     if assembled is None:
         assembled = {}
     if chosen not in assembled:
@@ -257,8 +257,9 @@ class Round:
     max) key.  Its base arcs and terminal cover row are built on first
     use; only the cover in `complete` reads the degree budget.  The trees it
     assembles are kept in ``assembled`` by the cover's picks, so budgets
-    whose covers pick alike share one tree object for as long as the round
-    lives.
+    whose covers pick alike, every budget above an unbound cover's
+    ``peak_load`` among them (`CoverRow`), share one tree object for as long
+    as the round lives.
     """
 
     def __init__(
@@ -292,16 +293,18 @@ class Round:
             self.graph, self.root, A, C, {t: (t,) for t in sorted(self.terminals & C)}, self.D
         )
 
-    def complete(self, k_remaining: int, B: int) -> Solved:
+    def complete(self, k_remaining: int, B: int) -> tuple[PoiseTree, CoverSelection | None]:
         """`complete` the partition at degree budget B: k_remaining terminals
-        are still required, of which the packed trees hold some.  The trace
-        holds the cover loop's log and the count left to cover."""
+        are still required, of which the packed trees hold some."""
         k_remaining -= len(self.packed & self.terminals)
-        tree, selection = complete(
-            self.graph, self.root, self.base, self.row, k_remaining, B, self.assembled
-        )
-        log, peak = ([], 0) if selection is None else (selection.log, selection.peak_load)
-        return Solved(tree, peak, {"pmcover": log, "k_remaining": k_remaining})
+        return complete(self.graph, self.root, self.base, self.row, k_remaining, B, self.assembled)
+
+    def trace(self, k_remaining: int, B: int) -> dict[str, Any]:
+        """The trace of `complete` at degree budget B: the cover loop's log
+        and the count left to cover.  Raises as `complete` does."""
+        _, selection = self.complete(k_remaining, B)
+        log = [] if selection is None else selection.log
+        return {"pmcover": log, "k_remaining": k_remaining - len(self.packed & self.terminals)}
 
 
 @dataclass(frozen=True)
@@ -311,23 +314,19 @@ class DirectedStage:
     On an instance pruned to radius D it holds the packing round at {root}
     and, when that yields at least rho trees, their stitched tree, which then
     answers every degree budget.  Otherwise `solve` completes the round's
-    few-trees partition for one degree budget B; `finish` does so until the
-    budget saturates (`SaturatedTree`).
+    few-trees partition for one degree budget B.  `trace(B)` renders the
+    solve's trace (see the README's file formats) on request.
     """
 
     instance: MulticastInstance
     D: int
     round: Round
     stitched: PoiseTree | None
-    saturated: SaturatedTree = field(default_factory=SaturatedTree, compare=False)
-
-    def finish(self, B: int) -> PoiseTree:
-        return self.saturated.finish(B, self.solve)
 
     @functools.cached_property
     def shared_trace(self) -> dict[str, Any]:
-        """The part of every solve's trace that reads no degree budget: the
-        packed trees and the branch.  Solves copy it before adding theirs."""
+        """The part of every trace that reads no degree budget: the packed
+        trees and the branch.  Traces copy it before adding theirs."""
         packing = self.round
         trees = packing.trees
         good = [{"root": t.root_vertex, "terminals": sorted(t.terminals)} for t in trees]
@@ -341,11 +340,15 @@ class DirectedStage:
             trace["packed"] = sorted(packing.packed)
         return trace
 
-    def solve(self, B: int) -> Solved:
+    def solve(self, B: int) -> PoiseTree:
         if self.stitched is not None:
-            return Solved(self.stitched, 0, dict(self.shared_trace))
-        solved = self.round.complete(self.instance.k, B)
-        return Solved(solved.tree, solved.peak, self.shared_trace | solved.trace)
+            return self.stitched
+        return self.round.complete(self.instance.k, B)[0]
+
+    def trace(self, B: int) -> dict[str, Any]:
+        if self.stitched is not None:
+            return dict(self.shared_trace)
+        return self.shared_trace | self.round.trace(self.instance.k, B)
 
 
 def stage_directed(instance: MulticastInstance, D: int) -> DirectedStage:
@@ -373,4 +376,4 @@ def solve_directed(instance: MulticastInstance, guess: PoiseGuess) -> PoiseTree:
     and height at most 3*D + 1 whenever the guess dominates an optimal tree;
     otherwise raises InfeasibleGuessError.
     """
-    return stage_directed(instance, guess.D).finish(guess.B)
+    return stage_directed(instance, guess.D).solve(guess.B)

@@ -6,7 +6,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from .cover import Solved
 from .directed import DirectedStage, stage_directed
 from .errors import GenerationError, InfeasibleGuessError
 from .generators import generate_instance
@@ -48,10 +47,10 @@ class InfeasibleStage:
 
     reason: str
 
-    def solve(self, B: int) -> Solved:
+    def solve(self, B: int) -> PoiseTree:
         raise InfeasibleGuessError(self.reason)
 
-    finish = solve  # both raise
+    trace = solve  # both raise
 
 
 Stage = DirectedStage | UndirectedStage | InfeasibleStage
@@ -65,8 +64,8 @@ def stage_budget(
 ) -> Stage:
     """The work shared by every guess with height budget D: prune to radius
     D, then the solver's own D-only stage.  ``stage.solve(B)`` solves the
-    guess (B, D) into a `Solved`; ``stage.finish(B)`` gives only its tree,
-    kept while B saturates.  ``root_dist`` is passed on to `prune_beyond`.
+    guess (B, D) into its tree, and ``stage.trace(B)`` renders that solve's
+    trace on request.  ``root_dist`` is passed on to `prune_beyond`.
 
     The instance must already be in normalized shape (leaf terminals).
     """
@@ -90,7 +89,7 @@ def solve_guess(
     mode: str = "auto",
     stage: Stage | None = None,
 ) -> PoiseTree:
-    """Solve one (B, D) guess: finish ``stage``, the guess's D-only stage
+    """Solve one (B, D) guess: solve ``stage``, the guess's D-only stage
     from `stage_budget`, at degree budget B.  Without ``stage`` it is built
     here.
 
@@ -98,7 +97,7 @@ def solve_guess(
     """
     if stage is None:
         stage = stage_budget(instance, guess.D, mode)
-    return stage.finish(guess.B)
+    return stage.solve(guess.B)
 
 
 def run_sweep(
@@ -112,8 +111,8 @@ def run_sweep(
     distances every row prunes from.  The sweep runs one D row at a time and
     builds the row's D-only stage once; the first cell of each row carries the
     stage's time in its ``wall_ms``.  A row's cells share tree objects (a
-    saturated degree budget, a stitched tree, or a tree the stage kept for
-    the same cover picks), so each tree is measured once per row: a map from
+    stitched tree, or a tree the stage kept for the same cover picks or
+    region), so each tree is measured once per row: a map from
     each tree object to its metrics lives, with the trees it holds, until
     the row ends.  Records are reported in (B, D) order.
     """

@@ -67,7 +67,7 @@ def _check_size(model: str, count: int, cap: int = MAX_VERTICES, what: str = "ve
         raise GenerationError(f"{model}: {count} {what} exceed the cap of {cap}")
 
 
-def _finish(graph: Graph, root: int, terms: list[int], k: int) -> MulticastInstance:
+def _reachable_instance(graph: Graph, root: int, terms: list[int], k: int) -> MulticastInstance:
     reachable = bfs_distances(graph, [root]).keys()
     if sum(1 for t in terms if t in reachable) < k:
         raise GenerationError("root cannot reach k terminals")
@@ -98,7 +98,7 @@ def _random_digraph(params: dict) -> MulticastInstance:
         if connected and len(reach) < n:
             continue
         if sum(1 for s in terms if s in reach) >= k:
-            return _finish(graph, 0, terms, k)
+            return _reachable_instance(graph, 0, terms, k)
     raise GenerationError("random-digraph: could not reach k terminals after retries")
 
 
@@ -146,7 +146,7 @@ def _layered_dag(params: dict) -> MulticastInstance:
                 arcs.append((u, v))
         layers.append(layer)
     terms = sorted(rng.sample(layers[-1], t))
-    return _finish(Graph(nxt, arcs, directed), 0, terms, k)
+    return _reachable_instance(Graph(nxt, arcs, directed), 0, terms, k)
 
 
 def _grid(params: dict) -> MulticastInstance:
@@ -174,7 +174,7 @@ def _grid(params: dict) -> MulticastInstance:
                 arcs.append((v, v + 1))
             if y + 1 < h:
                 arcs.append((v, v + w))
-    return _finish(Graph(n, arcs, directed), 0, terms, k)
+    return _reachable_instance(Graph(n, arcs, directed), 0, terms, k)
 
 
 def _star_of_stars(params: dict) -> MulticastInstance:
@@ -197,4 +197,4 @@ def _star_of_stars(params: dict) -> MulticastInstance:
     k = _int(params, "k", len(leaves))
     if k > len(leaves):
         raise GenerationError(f"star-of-stars: cannot cover k={k} with {len(leaves)} terminals")
-    return _finish(Graph(nxt, arcs, directed), 0, leaves, k)
+    return _reachable_instance(Graph(nxt, arcs, directed), 0, leaves, k)

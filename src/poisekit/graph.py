@@ -88,7 +88,7 @@ class Graph:
         them.  An adjacency tuple that loses nothing is shared.
         """
         # Tuples are built from lists: tuple() over a generator resizes as it
-        # grows, which raised the sweep benchmark's peak memory by 4-5%.
+        # grows, which raised the sweep benchmark's `peak_rss_mb` by 4-5%.
         def restrict(adjacency: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
             rows = []
             for u, row in enumerate(adjacency):

@@ -161,13 +161,5 @@ def load_tree(path: str | Path) -> PoiseTree:
     return tree_from_json(Path(path).read_text())
 
 
-def save_tree(tree: PoiseTree, path: str | Path) -> None:
-    Path(path).write_text(tree_to_json(tree) + "\n")
-
-
 def load_schedule(path: str | Path) -> Schedule:
     return schedule_from_json(Path(path).read_text())
-
-
-def save_schedule(schedule: Schedule, path: str | Path) -> None:
-    Path(path).write_text(schedule_to_json(schedule) + "\n")

@@ -13,10 +13,7 @@ import functools
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
-from .cover import (
-    CoverRow, CoverSelection, SaturatedTree, Solved, _closest_representatives,
-    default_iteration_cap,
-)
+from .cover import CoverRow, CoverSelection, _closest_representatives, default_iteration_cap
 from .directed import GoodTree, Round, _cover_forest
 from .errors import InfeasibleGuessError
 from .graph import (
@@ -68,8 +65,8 @@ def small(
 
     When fewer than that many trees exist the packing is an additive
     partition anchored at the root plus the packed vertices, so the cover
-    completion finishes the whole job and the finished tree is returned.
-    Otherwise the packed trees come back for contraction.
+    completion does the whole job and its tree is returned.  Otherwise the
+    packed trees come back for contraction.
 
     The solver does not call this: its first iteration is the stage's
     `SuperRound`.  It stays as the first iteration on its own, for the tests
@@ -78,7 +75,7 @@ def small(
     packing = Round(graph, root, {root}, (), C, terminals, _ceil_cbrt(t), D)
     if len(packing.trees) >= packing.rho:
         return list(packing.trees)
-    return packing.complete(k_remaining, B).tree
+    return packing.complete(k_remaining, B)[0]
 
 
 def find_good_vertex_wrt_super(
@@ -193,19 +190,18 @@ class SuperRound(Round):
             {s.id: s.representatives for s in self.supers}, self.D,
         )
 
-    def step(self, B: int) -> tuple[Step, int]:
-        """This round's iteration at degree budget B, with its cover's
-        ``peak_load`` (0 when it aggregates).  Only the cover runs per
-        budget; the step is built once per distinct picks."""
+    def step(self, B: int) -> Step:
+        """This round's iteration at degree budget B.  Only the cover runs
+        per budget; the step is built once per distinct picks."""
         if self.found is not None:
             key, selection = None, None
         else:
             cap = min(default_iteration_cap(self.k), default_iteration_cap(len(self.supers)))
             selection = self.super_row.cover(None, B, cap)
-            key = frozenset(selection.chosen)
+            key = selection.chosen
         if key not in self.steps:
             self.steps[key] = self._aggregated() if selection is None else self._covered(selection)
-        return self.steps[key], 0 if selection is None else selection.peak_load
+        return self.steps[key]
 
     def _aggregated(self) -> Step:
         _, big = self.found
@@ -294,37 +290,34 @@ class UndirectedStage:
 
     On an instance pruned to radius D it holds the first iteration's round,
     packed while the region is just the root.  `solve` runs the iterations
-    for one degree budget B, and `finish` does so until the budget
-    saturates (`SaturatedTree`).  A solve runs only its covers, which read
-    B; every other part of an iteration is the round's `Step` for the
-    cover's picks, and each later round is the step's ``next``, so the
-    budgets of a row share one tree of steps rooted at ``first`` and build
-    each distinct step once.  The final tree is a function of the region's
-    edges alone, so ``assembled`` keeps each by those edges: budgets that
-    grow the same region, even by different picks, share one tree object for
-    as long as the stage lives.  ``k`` is at least 1, so a solve either walks
-    a step or completes a round's partition directly.
+    for one degree budget B and `trace(B)` renders their trace on request;
+    both take one `_walk`.  A walk runs only its covers, which read B;
+    every other part of an iteration is the round's `Step` for the cover's
+    picks, and each later round is the step's ``next``, so the budgets of a
+    row share one tree of steps rooted at ``first`` and build each distinct
+    step once.  The final tree is a function of the region's edges alone, so
+    ``assembled`` keeps each by those edges: budgets that grow the same
+    region, even by different picks, share one tree object for as long as
+    the stage lives.  ``k`` is at least 1, so a walk either takes a step or
+    completes a round's partition directly.
     """
 
     instance: MulticastInstance
     D: int
     first: SuperRound
-    saturated: SaturatedTree = field(default_factory=SaturatedTree, compare=False)
     assembled: dict[frozenset[Arc], PoiseTree] = field(
         default_factory=dict, compare=False, repr=False
     )
 
-    def finish(self, B: int) -> PoiseTree:
-        return self.saturated.finish(B, self.solve)
-
-    def solve(self, B: int) -> Solved:
+    def _walk(self, B: int) -> tuple[list[Step], SuperRound, int, PoiseTree | None]:
+        """The steps a solve at degree budget B takes, the round it ends in,
+        the count still required there, and the tree that round's partition
+        completes into (None when the last step's region is the answer)."""
         t = len(self.instance.terminals)
         k_rem = self.instance.k
         packing = self.first
         s_prime = packing.terminals
         walked: list[Step] = []
-        small: Solved | None = None
-        peak = 0
         while k_rem > 0:
             if len(walked) >= t + 2:
                 raise InfeasibleGuessError("no progress across iterations")
@@ -335,27 +328,34 @@ class UndirectedStage:
             if walked:
                 packing = packing.following(walked[-1])
             if len(packing.trees) < packing.rho:
-                small = packing.complete(k_rem, B)
-                peak = max(peak, small.peak)
-                break
-            step, load = packing.step(B)
-            peak = max(peak, load)
+                return walked, packing, k_rem, packing.complete(k_rem, B)[0]
+            step = packing.step(B)
             walked.append(step)
             s_prime = step.s_prime
             k_rem -= step.covered
-        log = [step.record for step in walked]
-        trace = {"solver": "undirected", "rho": self.first.rho, "iterations": log}
-        if walked:
-            trace["detail"] = [step.detail for step in walked]
-        if small is not None:
-            log.append(packing.small_record(small.tree))
-            return Solved(small.tree, peak, trace | small.trace)
+        return walked, packing, k_rem, None
+
+    def solve(self, B: int) -> PoiseTree:
+        walked, _, _, completed = self._walk(B)
+        if completed is not None:
+            return completed
         edges = walked[-1].edges
         if edges not in self.assembled:
             self.assembled[edges] = shortest_path_tree(
                 self.instance.graph, edges, self.instance.root
             )
-        return Solved(self.assembled[edges], peak, trace)
+        return self.assembled[edges]
+
+    def trace(self, B: int) -> dict[str, Any]:
+        walked, packing, k_rem, completed = self._walk(B)
+        log = [step.record for step in walked]
+        trace = {"solver": "undirected", "rho": self.first.rho, "iterations": log}
+        if walked:
+            trace["detail"] = [step.detail for step in walked]
+        if completed is None:
+            return trace
+        log.append(packing.small_record(completed))
+        return trace | packing.trace(k_rem, B)
 
 
 def stage_undirected(instance: MulticastInstance, D: int) -> UndirectedStage:
@@ -381,5 +381,5 @@ def solve_undirected(instance: MulticastInstance, guess: PoiseGuess) -> PoiseTre
     (ceil(log2 k) + 1) * B * ceil(t^(1/3)) + 2*ceil(t^(1/3)) + 2 whenever the
     budget dominates an optimal tree, else raises InfeasibleGuessError.
     """
-    return stage_undirected(instance, guess.D).finish(guess.B)
+    return stage_undirected(instance, guess.D).solve(guess.B)
 

@@ -72,12 +72,12 @@ def test_criterion_2_undirected_bounds():
         count += 1
         res = exact_min_poise_ktree(inst)
         pruned = prune_beyond(inst, res.D_star)
-        solved = stage_undirected(pruned, res.D_star).solve(res.B_star)
-        tree = solved.tree
+        stage = stage_undirected(pruned, res.D_star)
+        tree = stage.solve(res.B_star)
         m = tree_metrics(tree, inst)
         t = len(inst.terminals)
         rho = _ceil_cbrt(t)
-        log = solved.trace["iterations"]
+        log = stage.trace(res.B_star)["iterations"]
         if m.terminals_covered < inst.k:
             violations.append(("coverage", inst, m))
         if len(log) > rho + 1:

@@ -309,3 +309,30 @@ class TestOriginalCoordinates:
         for rec in lines:
             assert set(rec) == {"iter", "branch", "supers", "covered", "discarded",
                                 "max_degree_delta_R", "max_degree_delta_C"}
+
+
+@pytest.mark.parametrize("site", [
+    ["gen", "--model", "star-of-stars", "--param", "branch=2", "--param", "leaf=2",
+     "--k", "3", "--out"],
+    ["solve", "--input", "{inst}", "--B", "2", "--D", "2", "--out"],
+    ["solve", "--input", "{inst}", "--B", "2", "--D", "2", "--trace"],
+    ["solve", "--input", "{inst}", "--sweep", "--out"],
+    ["solve", "--input", "{inst}", "--sweep", "--trace"],
+    ["schedule", "--input", "{inst}", "--tree", "{tree}", "--out"],
+    ["validate", "--input", "{inst}", "--schedule", "{sched}", "--out"],
+    ["bench", "--suite", "quick", "--out"],
+], ids=[
+    "gen-out", "solve-out", "solve-trace", "sweep-out", "sweep-trace",
+    "schedule-out", "validate-out", "bench-out",
+])
+def test_unwritable_output_exits_one_with_one_line(site, inst_path, tmp_path, capsys):
+    tree, sched = tmp_path / "tree.json", tmp_path / "sched.json"
+    assert run(["solve", "--input", inst_path, "--B", "2", "--D", "2", "--out", str(tree)]) == 0
+    assert run(["schedule", "--input", inst_path, "--tree", str(tree), "--out", str(sched)]) == 0
+    capsys.readouterr()
+    bad = str(tmp_path / "no-such-dir" / "out")
+    argv = [a.format(inst=inst_path, tree=tree, sched=sched) for a in site] + [bad]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {bad!r}: ") and err.count("\n") == 1
+    assert "Traceback" not in err

@@ -17,7 +17,9 @@ from poisekit import (
 )
 from poisekit import cover
 from poisekit.cover import CoverRow, default_iteration_cap
+from poisekit.driver import stage_budget
 from poisekit.errors import InfeasibleGuessError
+from poisekit.generators import generate_instance
 
 from conftest import random_graph
 
@@ -432,6 +434,82 @@ class TestCoverRow:
         assert row.arcs(1) == {(1, 3)} and row.arcs(1) == {(1, 3)}
         assert row.arcs(2) == {(2, 4)} and row.arcs(2) == {(2, 4)}
         assert calls == ["system", [1], [2]]
+
+
+def layered_terminal_row():
+    """The sweep-dir-layered shape: no vertex is rho-good, so the few-trees
+    round covers its terminals.  (row, target, iteration cap, t)."""
+    inst = generate_instance("layered-dag", {"width": 90, "depth": 2, "t": 90, "k": 72, "seed": 0})
+    stage = stage_budget(inst, 3)
+    assert stage.stitched is None
+    packing = stage.round
+    return packing.row, inst.k - len(packing.packed & packing.terminals), None, len(inst.terminals)
+
+
+def star_of_stars_super_row():
+    """The sweep-und-clusters shape: every hub is a super-terminal that only
+    the first round's cover reaches.  (row, target, iteration cap, t)."""
+    inst = generate_instance("star-of-stars", {"branch": 10, "leaf": 4, "k": 30, "directed": False})
+    first = stage_budget(inst, 3).first
+    assert first.found is None
+    cap = min(default_iteration_cap(inst.k), default_iteration_cap(len(first.supers)))
+    return first.super_row, None, cap, len(inst.terminals)
+
+
+def _selection(cover_loop):
+    try:
+        sel = cover_loop()
+    except InfeasibleGuessError as exc:
+        return str(exc)
+    return sel.chosen, sel.covered_elements, sel.log, sel.peak_load
+
+
+ROWS = pytest.mark.parametrize(
+    "make_row", [layered_terminal_row, star_of_stars_super_row],
+    ids=["layered-terminals", "star-of-stars-supers"],
+)
+
+
+def _counting_pm_cover(monkeypatch):
+    calls = []
+    real = cover.pm_cover
+    monkeypatch.setattr(cover, "pm_cover", lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+@ROWS
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_row_cover_equals_a_fresh_cover_in_any_budget_order(make_row, order, monkeypatch):
+    # the row keeps a selection once its budget stops binding; at every
+    # budget, in any order, what it returns is what a fresh cover gives
+    row, target, cap, t = make_row()
+    budgets = list(range(1, t + 1))
+    if order == "descending":
+        budgets.reverse()
+    elif order == "shuffled":
+        random.Random(18).shuffle(budgets)
+    calls = _counting_pm_cover(monkeypatch)
+    for B in budgets:
+        assert _selection(lambda: row.cover(target, B, cap)) == _selection(
+            lambda: pm_cover_system(row.system, B, target, cap)
+        )
+    assert len(calls) < len(budgets)
+
+
+@ROWS
+def test_row_cover_above_a_kept_peak_load_runs_no_cover(make_row, monkeypatch):
+    row, target, cap, t = make_row()
+    calls = _counting_pm_cover(monkeypatch)
+    for B in range(1, t + 1):
+        kept = row.cover(target, B, cap)
+        if kept.peak_load < B:
+            break
+    else:
+        pytest.fail("the budget never stopped binding")
+    assert len(calls) == B
+    for larger in range(kept.peak_load + 1, t + 2):
+        assert row.cover(target, larger, cap) is kept
+    assert len(calls) == B
 
 
 def reference_super_arcs(graph, C, c, groups, D):

@@ -320,8 +320,8 @@ class TestSolveDirected:
         # after leaf attachment, so (B, D) = (2, 3) dominates an optimal tree
         inst = generate_instance("star-of-stars", {"branch": 3, "leaf": 2, "k": 4})
         pruned = prune_beyond(inst, 3)
-        solved = stage_directed(pruned, 3).solve(2)
-        tree, trace = solved.tree, solved.trace
+        stage = stage_directed(pruned, 3)
+        tree, trace = stage.solve(2), stage.trace(2)
         assert trace["branch"] == "many-trees"
         m = tree_metrics(tree, inst)
         k = inst.k
@@ -331,8 +331,8 @@ class TestSolveDirected:
 
     def test_few_trees_branch_on_two_branch_graph(self):
         inst = two_branch_instance()
-        solved = stage_directed(prune_beyond(inst, 2), 2).solve(2)
-        tree, trace = solved.tree, solved.trace
+        stage = stage_directed(prune_beyond(inst, 2), 2)
+        tree, trace = stage.solve(2), stage.trace(2)
         assert trace["branch"] == "few-trees"
         assert tree.arcs() == {(0, 1), (0, 2), (1, 3), (2, 4)}
 
@@ -360,8 +360,8 @@ class TestSolveDirected:
         for inst in directed_stream(120, seed=424):
             res = exact_min_poise_ktree(inst)
             pruned = prune_beyond(inst, res.D_star)
-            solved = stage_directed(pruned, res.D_star).solve(res.B_star)
-            tree, trace = solved.tree, solved.trace
+            stage = stage_directed(pruned, res.D_star)
+            tree, trace = stage.solve(res.B_star), stage.trace(res.B_star)
             m = tree_metrics(tree, inst)
             k = inst.k
             assert m.terminals_covered >= k
@@ -395,7 +395,7 @@ class TestSolveDirected:
             if len(packing.trees) >= rho:
                 continue
             checked += 1
-            tree = packing.complete(inst.k, res.B_star).tree
+            tree, _ = packing.complete(inst.k, res.B_star)
             m = tree_metrics(tree, inst)
             assert m.terminals_covered >= inst.k
             assert m.max_out_degree <= log_factor(inst.k) * res.B_star + 2 * rho
@@ -445,13 +445,13 @@ def test_row_assembles_each_cover_selection_once(monkeypatch):
     trees = {}
     for B in range(1, len(inst.terminals) + 1):
         try:
-            trees[B] = stage.solve(B).tree
+            trees[B] = stage.solve(B)
         except InfeasibleGuessError:
             pass
     kept = forests[:]
     forests.clear()
     for B, tree in trees.items():
-        assert tree.parent == stage_budget(inst, 3).solve(B).tree.parent
+        assert tree.parent == stage_budget(inst, 3).solve(B).parent
     assert len(forests) == len(trees)  # one forest per fresh solve
     assert len(kept) == len(set(kept)) == len(set(forests)) < len(trees)
     assert set(kept) == set(forests)
@@ -478,11 +478,11 @@ def test_row_runs_the_heap_greedy_once_per_coverage_system(monkeypatch):
     trees = {}
     for B in range(1, len(inst.terminals) + 1):
         try:
-            trees[B] = stage.solve(B).tree
+            trees[B] = stage.solve(B)
         except InfeasibleGuessError:
             pass
     assert trees
     assert len(heaps) == len(systems)  # one order per system, no fallback
     monkeypatch.undo()
     for B, tree in trees.items():
-        assert tree.parent == stage_budget(inst, 3).solve(B).tree.parent
+        assert tree.parent == stage_budget(inst, 3).solve(B).parent

@@ -154,7 +154,7 @@ def test_directed_row_builds_paths_to_packed_roots_once(monkeypatch):
     stage = stage_budget(inst, 5)
     assert stage.stitched is None and len(stage.round.trees) >= 1
     for B in range(1, len(inst.terminals) + 1):
-        stage.finish(B)
+        stage.solve(B)
     assert len(completes) >= 2
     assert len(paths) == 1
 
@@ -176,9 +176,9 @@ def test_undirected_row_builds_its_aggregation_path_once(monkeypatch):
         undirected, "bfs_parents", _counting(region_bfs, undirected.bfs_parents, from_root)
     )
     stage = stage_budget(inst, 4)
-    solved = [stage.solve(B) for B in (1, 2)]
-    assert solved[0].peak >= 1  # so a sweep solves B = 2 as well
-    assert [s.trace["iterations"][0]["branch"] for s in solved] == ["large", "large"]
+    for B in (1, 2):
+        stage.solve(B)
+    assert [stage.trace(B)["iterations"][0]["branch"] for B in (1, 2)] == ["large", "large"]
     assert len(region_bfs) == 1
 
 
@@ -199,7 +199,7 @@ def test_sweep_measures_each_distinct_tree_once_per_row(monkeypatch):
         trees = set()
         for B in range(1, report.grid["B_max"] + 1):
             try:
-                tree = stage.finish(B)
+                tree = stage.solve(B)
             except InfeasibleGuessError as exc:
                 expected.append({"B": B, "D": D, "feasible": False, "reason": str(exc)})
                 continue
@@ -215,3 +215,32 @@ def test_sweep_measures_each_distinct_tree_once_per_row(monkeypatch):
     assert [{k: v for k, v in r.items() if k != "wall_ms"} for r in report.records] == expected
     feasible = sum(r["feasible"] for r in expected)
     assert len(measured) == distinct < feasible
+
+
+@pytest.mark.parametrize("model, params", [
+    ("layered-dag", {"width": 30, "depth": 2, "t": 30, "k": 24, "seed": 0}),
+    ("star-of-stars", {"branch": 10, "leaf": 4, "k": 30, "directed": False}),
+], ids=["directed-cover", "undirected-cover"])
+def test_untraced_sweep_renders_no_trace(model, params, monkeypatch):
+    # a trace is rendered only on request: a sweep that touched one would
+    # raise here, and the untraced sweep reports what an unpatched one does
+    from poisekit import cover
+    from poisekit.directed import DirectedStage, Round
+    from poisekit.undirected import SuperRound, UndirectedStage
+
+    def refuse(*args):
+        raise AssertionError("a sweep rendered a trace")
+
+    inst = generate_instance(model, params)
+    for cls, name in [(DirectedStage, "trace"), (UndirectedStage, "trace"), (Round, "trace"),
+                      (SuperRound, "small_record")]:
+        monkeypatch.setattr(cls, name, refuse)
+    monkeypatch.setattr(DirectedStage, "shared_trace", property(refuse))
+    covers = []
+    monkeypatch.setattr(cover, "pm_cover", _counting(covers, cover.pm_cover))
+    report, tree = run_sweep(inst)
+    monkeypatch.undo()
+    expected, _ = run_sweep(inst)
+    assert tree is not None and covers  # the sweep covered, untraced
+    drop = lambda records: [{k: v for k, v in r.items() if k != "wall_ms"} for r in records]
+    assert drop(report.records) == drop(expected.records)

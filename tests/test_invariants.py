@@ -12,9 +12,9 @@ and grids are swept by the directed solver too (``mode="directed"``), the
 one solver choice that changes behaviour.  Every feasible cell of
 the sweep grid must give a valid k-tree with a valid optimal schedule, and
 the row-staged solve must agree with an unstaged solve at every degree
-budget, both solved afresh (`stage.solve`) and along the sweep's own path
-(`stage.finish`), where a row reuses its tree once the degree budget
-saturates.
+budget, both along the sweep's own path (ascending budgets on one stage,
+whose cover rows keep a selection once the degree budget stops binding) and
+in descending order on a fresh stage.
 """
 
 from __future__ import annotations
@@ -38,27 +38,30 @@ def _outcome(solve):
 
 def check_every_cell(instance, mode: str = "auto") -> list[str]:
     """Check every (B, D) cell of solver ``mode``; return the branches the
-    feasible ones took, plus "kept" for each cell whose `finish` returned the
-    very tree of the cell before it: the tree a row keeps while the budget
-    saturates, or one that comes back from the row's memo of assembled
-    trees."""
+    feasible ones took, plus "kept" for each cell whose solve returned the
+    very tree of the cell before it: the tree of a cover selection the row
+    kept once the budget stopped binding, or one that comes back from the
+    row's memo of assembled trees."""
     branches = []
+    budgets = range(1, len(instance.terminals) + 1)
     for D in range(1, eccentricity(instance.graph, instance.root) + 1):
         stage = stage_budget(instance, D, mode)
+        swept = {B: _outcome(lambda: stage.solve(B)) for B in budgets}
+        descending = stage_budget(instance, D, mode)
+        descended = {B: _outcome(lambda: descending.solve(B)) for B in reversed(budgets)}
         previous = None
-        for B in range(1, len(instance.terminals) + 1):
-            solved = _outcome(lambda: stage.solve(B))
-            swept = _outcome(lambda: stage.finish(B))
+        for B in budgets:
+            staged = swept[B]
             unstaged = _outcome(lambda: solve_guess(instance, PoiseGuess(B, D), mode))
-            if swept is previous and not isinstance(swept, str):
+            if staged is previous and not isinstance(staged, str):
                 branches.append("kept")
-            previous = swept
-            if isinstance(solved, str):
-                assert solved == swept == unstaged
+            previous = staged
+            if isinstance(staged, str):
+                assert staged == descended[B] == unstaged
                 continue
-            staged, trace = solved.tree, solved.trace
             assert not isinstance(unstaged, str) and staged.parent == unstaged.parent
-            assert not isinstance(swept, str) and swept.parent == unstaged.parent
+            assert not isinstance(descended[B], str) and descended[B].parent == unstaged.parent
+            trace = stage.trace(B)
             m = tree_metrics(staged, instance)
             assert m.terminals_covered >= instance.k
             schedule = tree_broadcast_schedule(staged)

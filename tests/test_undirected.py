@@ -136,7 +136,7 @@ class TestStaging:
         inst = hub_stars_instance()
         stage = stage_budget(inst, 3)
         for B in range(1, len(inst.terminals) + 1):
-            trace = stage.solve(B).trace
+            trace = stage.trace(B)
             assert [r["branch"] for r in trace["iterations"]] == ["large", "pmcover"]
         first = stage.first.trees
         assert len(first) == 4
@@ -147,16 +147,16 @@ class TestStaging:
 class TestSolveUndirected:
     def test_middles_small_success_first_iteration(self):
         inst = middles_instance(8)
-        solved = stage_undirected(prune_beyond(inst, 2), 2).solve(8)
-        tree, trace = solved.tree, solved.trace
+        stage = stage_undirected(prune_beyond(inst, 2), 2)
+        tree, trace = stage.solve(8), stage.trace(8)
         m = tree_metrics(tree, inst)
         assert m.terminals_covered == 8
         assert [r["branch"] for r in trace["iterations"]] == ["small"]
 
     def test_constructed_large_then_pmcover(self):
         inst = hub_stars_instance()
-        solved = stage_undirected(prune_beyond(inst, 3), 3).solve(3)
-        tree, trace = solved.tree, solved.trace
+        stage = stage_undirected(prune_beyond(inst, 3), 3)
+        tree, trace = stage.solve(3), stage.trace(3)
         m = tree_metrics(tree, inst)
         assert m.terminals_covered == 8
         log = trace["iterations"]
@@ -189,7 +189,7 @@ class TestSolveUndirected:
         for inst in undirected_stream(120, seed=77):
             res = exact_min_poise_ktree(inst)
             pruned = prune_beyond(inst, res.D_star)
-            trace = stage_undirected(pruned, res.D_star).solve(res.B_star).trace
+            trace = stage_undirected(pruned, res.D_star).trace(res.B_star)
             t = len(inst.terminals)
             rho = _ceil_cbrt(t)
             log = trace["iterations"]
@@ -223,9 +223,7 @@ class TestSolveUndirected:
         for inst in instances:
             res = exact_min_poise_ktree(inst, limit_n=14)
             opt_terms = res.best_tree.vertices() & inst.terminals
-            trace = stage_undirected(prune_beyond(inst, res.D_star), res.D_star).solve(
-                res.B_star
-            ).trace
+            trace = stage_undirected(prune_beyond(inst, res.D_star), res.D_star).trace(res.B_star)
             for rec in trace.get("detail", []):
                 if rec["branch"] != "pmcover":
                     continue
@@ -253,13 +251,13 @@ def test_stage_assembles_each_final_region_once(monkeypatch):
     trees = {}
     for B in range(1, len(inst.terminals) + 1):
         try:
-            trees[B] = stage.solve(B).tree
+            trees[B] = stage.solve(B)
         except InfeasibleGuessError:
             pass
     kept = regions[:]
     regions.clear()
     for B, tree in trees.items():
-        assert tree.parent == stage_budget(inst, 3).solve(B).tree.parent
+        assert tree.parent == stage_budget(inst, 3).solve(B).parent
     assert len(regions) == len(trees)  # one final tree per fresh solve
     assert len(kept) == len(set(kept)) == len(set(regions)) < len(trees)
     assert set(kept) == set(regions)
@@ -274,13 +272,13 @@ def _steps(packing):
 
 
 def _cell(stage, B):
-    """A cell's (root, parent map in order, peak, trace), or its infeasibility
+    """A cell's (root, parent map in order, trace), or its infeasibility
     message."""
     try:
-        solved = stage.solve(B)
+        tree = stage.solve(B)
     except InfeasibleGuessError as exc:
         return str(exc)
-    return solved.tree.root, list(solved.tree.parent.items()), solved.peak, solved.trace
+    return tree.root, list(tree.parent.items()), stage.trace(B)
 
 
 def test_row_merges_and_covers_once_per_distinct_step(monkeypatch):
