@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import jsonio
@@ -98,17 +99,9 @@ class Prepared:
         )
 
     def metrics_pair(self, tree: PoiseTree) -> dict:
-        def as_dict(m):
-            return {
-                "max_out_degree": m.max_out_degree,
-                "height": m.height,
-                "poise": m.poise,
-                "terminals_covered": m.terminals_covered,
-            }
-
         return {
-            "normalized": as_dict(tree_metrics(tree, self.instance)),
-            "original": as_dict(tree_metrics(self.tree_in_original(tree), self.original)),
+            "normalized": asdict(tree_metrics(tree, self.instance)),
+            "original": asdict(tree_metrics(self.tree_in_original(tree), self.original)),
         }
 
 
@@ -152,7 +145,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             _write(args.out, jsonio.tree_to_json(prep.tree_in_original(tree)) + "\n")
         if args.trace:
             best = stage_budget(prep.instance, report.best["D"], args.mode)
-            _write_trace(best.trace(report.best["B"]), args.trace)
+            _write_trace(best.trace(report.best["B"])[1], args.trace)
         return EXIT_OK
     if args.B is None or args.D is None:
         raise _fail("error: provide --B and --D, or use --sweep")
@@ -162,7 +155,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise _fail(f"error: {exc}")
     stage = stage_budget(prep.instance, guess.D, args.mode)
     try:
-        tree = stage.solve(guess.B)
+        if args.trace:
+            tree, trace = stage.trace(guess.B)
+        else:
+            tree = stage.solve(guess.B)
     except InfeasibleGuessError as exc:
         print(json.dumps({"feasible": False, "B": args.B, "D": args.D, "reason": str(exc)}))
         return EXIT_INFEASIBLE
@@ -172,7 +168,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     if args.out:
         _write(args.out, jsonio.tree_to_json(prep.tree_in_original(tree)) + "\n")
     if args.trace:
-        _write_trace(stage.trace(guess.B), args.trace)
+        _write_trace(trace, args.trace)
     return EXIT_OK
 
 

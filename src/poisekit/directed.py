@@ -299,13 +299,6 @@ class Round:
         k_remaining -= len(self.packed & self.terminals)
         return complete(self.graph, self.root, self.base, self.row, k_remaining, B, self.assembled)
 
-    def trace(self, k_remaining: int, B: int) -> dict[str, Any]:
-        """The trace of `complete` at degree budget B: the cover loop's log
-        and the count left to cover.  Raises as `complete` does."""
-        _, selection = self.complete(k_remaining, B)
-        log = [] if selection is None else selection.log
-        return {"pmcover": log, "k_remaining": k_remaining - len(self.packed & self.terminals)}
-
 
 @dataclass(frozen=True)
 class DirectedStage:
@@ -314,19 +307,21 @@ class DirectedStage:
     On an instance pruned to radius D it holds the packing round at {root}
     and, when that yields at least rho trees, their stitched tree, which then
     answers every degree budget.  Otherwise `solve` completes the round's
-    few-trees partition for one degree budget B.  `trace(B)` renders the
-    solve's trace (see the README's file formats) on request.
+    few-trees partition for one degree budget B.  `trace(B)`, asked for
+    only when a trace is wanted, takes that same solve and returns its tree
+    with the trace (see the README's file formats).
     """
 
     instance: MulticastInstance
-    D: int
     round: Round
     stitched: PoiseTree | None
 
-    @functools.cached_property
-    def shared_trace(self) -> dict[str, Any]:
-        """The part of every trace that reads no degree budget: the packed
-        trees and the branch.  Traces copy it before adding theirs."""
+    def solve(self, B: int) -> PoiseTree:
+        if self.stitched is not None:
+            return self.stitched
+        return self.round.complete(self.instance.k, B)[0]
+
+    def trace(self, B: int) -> tuple[PoiseTree, dict[str, Any]]:
         packing = self.round
         trees = packing.trees
         good = [{"root": t.root_vertex, "terminals": sorted(t.terminals)} for t in trees]
@@ -334,21 +329,13 @@ class DirectedStage:
                  "terminals": sum(len(t.terminals) for t in trees)}
         trace = {"solver": "directed", "rho": packing.rho, "good_trees": good, "packing": sizes}
         if self.stitched is not None:
-            trace["branch"] = "many-trees"
-        else:
-            trace["branch"] = "few-trees"
-            trace["packed"] = sorted(packing.packed)
-        return trace
-
-    def solve(self, B: int) -> PoiseTree:
-        if self.stitched is not None:
-            return self.stitched
-        return self.round.complete(self.instance.k, B)[0]
-
-    def trace(self, B: int) -> dict[str, Any]:
-        if self.stitched is not None:
-            return dict(self.shared_trace)
-        return self.shared_trace | self.round.trace(self.instance.k, B)
+            return self.stitched, trace | {"branch": "many-trees"}
+        tree, selection = packing.complete(self.instance.k, B)
+        return tree, trace | {
+            "branch": "few-trees", "packed": sorted(packing.packed),
+            "pmcover": [] if selection is None else selection.log,
+            "k_remaining": self.instance.k - len(packing.packed & packing.terminals),
+        }
 
 
 def stage_directed(instance: MulticastInstance, D: int) -> DirectedStage:
@@ -365,7 +352,7 @@ def stage_directed(instance: MulticastInstance, D: int) -> DirectedStage:
     packing = Round(g, root, {root}, (), set(g.vertices()) - {root}, instance.terminals, rho, D)
     trees = list(packing.trees)
     stitched = solve_many_trees(g, root, trees, rho) if len(trees) >= rho else None
-    return DirectedStage(instance, D, packing, stitched)
+    return DirectedStage(instance, packing, stitched)
 
 
 def solve_directed(instance: MulticastInstance, guess: PoiseGuess) -> PoiseTree:

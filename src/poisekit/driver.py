@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from .directed import DirectedStage, stage_directed
@@ -30,11 +30,7 @@ class SweepReport:
     best: dict[str, Any] | None = None
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "grid": self.grid,
-            "records": self.records,
-            "best": self.best,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -64,8 +60,9 @@ def stage_budget(
 ) -> Stage:
     """The work shared by every guess with height budget D: prune to radius
     D, then the solver's own D-only stage.  ``stage.solve(B)`` solves the
-    guess (B, D) into its tree, and ``stage.trace(B)`` renders that solve's
-    trace on request.  ``root_dist`` is passed on to `prune_beyond`.
+    guess (B, D) into its tree, and ``stage.trace(B)``, on request, takes
+    that same solve and returns its tree with the trace.  ``root_dist`` is
+    passed on to `prune_beyond`.
 
     The instance must already be in normalized shape (leaf terminals).
     """

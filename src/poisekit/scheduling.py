@@ -7,7 +7,7 @@ informed senders to uninformed receivers along arcs of the graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any
 
 from .graph import MulticastInstance, PoiseTree, check_k
@@ -26,12 +26,7 @@ class ValidationReport:
     rounds: int = 0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "valid": self.valid,
-            "violations": self.violations,
-            "informed_terminals": self.informed_terminals,
-            "rounds": self.rounds,
-        }
+        return asdict(self)
 
 
 def broadcast_rounds(tree: PoiseTree) -> dict[int, int]:

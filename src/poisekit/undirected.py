@@ -10,6 +10,7 @@ iterated matroid cover, discarding a t^(2/3)-sized terminal batch per round.
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -124,17 +125,6 @@ def _merge_arcs(edges: set[Arc], groups: Iterable[Iterable[Arc]]) -> list[Arc]:
     return added
 
 
-def _degree_deltas(added: Iterable[Arc], r_before: frozenset[int]) -> tuple[int, int]:
-    """(max delta inside R, max delta outside R), attributing each added arc
-    to its region-nearer endpoint (the arc's stored parent)."""
-    delta: dict[int, int] = {}
-    for p, _ in added:
-        delta[p] = delta.get(p, 0) + 1
-    d_r = max((d for v, d in delta.items() if v in r_before), default=0)
-    d_c = max((d for v, d in delta.items() if v not in r_before), default=0)
-    return d_r, d_c
-
-
 class SuperRound(Round):
     """An undirected packing round outside the covered region R, the
     ``depth``-th iteration of a solve.  When it packs at least rho trees
@@ -144,7 +134,8 @@ class SuperRound(Round):
 
     The region's ``arcs`` are its undirected edges, each once as a (min,
     max) key: every tree built over them reads an edge in both directions.
-    The round reads no degree budget: its cover does, and the iteration's
+    The round reads no degree budget: its cover does, within the ``cap``
+    iterations fixed when the round is packed, and the iteration's
     `Step` is a function of the round and what the cover picked.  ``steps``
     keeps each step by those picks (None for the budget-free aggregation),
     the way ``assembled`` keeps trees, so every degree budget of a row walks
@@ -157,6 +148,7 @@ class SuperRound(Round):
     ):
         super().__init__(graph, root, R, edges, set(graph.vertices()) - R, terminals, rho, D)
         self.k, self.depth = k, depth
+        self.cap = min(default_iteration_cap(k), default_iteration_cap(len(self.trees)))
         self.steps: dict[frozenset[Arc] | None, Step] = {}
 
     @functools.cached_property
@@ -196,8 +188,7 @@ class SuperRound(Round):
         if self.found is not None:
             key, selection = None, None
         else:
-            cap = min(default_iteration_cap(self.k), default_iteration_cap(len(self.supers)))
-            selection = self.super_row.cover(None, B, cap)
+            selection = self.super_row.cover(None, B, self.cap)
             key = selection.chosen
         if key not in self.steps:
             self.steps[key] = self._aggregated() if selection is None else self._covered(selection)
@@ -230,18 +221,27 @@ class SuperRound(Round):
             raise InfeasibleGuessError("iteration neither covered nor discarded terminals")
         edges = set(self.arcs)
         added = _merge_arcs(edges, groups)
-        d_r, d_c = _degree_deltas(added, self.R)
-        record = {
-            "iter": self.depth, "branch": branch, "supers": len(self.supers),
-            "covered": len(covered), "discarded": len(discarded),
-            "max_degree_delta_R": d_r, "max_degree_delta_C": d_c,
-        }
+        record = self._record(branch, len(self.supers), added, len(covered), len(discarded))
         detail = {"iter": self.depth, "branch": branch, "covered_terminals": sorted(covered),
                   "discarded_terminals": sorted(discarded)}
         return Step(
             self.R.union(*added), frozenset(edges), self.terminals - discarded, len(covered),
             record, detail,
         )
+
+    def _record(
+        self, branch: str, supers: int, added: Iterable[Arc], covered: int, discarded: int
+    ) -> dict[str, Any]:
+        """The trace record of an iteration that joins ``added`` to the
+        region.  Each added arc counts toward the degree of its region-nearer
+        endpoint (its stored parent), inside R or outside it."""
+        delta = Counter(p for p, _ in added)
+        return {
+            "iter": self.depth, "branch": branch, "supers": supers,
+            "covered": covered, "discarded": discarded,
+            "max_degree_delta_R": max((d for v, d in delta.items() if v in self.R), default=0),
+            "max_degree_delta_C": max((d for v, d in delta.items() if v not in self.R), default=0),
+        }
 
     def following(self, step: Step) -> SuperRound:
         """The round after ``step``, packed outside its region on first use."""
@@ -256,12 +256,8 @@ class SuperRound(Round):
         """The trace record of a last iteration that completes this round's
         partition into ``tree``."""
         added = [a for a in tree.arcs() if _edge_key(a) not in self.arcs]
-        d_r, d_c = _degree_deltas(added, self.R)
         covered = len(tree.vertices() & self.terminals)
-        return {
-            "iter": self.depth, "branch": "small", "supers": 0, "covered": covered,
-            "discarded": covered, "max_degree_delta_R": d_r, "max_degree_delta_C": d_c,
-        }
+        return self._record("small", 0, added, covered, covered)
 
 
 @dataclass(eq=False)
@@ -290,8 +286,9 @@ class UndirectedStage:
 
     On an instance pruned to radius D it holds the first iteration's round,
     packed while the region is just the root.  `solve` runs the iterations
-    for one degree budget B and `trace(B)` renders their trace on request;
-    both take one `_walk`.  A walk runs only its covers, which read B;
+    for one degree budget B, and `trace(B)`, asked for only when a trace is
+    wanted, returns the tree of that same `_walk` with the iterations'
+    trace records.  A walk runs only its covers, which read B;
     every other part of an iteration is the round's `Step` for the cover's
     picks, and each later round is the step's ``next``, so the budgets of a
     row share one tree of steps rooted at ``first`` and build each distinct
@@ -303,16 +300,15 @@ class UndirectedStage:
     """
 
     instance: MulticastInstance
-    D: int
     first: SuperRound
     assembled: dict[frozenset[Arc], PoiseTree] = field(
         default_factory=dict, compare=False, repr=False
     )
 
-    def _walk(self, B: int) -> tuple[list[Step], SuperRound, int, PoiseTree | None]:
-        """The steps a solve at degree budget B takes, the round it ends in,
-        the count still required there, and the tree that round's partition
-        completes into (None when the last step's region is the answer)."""
+    def _walk(self, B: int) -> tuple[PoiseTree, list[Step], SuperRound | None]:
+        """The tree a solve at degree budget B ends in, the steps it takes,
+        and the round whose partition it completes into that tree (None when
+        the last step's region is the answer)."""
         t = len(self.instance.terminals)
         k_rem = self.instance.k
         packing = self.first
@@ -328,34 +324,28 @@ class UndirectedStage:
             if walked:
                 packing = packing.following(walked[-1])
             if len(packing.trees) < packing.rho:
-                return walked, packing, k_rem, packing.complete(k_rem, B)[0]
+                return packing.complete(k_rem, B)[0], walked, packing
             step = packing.step(B)
             walked.append(step)
             s_prime = step.s_prime
             k_rem -= step.covered
-        return walked, packing, k_rem, None
-
-    def solve(self, B: int) -> PoiseTree:
-        walked, _, _, completed = self._walk(B)
-        if completed is not None:
-            return completed
         edges = walked[-1].edges
         if edges not in self.assembled:
             self.assembled[edges] = shortest_path_tree(
                 self.instance.graph, edges, self.instance.root
             )
-        return self.assembled[edges]
+        return self.assembled[edges], walked, None
 
-    def trace(self, B: int) -> dict[str, Any]:
-        walked, packing, k_rem, completed = self._walk(B)
+    def solve(self, B: int) -> PoiseTree:
+        return self._walk(B)[0]
+
+    def trace(self, B: int) -> tuple[PoiseTree, dict[str, Any]]:
+        tree, walked, completing = self._walk(B)
         log = [step.record for step in walked]
-        trace = {"solver": "undirected", "rho": self.first.rho, "iterations": log}
-        if walked:
-            trace["detail"] = [step.detail for step in walked]
-        if completed is None:
-            return trace
-        log.append(packing.small_record(completed))
-        return trace | packing.trace(k_rem, B)
+        if completing is not None:
+            log.append(completing.small_record(tree))
+        detail = [step.detail for step in walked]
+        return tree, {"solver": "undirected", "iterations": log, "detail": detail}
 
 
 def stage_undirected(instance: MulticastInstance, D: int) -> UndirectedStage:
@@ -369,7 +359,7 @@ def stage_undirected(instance: MulticastInstance, D: int) -> UndirectedStage:
         g, root, frozenset({root}), frozenset(), terminals, _ceil_cbrt(len(terminals)), D,
         instance.k,
     )
-    return UndirectedStage(instance, D, first)
+    return UndirectedStage(instance, first)
 
 
 def solve_undirected(instance: MulticastInstance, guess: PoiseGuess) -> PoiseTree:

@@ -77,7 +77,7 @@ def test_criterion_2_undirected_bounds():
         m = tree_metrics(tree, inst)
         t = len(inst.terminals)
         rho = _ceil_cbrt(t)
-        log = stage.trace(res.B_star)["iterations"]
+        log = stage.trace(res.B_star)[1]["iterations"]
         if m.terminals_covered < inst.k:
             violations.append(("coverage", inst, m))
         if len(log) > rho + 1:

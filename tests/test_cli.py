@@ -148,6 +148,35 @@ class TestSolve:
         assert data["solver"] == "directed"
         assert data["branch"] == "few-trees"
 
+    @pytest.mark.parametrize("model, params", [
+        ("layered-dag", {"width": 12, "depth": 2, "t": 12, "k": 10, "seed": 3}),
+        ("star-of-stars", {"branch": 6, "leaf": 4, "k": 16, "seed": 9, "directed": False}),
+    ], ids=["dir-layered", "und-stars-pmcover"])
+    def test_trace_covers_as_often_as_the_untraced_solve(
+        self, model, params, tmp_path, monkeypatch, capsys
+    ):
+        # the trace comes from the solve itself, so --trace adds no cover run
+        from poisekit import cover
+
+        path = tmp_path / "inst.json"
+        jsonio.save_instance(poisekit.generate_instance(model, params), path)
+        covers = []
+        original = cover.pm_cover
+
+        def counting(*args, **kwargs):
+            covers.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(cover, "pm_cover", counting)
+        counts, outputs = [], []
+        for extra in ([], ["--trace", str(tmp_path / "trace")]):
+            covers.clear()
+            assert run(["solve", "--input", str(path), "--B", "1", "--D", "3"] + extra) == 0
+            counts.append(len(covers))
+            outputs.append(capsys.readouterr().out)
+        assert counts[0] == counts[1] > 0
+        assert outputs[0] == outputs[1]
+
 
 class TestScheduleAndValidate:
     def test_pipeline(self, inst_path, tmp_path, capsys):

@@ -321,7 +321,8 @@ class TestSolveDirected:
         inst = generate_instance("star-of-stars", {"branch": 3, "leaf": 2, "k": 4})
         pruned = prune_beyond(inst, 3)
         stage = stage_directed(pruned, 3)
-        tree, trace = stage.solve(2), stage.trace(2)
+        tree, trace = stage.trace(2)
+        assert stage.solve(2) is tree
         assert trace["branch"] == "many-trees"
         m = tree_metrics(tree, inst)
         k = inst.k
@@ -332,7 +333,8 @@ class TestSolveDirected:
     def test_few_trees_branch_on_two_branch_graph(self):
         inst = two_branch_instance()
         stage = stage_directed(prune_beyond(inst, 2), 2)
-        tree, trace = stage.solve(2), stage.trace(2)
+        tree, trace = stage.trace(2)
+        assert stage.solve(2) is tree
         assert trace["branch"] == "few-trees"
         assert tree.arcs() == {(0, 1), (0, 2), (1, 3), (2, 4)}
 
@@ -361,7 +363,8 @@ class TestSolveDirected:
             res = exact_min_poise_ktree(inst)
             pruned = prune_beyond(inst, res.D_star)
             stage = stage_directed(pruned, res.D_star)
-            tree, trace = stage.solve(res.B_star), stage.trace(res.B_star)
+            tree, trace = stage.trace(res.B_star)
+            assert stage.solve(res.B_star) is tree
             m = tree_metrics(tree, inst)
             k = inst.k
             assert m.terminals_covered >= k

@@ -178,7 +178,7 @@ def test_undirected_row_builds_its_aggregation_path_once(monkeypatch):
     stage = stage_budget(inst, 4)
     for B in (1, 2):
         stage.solve(B)
-    assert [stage.trace(B)["iterations"][0]["branch"] for B in (1, 2)] == ["large", "large"]
+    assert [stage.trace(B)[1]["iterations"][0]["branch"] for B in (1, 2)] == ["large", "large"]
     assert len(region_bfs) == 1
 
 
@@ -225,17 +225,16 @@ def test_untraced_sweep_renders_no_trace(model, params, monkeypatch):
     # a trace is rendered only on request: a sweep that touched one would
     # raise here, and the untraced sweep reports what an unpatched one does
     from poisekit import cover
-    from poisekit.directed import DirectedStage, Round
+    from poisekit.directed import DirectedStage
     from poisekit.undirected import SuperRound, UndirectedStage
 
     def refuse(*args):
         raise AssertionError("a sweep rendered a trace")
 
     inst = generate_instance(model, params)
-    for cls, name in [(DirectedStage, "trace"), (UndirectedStage, "trace"), (Round, "trace"),
+    for cls, name in [(DirectedStage, "trace"), (UndirectedStage, "trace"),
                       (SuperRound, "small_record")]:
         monkeypatch.setattr(cls, name, refuse)
-    monkeypatch.setattr(DirectedStage, "shared_trace", property(refuse))
     covers = []
     monkeypatch.setattr(cover, "pm_cover", _counting(covers, cover.pm_cover))
     report, tree = run_sweep(inst)

@@ -61,7 +61,8 @@ def check_every_cell(instance, mode: str = "auto") -> list[str]:
                 continue
             assert not isinstance(unstaged, str) and staged.parent == unstaged.parent
             assert not isinstance(descended[B], str) and descended[B].parent == unstaged.parent
-            trace = stage.trace(B)
+            traced, trace = stage.trace(B)
+            assert traced is staged
             m = tree_metrics(staged, instance)
             assert m.terminals_covered >= instance.k
             schedule = tree_broadcast_schedule(staged)

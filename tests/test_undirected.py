@@ -136,7 +136,7 @@ class TestStaging:
         inst = hub_stars_instance()
         stage = stage_budget(inst, 3)
         for B in range(1, len(inst.terminals) + 1):
-            trace = stage.trace(B)
+            _, trace = stage.trace(B)
             assert [r["branch"] for r in trace["iterations"]] == ["large", "pmcover"]
         first = stage.first.trees
         assert len(first) == 4
@@ -148,7 +148,8 @@ class TestSolveUndirected:
     def test_middles_small_success_first_iteration(self):
         inst = middles_instance(8)
         stage = stage_undirected(prune_beyond(inst, 2), 2)
-        tree, trace = stage.solve(8), stage.trace(8)
+        tree, trace = stage.trace(8)
+        assert stage.solve(8) is tree
         m = tree_metrics(tree, inst)
         assert m.terminals_covered == 8
         assert [r["branch"] for r in trace["iterations"]] == ["small"]
@@ -156,7 +157,8 @@ class TestSolveUndirected:
     def test_constructed_large_then_pmcover(self):
         inst = hub_stars_instance()
         stage = stage_undirected(prune_beyond(inst, 3), 3)
-        tree, trace = stage.solve(3), stage.trace(3)
+        tree, trace = stage.trace(3)
+        assert stage.solve(3) is tree
         m = tree_metrics(tree, inst)
         assert m.terminals_covered == 8
         log = trace["iterations"]
@@ -189,7 +191,7 @@ class TestSolveUndirected:
         for inst in undirected_stream(120, seed=77):
             res = exact_min_poise_ktree(inst)
             pruned = prune_beyond(inst, res.D_star)
-            trace = stage_undirected(pruned, res.D_star).trace(res.B_star)
+            _, trace = stage_undirected(pruned, res.D_star).trace(res.B_star)
             t = len(inst.terminals)
             rho = _ceil_cbrt(t)
             log = trace["iterations"]
@@ -223,8 +225,9 @@ class TestSolveUndirected:
         for inst in instances:
             res = exact_min_poise_ktree(inst, limit_n=14)
             opt_terms = res.best_tree.vertices() & inst.terminals
-            trace = stage_undirected(prune_beyond(inst, res.D_star), res.D_star).trace(res.B_star)
-            for rec in trace.get("detail", []):
+            stage = stage_undirected(prune_beyond(inst, res.D_star), res.D_star)
+            _, trace = stage.trace(res.B_star)
+            for rec in trace["detail"]:
                 if rec["branch"] != "pmcover":
                     continue
                 checked += 1
@@ -278,7 +281,9 @@ def _cell(stage, B):
         tree = stage.solve(B)
     except InfeasibleGuessError as exc:
         return str(exc)
-    return tree.root, list(tree.parent.items()), stage.trace(B)
+    traced, trace = stage.trace(B)
+    assert traced is tree
+    return tree.root, list(tree.parent.items()), trace
 
 
 def test_row_merges_and_covers_once_per_distinct_step(monkeypatch):
