@@ -5,9 +5,10 @@ and answer adjacency queries in both directions.  Every BFS (`bfs_distances`,
 `bfs_parents`, `subset_bfs_parents`) runs one kernel, `_bfs`, which gives
 distances and the lowest-id parent one level up in a single pass.  The
 question "which labels lie within D hops of a vertex" has one answer too,
-`reach_labels`: the rho-good screen asks it capped at rho, the coverage
-system uncapped.  All tie-breaks (BFS parent choice, equal-distance choices)
-resolve to the lowest vertex id so every operation is reproducible.
+`reach_labels`: the rho-good screen and the super-terminal search ask it
+capped at rho, the coverage system uncapped.  All tie-breaks (BFS parent
+choice, equal-distance choices) resolve to the lowest vertex id so every
+operation is reproducible.
 
 The solvers build each sweep cell's tree from a union of picked arcs, so the
 passes over such a union are kept to one each: `subset_bfs_parents` checks
@@ -299,6 +300,10 @@ def reach_labels(
     along the path until a vertex already full refused it, and that vertex's
     ``cap`` labels go on towards v the same way within the same depth, so v
     is full too.
+
+    Three callers ask it: the rho-good screen (terminals) and the undirected
+    solver's super-terminal search (packed trees, each through any of its
+    vertices), both capped at rho, and the coverage system, uncapped.
     """
     if cap is None:
         cap = len(location)  # no vertex can hold more labels

@@ -1,5 +1,7 @@
 import gc
+import random
 import weakref
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -22,12 +24,13 @@ from poisekit import (
     tree_metrics,
 )
 from poisekit import undirected
-from poisekit.cover import default_iteration_cap
+from poisekit.cover import _closest_representatives, default_iteration_cap
 from poisekit.driver import stage_budget
 from poisekit.errors import InfeasibleGuessError
+from poisekit.graph import bfs_parents, chain_parents, shortest_path_tree
 from poisekit.undirected import UndirectedStage, _ceil_cbrt, stage_undirected
 
-from conftest import hub_stars_instance, middles_instance, undirected_stream
+from conftest import hub_stars_instance, middles_instance, random_graph, undirected_stream
 
 
 class TestCeilCbrt:
@@ -91,6 +94,60 @@ class TestSmall:
         assert len(result) >= 1 and all(len(t.terminals) == 1 for t in result)
 
 
+def reference_good_vertex(graph, C, supers, threshold, D):
+    """The super-terminal search as one BFS per vertex of C, in ascending
+    order, kept here only to check the search against."""
+    C = frozenset(C)
+    owner = {w: s.id for s in supers for w in s.representatives}
+    by_id = {s.id: s for s in supers}
+    for v in sorted(C):
+        dist, parent = bfs_parents(graph, [v], restriction=C, max_depth=D)
+        closest = _closest_representatives(dist, owner)
+        if len(closest) < threshold:
+            continue
+        chosen = sorted((d, i, w) for i, (d, w) in closest.items())[:threshold]
+        union = {(p, u) for u, p in chain_parents(parent, [w for _, _, w in chosen]).items()}
+        for _, i, _ in chosen:
+            union |= by_id[i].tree.edges
+        return v, shortest_path_tree(graph, union, v)
+    return None
+
+
+def random_supers(rng, graph):
+    """Vertex-disjoint super-terminals over ``graph``'s arcs: each a root and
+    up to two of its unused out-neighbours, represented by all its vertices."""
+    used: set[int] = set()
+    supers = []
+    for r in rng.sample(range(graph.n), graph.n):
+        if len(supers) == 5:
+            break
+        if r in used:
+            continue
+        free = [x for x in graph.out_neighbors(r) if x not in used]
+        children = rng.sample(free, min(len(free), rng.randint(0, 2)))
+        edges = frozenset((r, x) for x in children)
+        verts = frozenset([r, *children])
+        used |= verts
+        tree = GoodTree(r, edges, frozenset(children) or frozenset({r}))
+        supers.append(SuperTerminal(len(supers), tree, verts))
+    return supers
+
+
+@pytest.fixture
+def search_work(monkeypatch):
+    """Counts the BFSes and `reach_labels` passes the search makes."""
+    calls = Counter()
+    for name in ("bfs_parents", "reach_labels"):
+        original = getattr(undirected, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(undirected, name, counted)
+    return calls
+
+
 class TestFindGoodVertexWrtSuper:
     def make_supers(self):
         t1 = GoodTree(5, frozenset({(5, 6)}), frozenset({5, 6}))
@@ -103,13 +160,43 @@ class TestFindGoodVertexWrtSuper:
     def graph(self):
         return Graph(9, [(4, 5), (5, 6), (4, 7), (7, 8), (0, 4)], directed=False)
 
-    def test_adjacent_vertex_aggregates_both(self):
+    def test_adjacent_vertex_aggregates_both(self, search_work):
         supers = self.make_supers()
         got = find_good_vertex_wrt_super(self.graph(), set(range(4, 9)), supers, 2, D=1)
         assert got is not None
         v, tree = got
         assert v == 4
         assert {5, 6, 7, 8} <= tree.vertices()
+        # the lowest vertex of C succeeds: no screen runs
+        assert search_work == {"bfs_parents": 1}
+
+    def test_later_vertex_aggregates_when_the_lowest_misses(self, search_work):
+        # vertex 1 reaches nothing inside C; the screen marks 4, the only
+        # vertex next to both supers
+        graph = Graph(9, [*self.graph().arcs, (0, 1)], directed=False)
+        C = {1, 4, 5, 6, 7, 8}
+        got = find_good_vertex_wrt_super(graph, C, self.make_supers(), 2, D=1)
+        assert got is not None
+        v, tree = got
+        assert v == 4
+        assert tree.parent == reference_good_vertex(graph, C, self.make_supers(), 2, 1)[1].parent
+        assert search_work == {"bfs_parents": 2, "reach_labels": 1}
+
+    def test_marked_vertex_that_falls_short_is_passed_over(self, search_work):
+        # 5 represents supers 0 and 1; a BFS counts it for one of them, the
+        # screen for both, so it marks 4 and 5, whose BFSes fall short, before 6
+        graph = Graph(8, [(0, 1), (1, 4), (4, 5), (5, 6), (6, 7)], directed=False)
+        supers = [
+            SuperTerminal(0, GoodTree(5, frozenset(), frozenset({5})), frozenset({5})),
+            SuperTerminal(1, GoodTree(5, frozenset({(5, 6)}), frozenset({6})), frozenset({5, 6})),
+            SuperTerminal(2, GoodTree(7, frozenset(), frozenset({7})), frozenset({7})),
+        ]
+        C = {1, 4, 5, 6, 7}
+        got = find_good_vertex_wrt_super(graph, C, supers, 2, D=1)
+        want = reference_good_vertex(graph, C, supers, 2, 1)
+        assert got is not None and got[0] == want[0] == 6
+        assert got[1].parent == want[1].parent
+        assert search_work == {"bfs_parents": 4, "reach_labels": 1}
 
     def test_zero_radius_finds_only_members(self):
         supers = self.make_supers()
@@ -120,6 +207,46 @@ class TestFindGoodVertexWrtSuper:
         supers = self.make_supers()
         got = find_good_vertex_wrt_super(self.graph(), set(range(4, 9)), supers, 3, D=2)
         assert got is None
+
+    def test_empty_C_finds_nothing(self):
+        assert find_good_vertex_wrt_super(self.graph(), set(), self.make_supers(), 1, D=2) is None
+
+    @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+    def test_matches_one_bfs_per_vertex_on_random_graphs(self, directed):
+        # supers are vertex-disjoint and C is a random subset, so some
+        # representatives lie outside it; every D and threshold, empty C too
+        rng = random.Random(20 + directed)
+        outcomes = Counter()
+        for _ in range(60):
+            n = rng.randint(2, 16)
+            graph = random_graph(rng, n, rng.randint(1, 2 * n), directed)
+            supers = random_supers(rng, graph)
+            C = set(rng.sample(range(n), rng.randint(0, n)))
+            outcomes["outside"] += any(not s.representatives <= C for s in supers)
+            for D in range(5):
+                for threshold in range(1, len(supers) + 2):
+                    got = find_good_vertex_wrt_super(graph, C, supers, threshold, D)
+                    want = reference_good_vertex(graph, C, supers, threshold, D)
+                    if want is None:
+                        assert got is None
+                        outcomes["none"] += 1
+                        continue
+                    assert got is not None
+                    assert (got[0], got[1].parent) == (want[0], want[1].parent)
+                    outcomes["first" if got[0] == min(C) else "later"] += 1
+        assert min(outcomes[o] for o in ("none", "first", "later", "outside")) > 0
+
+    def test_failing_search_on_clusters_is_one_bfs_and_one_screen(self, search_work):
+        # the sweep-und-clusters shape: every hub is a super-terminal and the
+        # hubs meet only at the root, so no vertex of C aggregates rho of them
+        inst = generate_instance(
+            "star-of-stars", {"branch": 20, "leaf": 5, "k": 80, "directed": False}
+        )
+        stage = stage_budget(inst, 3)
+        assert isinstance(stage, UndirectedStage)
+        search_work.clear()
+        assert stage.first.found is None
+        assert search_work == {"bfs_parents": 1, "reach_labels": 1}
 
 
 class TestStaging:
