@@ -14,7 +14,6 @@ from .directed import (
     complete,
     coverage_tree,
     greedy_packing,
-    is_rho_good,
     rho_good_vertices,
     solve_directed,
     solve_many_trees,

@@ -192,6 +192,11 @@ def cmd_schedule(args: argparse.Namespace) -> int:
         tree_metrics(tree, instance)
     except (ValueError, KeyError) as exc:
         raise _fail(f"error: tree inconsistent with instance: {exc}")
+    if tree.root != instance.root:
+        raise _fail(
+            f"error: tree inconsistent with instance: tree root {tree.root} "
+            f"is not the instance's root {instance.root}"
+        )
     schedule = tree_broadcast_schedule(tree)
     if args.out:
         _write(args.out, jsonio.schedule_to_json(schedule) + "\n")

@@ -69,23 +69,6 @@ def coverage_tree(
     return PoiseTree(c, chain_parents(parent, (t for t in terminals if t in dist)))
 
 
-def _terminals_of(tree: PoiseTree, terminals: frozenset[int]) -> set[int]:
-    return tree.vertices() & terminals
-
-
-def is_rho_good(
-    graph: Graph,
-    C: Iterable[int],
-    c: int,
-    terminals: Iterable[int],
-    rho: int,
-    D: int,
-) -> bool:
-    """True when c reaches at least rho terminals within D hops inside G[C]."""
-    tree = coverage_tree(graph, C, c, terminals, D)
-    return len(_terminals_of(tree, frozenset(terminals))) >= rho
-
-
 def rho_good_vertices(
     graph: Graph,
     C: Iterable[int],
@@ -147,7 +130,7 @@ def greedy_packing(
         if c not in screen or c not in C:
             continue
         tree = coverage_tree(graph, C, c, terminals, D)
-        if len(_terminals_of(tree, terminals)) < rho:
+        if len(tree.vertices() & terminals) < rho:
             screen = rho_good_vertices(graph, C, terminals, rho, D)
             continue
         good = trim_to_terminals(tree, terminals, rho)
@@ -254,12 +237,12 @@ class Round:
     The solvers pack everything outside R.  All of it reads only (R, its arcs
     ``arcs``, D), so a sweep row keeps the round at R = {root} for every
     degree budget; an undirected region lists each edge once, as its (min,
-    max) key.  Its base arcs and terminal cover row are built on first
-    use; only the cover in `complete` reads the degree budget.  The trees it
-    assembles are kept in ``assembled`` by the cover's picks, so budgets
-    whose covers pick alike, every budget above an unbound cover's
-    ``peak_load`` among them (`CoverRow`), share one tree object for as long
-    as the round lives.
+    max) key.  Its packing (``trees`` and ``packed``), base arcs and
+    terminal cover row are built on first use; only the cover in `complete`
+    reads the degree budget.  The trees it assembles are kept in
+    ``assembled`` by the cover's picks, so budgets whose covers pick alike,
+    every budget above an unbound cover's ``peak_load`` among them
+    (`CoverRow`), share one tree object for as long as the round lives.
     """
 
     def __init__(
@@ -269,9 +252,20 @@ class Round:
         self.graph, self.root, self.rho, self.D = graph, root, rho, D
         self.R, self.arcs, self.C = frozenset(R), arcs, frozenset(C)
         self.terminals = frozenset(terminals)
-        trees, self.packed, _ = greedy_packing(graph, self.C, self.terminals, rho, D)
-        self.trees = tuple(trees)
         self.assembled: dict[frozenset[Arc], PoiseTree] = {}
+
+    @functools.cached_property
+    def _packing(self) -> tuple[tuple[GoodTree, ...], frozenset[int]]:
+        trees, packed, _ = greedy_packing(self.graph, self.C, self.terminals, self.rho, self.D)
+        return tuple(trees), packed
+
+    @property
+    def trees(self) -> tuple[GoodTree, ...]:
+        return self._packing[0]
+
+    @property
+    def packed(self) -> frozenset[int]:
+        return self._packing[1]
 
     @functools.cached_property
     def base(self) -> frozenset[Arc]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 from .cover import CoverRow, CoverSelection, _closest_representatives, default_iteration_cap
@@ -151,29 +151,46 @@ def _merge_arcs(edges: set[Arc], groups: Iterable[Iterable[Arc]]) -> list[Arc]:
 
 class SuperRound(Round):
     """An undirected packing round outside the covered region R, the
-    ``depth``-th iteration of a solve.  When it packs at least rho trees
-    they contract into super-terminals, searched for a vertex aggregating
-    rho of them, joined to R when found, or else covered from the
-    super-terminal row; each of these is built on first use.
+    ``depth``-th iteration of a solve, and the region the iteration before it
+    left: that iteration's ``covered`` count and its ``record`` and
+    ``detail`` trace dicts (None in the first round).  When the round packs
+    at least rho trees they contract into super-terminals, searched for a
+    vertex aggregating rho of them, joined to R when found, or else covered
+    from the super-terminal row; each of these is built on first use, the
+    packing and the ``cap`` on its cover's iterations included, so a walk
+    whose answer is a round's region never packs that round.
 
     The region's ``arcs`` are its undirected edges, each once as a (min,
     max) key: every tree built over them reads an edge in both directions.
-    The round reads no degree budget: its cover does, within the ``cap``
-    iterations fixed when the round is packed, and the iteration's
-    `Step` is a function of the round and what the cover picked.  ``steps``
-    keeps each step by those picks (None for the budget-free aggregation),
-    the way ``assembled`` keeps trees, so every degree budget of a row walks
-    one shared tree of steps from the stage's first round.
+    The round reads no degree budget: its cover does, and the next round is
+    a function of this one and what the cover picked.  ``steps`` keeps each
+    next round by those picks (None for the budget-free aggregation), so
+    every degree budget of a row walks one shared tree of rounds from the
+    stage's first.  A round holds no reference back to the round before it,
+    so a stage's rounds are freed as soon as the stage is.  The records are
+    shared by every budget that picks alike: nothing may mutate them.
     """
 
     def __init__(
         self, graph: Graph, root: int, R: frozenset[int], edges: frozenset[Arc],
         terminals: Iterable[int], rho: int, D: int, k: int, depth: int = 1,
+        covered: int = 0, record: dict[str, Any] | None = None,
+        detail: dict[str, Any] | None = None,
     ):
         super().__init__(graph, root, R, edges, set(graph.vertices()) - R, terminals, rho, D)
         self.k, self.depth = k, depth
-        self.cap = min(default_iteration_cap(k), default_iteration_cap(len(self.trees)))
-        self.steps: dict[frozenset[Arc] | None, Step] = {}
+        self.covered, self.record, self.detail = covered, record, detail
+        self.steps: dict[frozenset[Arc] | None, SuperRound] = {}
+
+    @functools.cached_property
+    def cap(self) -> int:
+        return min(default_iteration_cap(self.k), default_iteration_cap(len(self.trees)))
+
+    @functools.cached_property
+    def tree(self) -> PoiseTree:
+        """The shortest-path tree from the root over the region's edges: the
+        answer of a walk that ends in this round."""
+        return shortest_path_tree(self.graph, self.arcs, self.root)
 
     @functools.cached_property
     def supers(self) -> list[SuperTerminal]:
@@ -184,20 +201,6 @@ class SuperRound(Round):
         return find_good_vertex_wrt_super(self.graph, self.C, self.supers, self.rho, self.D)
 
     @functools.cached_property
-    def aggregate(self) -> tuple[list[Arc], list[Arc]]:
-        """The arcs that join the found tree to R: the BFS path from R to its
-        nearest vertex, then the tree's own arcs, sorted.  Raises
-        InfeasibleGuessError when no vertex of the tree is reachable."""
-        _, big = self.found
-        dist, parent = bfs_parents(self.graph, sorted(self.R))
-        candidates = [(dist[w], w) for w in big.vertices() if w in dist]
-        if not candidates:
-            raise InfeasibleGuessError("aggregated tree unreachable from the region")
-        _, attach = min(candidates)
-        path = [(p, u) for u, p in chain_parents(parent, [attach]).items()]
-        return path, sorted(big.arcs())
-
-    @functools.cached_property
     def super_row(self) -> CoverRow:
         """The cover row over the super-terminals, each represented by its
         packed tree's vertices."""
@@ -206,9 +209,10 @@ class SuperRound(Round):
             {s.id: s.representatives for s in self.supers}, self.D,
         )
 
-    def step(self, B: int) -> Step:
-        """This round's iteration at degree budget B.  Only the cover runs
-        per budget; the step is built once per distinct picks."""
+    def step(self, B: int) -> SuperRound:
+        """The round this iteration leaves at degree budget B.  Only the
+        cover runs per budget; the next round is built once per distinct
+        picks."""
         if self.found is not None:
             key, selection = None, None
         else:
@@ -218,12 +222,21 @@ class SuperRound(Round):
             self.steps[key] = self._aggregated() if selection is None else self._covered(selection)
         return self.steps[key]
 
-    def _aggregated(self) -> Step:
+    def _aggregated(self) -> SuperRound:
+        """Join the found tree to R: the BFS path from R to its nearest
+        vertex, then the tree's own arcs, sorted.  Raises
+        InfeasibleGuessError when no vertex of the tree is reachable."""
         _, big = self.found
+        dist, parent = bfs_parents(self.graph, sorted(self.R))
+        candidates = [(dist[w], w) for w in big.vertices() if w in dist]
+        if not candidates:
+            raise InfeasibleGuessError("aggregated tree unreachable from the region")
+        _, attach = min(candidates)
+        path = [(p, u) for u, p in chain_parents(parent, [attach]).items()]
         covered = big.vertices() & self.terminals
-        return self._advance("large", self.aggregate, covered, covered)
+        return self._advance("large", [path, sorted(big.arcs())], covered, covered)
 
-    def _covered(self, selection: CoverSelection) -> Step:
+    def _covered(self, selection: CoverSelection) -> SuperRound:
         supers = self.supers
         t_c = _cover_forest(self.graph, self.super_row, selection.chosen)
         covered_tree_arcs: list[Arc] = []
@@ -238,9 +251,9 @@ class SuperRound(Round):
     def _advance(
         self, branch: str, groups: Iterable[Iterable[Arc]], covered: set[int],
         discarded: set[int] | frozenset[int],
-    ) -> Step:
-        """The step that joins ``groups``' arcs to the region and retires the
-        discarded terminals, with its trace records."""
+    ) -> SuperRound:
+        """The round that joins ``groups``' arcs to the region and retires
+        the discarded terminals, with this iteration's trace records."""
         if not covered and not discarded:
             raise InfeasibleGuessError("iteration neither covered nor discarded terminals")
         edges = set(self.arcs)
@@ -248,9 +261,10 @@ class SuperRound(Round):
         record = self._record(branch, len(self.supers), added, len(covered), len(discarded))
         detail = {"iter": self.depth, "branch": branch, "covered_terminals": sorted(covered),
                   "discarded_terminals": sorted(discarded)}
-        return Step(
-            self.R.union(*added), frozenset(edges), self.terminals - discarded, len(covered),
-            record, detail,
+        return SuperRound(
+            self.graph, self.root, self.R.union(*added), frozenset(edges),
+            self.terminals - discarded, self.rho, self.D, self.k, self.depth + 1,
+            len(covered), record, detail,
         )
 
     def _record(
@@ -267,15 +281,6 @@ class SuperRound(Round):
             "max_degree_delta_C": max((d for v, d in delta.items() if v not in self.R), default=0),
         }
 
-    def following(self, step: Step) -> SuperRound:
-        """The round after ``step``, packed outside its region on first use."""
-        if step.next is None:
-            step.next = SuperRound(
-                self.graph, self.root, step.R, step.edges, step.s_prime, self.rho, self.D,
-                self.k, self.depth + 1,
-            )
-        return step.next
-
     def small_record(self, tree: PoiseTree) -> dict[str, Any]:
         """The trace record of a last iteration that completes this round's
         partition into ``tree``."""
@@ -284,97 +289,59 @@ class SuperRound(Round):
         return self._record("small", 0, added, covered, covered)
 
 
-@dataclass(eq=False)
-class Step:
-    """One iteration's outcome: the region after it (R and its ``edges`` as
-    (min, max) keys), the terminals still in play, how many it covered, and
-    its ``iterations`` and ``detail`` trace records.  It is a function
-    of its round and the cover's picks alone, so every degree budget that
-    picks alike shares it, records included: nothing may mutate them.
-    ``next`` is the following iteration's round, packed on first use by
-    `SuperRound.following`; a step holds no reference back to its round, so
-    a stage's tree of rounds and steps is freed as soon as the stage is."""
-
-    R: frozenset[int]
-    edges: frozenset[Arc]
-    s_prime: frozenset[int]
-    covered: int
-    record: dict[str, Any]
-    detail: dict[str, Any]
-    next: SuperRound | None = None
-
-
 @dataclass(frozen=True)
 class UndirectedStage:
     """The undirected solver's work that reads only the height budget D.
 
     On an instance pruned to radius D it holds the first iteration's round,
-    packed while the region is just the root.  `solve` runs the iterations
-    for one degree budget B, and `trace(B)`, asked for only when a trace is
-    wanted, returns the tree of that same `_walk` with the iterations'
-    trace records.  A walk runs only its covers, which read B;
-    every other part of an iteration is the round's `Step` for the cover's
-    picks, and each later round is the step's ``next``, so the budgets of a
-    row share one tree of steps rooted at ``first`` and build each distinct
-    step once.  The final tree is a function of the region's edges alone, so
-    ``assembled`` keeps each by those edges: budgets that grow the same
-    region, even by different picks, share one tree object for as long as
-    the stage lives.  ``k`` is at least 1, so a walk either takes a step or
-    completes a round's partition directly.
+    whose region is just the root.  `solve` runs the iterations for one
+    degree budget B, and `trace(B)`, asked for only when a trace is wanted,
+    returns the tree of that same `_walk` with the iterations' trace
+    records.  A walk runs only its covers, which read B: each later round is
+    a `SuperRound.step` of the one before, kept by the cover's picks, so the
+    budgets of a row share one tree of rounds rooted at ``first`` and build
+    each distinct round, and each final tree, once.  ``k`` is at least 1, so
+    a walk either takes a step or completes a round's partition directly.
     """
 
     instance: MulticastInstance
     first: SuperRound
-    assembled: dict[frozenset[Arc], PoiseTree] = field(
-        default_factory=dict, compare=False, repr=False
-    )
 
-    def _walk(self, B: int) -> tuple[PoiseTree, list[Step], SuperRound | None]:
-        """The tree a solve at degree budget B ends in, the steps it takes,
-        and the round whose partition it completes into that tree (None when
-        the last step's region is the answer)."""
-        t = len(self.instance.terminals)
+    def _walk(self, B: int) -> tuple[PoiseTree, list[SuperRound], bool]:
+        """The tree a solve at degree budget B ends in, the rounds it walks
+        from ``first`` on, and whether it completes the last one's partition
+        into that tree (else the last round's region is the answer)."""
         k_rem = self.instance.k
-        packing = self.first
-        s_prime = packing.terminals
-        walked: list[Step] = []
+        walked = [self.first]
         while k_rem > 0:
-            if len(walked) >= t + 2:
+            packing = walked[-1]
+            if len(walked) > len(self.instance.terminals) + 2:
                 raise InfeasibleGuessError("no progress across iterations")
-            if k_rem > len(s_prime):
+            if k_rem > len(packing.terminals):
                 raise InfeasibleGuessError(
-                    f"{len(s_prime)} terminals remain but {k_rem} are still required"
+                    f"{len(packing.terminals)} terminals remain but {k_rem} are still required"
                 )
-            if walked:
-                packing = packing.following(walked[-1])
             if len(packing.trees) < packing.rho:
-                return packing.complete(k_rem, B)[0], walked, packing
-            step = packing.step(B)
-            walked.append(step)
-            s_prime = step.s_prime
-            k_rem -= step.covered
-        edges = walked[-1].edges
-        if edges not in self.assembled:
-            self.assembled[edges] = shortest_path_tree(
-                self.instance.graph, edges, self.instance.root
-            )
-        return self.assembled[edges], walked, None
+                return packing.complete(k_rem, B)[0], walked, True
+            walked.append(packing.step(B))
+            k_rem -= walked[-1].covered
+        return walked[-1].tree, walked, False
 
     def solve(self, B: int) -> PoiseTree:
         return self._walk(B)[0]
 
     def trace(self, B: int) -> tuple[PoiseTree, dict[str, Any]]:
-        tree, walked, completing = self._walk(B)
-        log = [step.record for step in walked]
-        if completing is not None:
-            log.append(completing.small_record(tree))
-        detail = [step.detail for step in walked]
+        tree, walked, completes = self._walk(B)
+        log = [r.record for r in walked[1:]]
+        if completes:
+            log.append(walked[-1].small_record(tree))
+        detail = [r.detail for r in walked[1:]]
         return tree, {"solver": "undirected", "iterations": log, "detail": detail}
 
 
 def stage_undirected(instance: MulticastInstance, D: int) -> UndirectedStage:
-    """Pack the first iteration's round, which reads only the height budget.
-    Expects a normalized instance pruned to radius D."""
+    """Stage the first iteration's round, which reads only the height budget
+    and packs on first use.  Expects a normalized instance pruned to radius D."""
     g = instance.graph
     if g.directed:
         raise ValueError("the undirected solver requires an undirected graph")

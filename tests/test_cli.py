@@ -235,6 +235,22 @@ class TestScheduleAndValidate:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and needle in err
 
+    def test_tree_rooted_elsewhere_exits_one(self, tmp_path, capsys):
+        # the README instance is rooted at 0; a tree rooted at hub 1 used to
+        # schedule in fewer rounds than the doubling bound, and the schedule
+        # then failed validation
+        inst_path, tree_path = tmp_path / "inst.json", tmp_path / "tree.json"
+        assert run(["gen", "--model", "star-of-stars", "--param", "branch=3",
+                    "--param", "leaf=2", "--k", "4", "--out", str(inst_path)]) == 0
+        tree_path.write_text('{"root": 1, "parent": {"4": 1, "5": 1}}')
+        capsys.readouterr()
+        assert run(["schedule", "--input", str(inst_path), "--tree", str(tree_path),
+                    "--out", str(tmp_path / "sched.json")]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert "tree root 1 is not the instance's root 0" in captured.err
+        assert not (tmp_path / "sched.json").exists()
+
     def test_tree_listing_the_root_exits_one(self, tmp_path, capsys):
         # the arc 1 -> 0 makes the root's listed parent a graph arc; the tree
         # used to pass the instance check and crash the scheduler

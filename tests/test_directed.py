@@ -17,7 +17,6 @@ from poisekit import (
     exact_min_poise_ktree,
     generate_instance,
     greedy_packing,
-    is_rho_good,
     prune_beyond,
     rho_good_vertices,
     solve_directed,
@@ -45,6 +44,13 @@ def packing_cases(draw, max_n: int):
     C = set(range(n)) - draw(st.sets(vertex, max_size=max(1, n // 3)))
     terminals = draw(st.sets(vertex))
     return g, C, terminals, draw(st.integers(1, 5)), draw(st.integers(1, 4))
+
+
+def is_rho_good(graph, C, c, terminals, rho, D) -> bool:
+    """Reference for the screen: c reaches at least rho terminals within D
+    hops inside G[C], by its own coverage tree."""
+    tree = coverage_tree(graph, C, c, terminals, D)
+    return len(tree.vertices() & frozenset(terminals)) >= rho
 
 
 def ceil_sqrt(k: int) -> int:

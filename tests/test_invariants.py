@@ -40,8 +40,8 @@ def check_every_cell(instance, mode: str = "auto") -> list[str]:
     """Check every (B, D) cell of solver ``mode``; return the branches the
     feasible ones took, plus "kept" for each cell whose solve returned the
     very tree of the cell before it: the tree of a cover selection the row
-    kept once the budget stopped binding, or one that comes back from the
-    row's memo of assembled trees."""
+    kept once the budget stopped binding, one the row assembled for the same
+    picks, or the tree of an undirected round that both walks end in."""
     branches = []
     budgets = range(1, len(instance.terminals) + 1)
     for D in range(1, eccentricity(instance.graph, instance.root) + 1):

@@ -1,3 +1,4 @@
+import functools
 import gc
 import random
 import weakref
@@ -394,11 +395,10 @@ def test_stage_assembles_each_final_region_once(monkeypatch):
 
 
 def _steps(packing):
-    """Every step a stage has built from ``packing`` on, depth first."""
-    for step in packing.steps.values():
-        yield step
-        if step.next is not None:
-            yield from _steps(step.next)
+    """Every round a stage has stepped to from ``packing`` on, depth first."""
+    for following in packing.steps.values():
+        yield following
+        yield from _steps(following)
 
 
 def _cell(stage, B):
@@ -446,31 +446,52 @@ def test_row_merges_and_covers_once_per_distinct_step(monkeypatch):
     lambda: generate_instance("grid", {"w": 8, "h": 8, "t": 24, "k": 12, "seed": 2}),
 ], ids=["hub-stars", "grid"])
 def test_shared_stage_solves_every_budget_as_a_fresh_stage(monkeypatch, make):
-    # multi-iteration solves: each later round is packed once per distinct
-    # step, however many budgets walk through it, and the rounds and steps
+    # multi-iteration solves: each later round is built once per distinct
+    # step and packed at most once, however many budgets walk through it; a
+    # round whose region is a walk's answer is never packed; and the rounds
     # are freed with the stage, without waiting for the cycle collector
     inst = make()
-    built = []
+    built, packed = [], []
 
     class Recording(undirected.SuperRound):
         def __init__(self, *args):
             super().__init__(*args)
             built.append(weakref.ref(self))
 
+        @functools.cached_property
+        def _packing(self):
+            packed.append(weakref.ref(self))
+            return undirected.Round._packing.func(self)
+
     monkeypatch.setattr(undirected, "SuperRound", Recording)
     budgets = range(1, len(inst.terminals) + 1)
-    later_rounds = 0
+    later_packings = region_ends = 0
     for D in range(1, eccentricity(inst.graph, inst.root) + 1):
         stage = stage_budget(inst, D)
         if not isinstance(stage, UndirectedStage):
             continue
         built.clear()
+        packed.clear()
         shared = [_cell(stage, B) for B in budgets]
         later = [ref() for ref in built if ref().depth > 1]
-        nexts = [step.next for step in _steps(stage.first) if step.next is not None]
-        assert len(later) == len(nexts) == len({id(r) for r in later} | {id(r) for r in nexts})
-        later_rounds += len(later)
-        del later, nexts
+        stepped = list(_steps(stage.first))
+        assert len(later) == len(stepped) == len({id(r) for r in later} | {id(r) for r in stepped})
+        packings = [ref() for ref in packed]
+        packed_ids = {id(r) for r in packings}
+        assert len(packings) == len(packed_ids)
+        walks = []
+        for B in budgets:
+            try:
+                walks.append(stage._walk(B)[1:])
+            except InfeasibleGuessError:
+                pass
+        # every round a walk goes on from is packed; none it ends on is
+        assert all(id(r) in packed_ids for walked, _ in walks for r in walked[:-1])
+        ends = [walked[-1] for walked, completes in walks if not completes]
+        assert not any(id(r) in packed_ids for r in ends)
+        later_packings += sum(r.depth > 1 for r in packings)
+        region_ends += len(ends)
+        del later, stepped, packings, walks, ends
         gc.disable()
         try:
             del stage
@@ -478,7 +499,7 @@ def test_shared_stage_solves_every_budget_as_a_fresh_stage(monkeypatch, make):
         finally:
             gc.enable()
         assert shared == [_cell(stage_budget(inst, D), B) for B in budgets]
-    assert later_rounds > 0
+    assert later_packings > 0 and region_ends > 0
 
 
 @given(st.integers(0, 2**32 - 1), st.randoms(use_true_random=False))
