@@ -243,13 +243,17 @@ class Round:
     ``assembled`` by the cover's picks, so budgets whose covers pick alike,
     every budget above an unbound cover's ``peak_load`` among them
     (`CoverRow`), share one tree object for as long as the round lives.
+
+    The round at {root} is the directed stage (`stage_directed`): ``solve(B)``
+    answers the guess (B, D) for the target ``k``, and ``trace(B)`` returns
+    that same solve's tree with its trace (see the README's file formats).
     """
 
     def __init__(
         self, graph: Graph, root: int, R: Iterable[int], arcs: Iterable[Arc],
-        C: Iterable[int], terminals: Iterable[int], rho: int, D: int,
+        C: Iterable[int], terminals: Iterable[int], rho: int, D: int, k: int,
     ):
-        self.graph, self.root, self.rho, self.D = graph, root, rho, D
+        self.graph, self.root, self.rho, self.D, self.k = graph, root, rho, D, k
         self.R, self.arcs, self.C = frozenset(R), arcs, frozenset(C)
         self.terminals = frozenset(terminals)
         self.assembled: dict[frozenset[Arc], PoiseTree] = {}
@@ -293,49 +297,40 @@ class Round:
         k_remaining -= len(self.packed & self.terminals)
         return complete(self.graph, self.root, self.base, self.row, k_remaining, B, self.assembled)
 
-
-@dataclass(frozen=True)
-class DirectedStage:
-    """The directed solver's work that reads only the height budget D.
-
-    On an instance pruned to radius D it holds the packing round at {root}
-    and, when that yields at least rho trees, their stitched tree, which then
-    answers every degree budget.  Otherwise `solve` completes the round's
-    few-trees partition for one degree budget B.  `trace(B)`, asked for
-    only when a trace is wanted, takes that same solve and returns its tree
-    with the trace (see the README's file formats).
-    """
-
-    instance: MulticastInstance
-    round: Round
-    stitched: PoiseTree | None
+    @functools.cached_property
+    def stitched(self) -> PoiseTree | None:
+        """The first rho packed trees stitched to the root when there are
+        that many, which then answers every degree budget, else None.
+        Raises InfeasibleGuessError when a packed tree is unreachable."""
+        if len(self.trees) < self.rho:
+            return None
+        return solve_many_trees(self.graph, self.root, list(self.trees), self.rho)
 
     def solve(self, B: int) -> PoiseTree:
         if self.stitched is not None:
             return self.stitched
-        return self.round.complete(self.instance.k, B)[0]
+        return self.complete(self.k, B)[0]
 
     def trace(self, B: int) -> tuple[PoiseTree, dict[str, Any]]:
-        packing = self.round
-        trees = packing.trees
+        trees = self.trees
         good = [{"root": t.root_vertex, "terminals": sorted(t.terminals)} for t in trees]
-        sizes = {"trees": len(trees), "vertices": len(packing.packed),
+        sizes = {"trees": len(trees), "vertices": len(self.packed),
                  "terminals": sum(len(t.terminals) for t in trees)}
-        trace = {"solver": "directed", "rho": packing.rho, "good_trees": good, "packing": sizes}
+        trace = {"solver": "directed", "rho": self.rho, "good_trees": good, "packing": sizes}
         if self.stitched is not None:
             return self.stitched, trace | {"branch": "many-trees"}
-        tree, selection = packing.complete(self.instance.k, B)
+        tree, selection = self.complete(self.k, B)
         return tree, trace | {
-            "branch": "few-trees", "packed": sorted(packing.packed),
+            "branch": "few-trees", "packed": sorted(self.packed),
             "pmcover": [] if selection is None else selection.log,
-            "k_remaining": self.instance.k - len(packing.packed & packing.terminals),
+            "k_remaining": self.k - len(self.packed & self.terminals),
         }
 
 
-def stage_directed(instance: MulticastInstance, D: int) -> DirectedStage:
-    """Pack rho-terminal trees within height D and, when there are at least
-    rho of them, stitch them to the root; otherwise the round completes its
-    partition at every degree budget.
+def stage_directed(instance: MulticastInstance, D: int) -> Round:
+    """The packing round at {root}: it packs rho-terminal trees within height
+    D and, when there are at least rho of them, stitches them to the root;
+    otherwise it completes its partition at every degree budget.
 
     Expects a normalized instance already pruned to radius D.  Raises
     InfeasibleGuessError when stitching finds a packed tree unreachable, which
@@ -343,10 +338,9 @@ def stage_directed(instance: MulticastInstance, D: int) -> DirectedStage:
     """
     g, root, k = instance.graph, instance.root, instance.k
     rho = math.isqrt(k) if math.isqrt(k) ** 2 == k else math.isqrt(k) + 1
-    packing = Round(g, root, {root}, (), set(g.vertices()) - {root}, instance.terminals, rho, D)
-    trees = list(packing.trees)
-    stitched = solve_many_trees(g, root, trees, rho) if len(trees) >= rho else None
-    return DirectedStage(instance, packing, stitched)
+    packing = Round(g, root, {root}, (), set(g.vertices()) - {root}, instance.terminals, rho, D, k)
+    packing.stitched  # staged here: an unreachable packed root fails the whole row
+    return packing
 
 
 def solve_directed(instance: MulticastInstance, guess: PoiseGuess) -> PoiseTree:

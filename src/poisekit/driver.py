@@ -6,7 +6,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Any
 
-from .directed import DirectedStage, stage_directed
+from .directed import Round, stage_directed
 from .errors import GenerationError, InfeasibleGuessError
 from .generators import generate_instance
 from .graph import (
@@ -20,7 +20,7 @@ from .graph import (
 )
 from .oracle import DEFAULT_LIMIT_N, exact_min_poise_ktree
 from .scheduling import tree_broadcast_schedule
-from .undirected import UndirectedStage, stage_undirected
+from .undirected import stage_undirected
 
 
 @dataclass
@@ -49,7 +49,7 @@ class InfeasibleStage:
     trace = solve  # both raise
 
 
-Stage = DirectedStage | UndirectedStage | InfeasibleStage
+Stage = Round | InfeasibleStage
 
 
 def stage_budget(
@@ -59,7 +59,8 @@ def stage_budget(
     root_dist: dict[int, int] | None = None,
 ) -> Stage:
     """The work shared by every guess with height budget D: prune to radius
-    D, then the solver's own D-only stage.  ``stage.solve(B)`` solves the
+    D, then stage the solver's first round (a `Round`; an `InfeasibleStage`
+    when staging finds the row infeasible).  ``stage.solve(B)`` solves the
     guess (B, D) into its tree, and ``stage.trace(B)``, on request, takes
     that same solve and returns its tree with the trace.  ``root_dist`` is
     passed on to `prune_beyond`.
@@ -106,9 +107,9 @@ def run_sweep(
     Returns the report plus the feasible tree of minimum poise (ties broken by
     smallest (B, D)).  One BFS from the root gives the eccentricity and the
     distances every row prunes from.  The sweep runs one D row at a time and
-    builds the row's D-only stage once; the first cell of each row carries the
+    stages the row's first round once; the first cell of each row carries the
     stage's time in its ``wall_ms``.  A row's cells share tree objects (a
-    stitched tree, or a tree the stage kept for the same cover picks or
+    stitched tree, or a tree a round kept for the same cover picks or
     region), so each tree is measured once per row: a map from
     each tree object to its metrics lives, with the trees it holds, until
     the row ends.  Records are reported in (B, D) order.

@@ -70,11 +70,11 @@ def small(
     completion does the whole job and its tree is returned.  Otherwise the
     packed trees come back for contraction.
 
-    The solver does not call this: its first iteration is the stage's
+    The solver does not call this: its first iteration is the stage, a
     `SuperRound`.  It stays as the first iteration on its own, for the tests
     and for the benchmark's tracer, which counts calls to it.
     """
-    packing = Round(graph, root, {root}, (), C, terminals, _ceil_cbrt(t), D)
+    packing = Round(graph, root, {root}, (), C, terminals, _ceil_cbrt(t), D, k_remaining)
     if len(packing.trees) >= packing.rho:
         return list(packing.trees)
     return packing.complete(k_remaining, B)[0]
@@ -156,9 +156,9 @@ class SuperRound(Round):
     ``detail`` trace dicts (None in the first round).  When the round packs
     at least rho trees they contract into super-terminals, searched for a
     vertex aggregating rho of them, joined to R when found, or else covered
-    from the super-terminal row; each of these is built on first use, the
-    packing and the ``cap`` on its cover's iterations included, so a walk
-    whose answer is a round's region never packs that round.
+    from the super-terminal row; each of these is built on first use, as
+    are C = V - R, the packing and the ``cap`` on its cover's iterations, so
+    a walk whose answer is a round's region never packs that round.
 
     The region's ``arcs`` are its undirected edges, each once as a (min,
     max) key: every tree built over them reads an edge in both directions.
@@ -169,6 +169,11 @@ class SuperRound(Round):
     stage's first.  A round holds no reference back to the round before it,
     so a stage's rounds are freed as soon as the stage is.  The records are
     shared by every budget that picks alike: nothing may mutate them.
+
+    The first round, at R = {root}, is the undirected stage
+    (`stage_undirected`): ``solve(B)`` and ``trace(B)`` take one `_walk` of
+    the rounds for the target ``k``, which is at least 1, so a walk either
+    takes a step or completes a round's partition directly.
     """
 
     def __init__(
@@ -177,10 +182,16 @@ class SuperRound(Round):
         covered: int = 0, record: dict[str, Any] | None = None,
         detail: dict[str, Any] | None = None,
     ):
-        super().__init__(graph, root, R, edges, set(graph.vertices()) - R, terminals, rho, D)
-        self.k, self.depth = k, depth
-        self.covered, self.record, self.detail = covered, record, detail
+        # not Round.__init__, which takes C: here C = V - R, built on first use
+        self.graph, self.root, self.rho, self.D, self.k = graph, root, rho, D, k
+        self.R, self.arcs, self.terminals = R, edges, frozenset(terminals)
+        self.depth, self.covered, self.record, self.detail = depth, covered, record, detail
+        self.assembled: dict[frozenset[Arc], PoiseTree] = {}
         self.steps: dict[frozenset[Arc] | None, SuperRound] = {}
+
+    @functools.cached_property
+    def C(self) -> frozenset[int]:
+        return frozenset(self.graph.vertices()) - self.R
 
     @functools.cached_property
     def cap(self) -> int:
@@ -288,34 +299,15 @@ class SuperRound(Round):
         covered = len(tree.vertices() & self.terminals)
         return self._record("small", 0, added, covered, covered)
 
-
-@dataclass(frozen=True)
-class UndirectedStage:
-    """The undirected solver's work that reads only the height budget D.
-
-    On an instance pruned to radius D it holds the first iteration's round,
-    whose region is just the root.  `solve` runs the iterations for one
-    degree budget B, and `trace(B)`, asked for only when a trace is wanted,
-    returns the tree of that same `_walk` with the iterations' trace
-    records.  A walk runs only its covers, which read B: each later round is
-    a `SuperRound.step` of the one before, kept by the cover's picks, so the
-    budgets of a row share one tree of rounds rooted at ``first`` and build
-    each distinct round, and each final tree, once.  ``k`` is at least 1, so
-    a walk either takes a step or completes a round's partition directly.
-    """
-
-    instance: MulticastInstance
-    first: SuperRound
-
     def _walk(self, B: int) -> tuple[PoiseTree, list[SuperRound], bool]:
         """The tree a solve at degree budget B ends in, the rounds it walks
-        from ``first`` on, and whether it completes the last one's partition
+        from this one on, and whether it completes the last one's partition
         into that tree (else the last round's region is the answer)."""
-        k_rem = self.instance.k
-        walked = [self.first]
+        k_rem = self.k
+        walked = [self]
         while k_rem > 0:
             packing = walked[-1]
-            if len(walked) > len(self.instance.terminals) + 2:
+            if len(walked) > len(self.terminals) + 2:
                 raise InfeasibleGuessError("no progress across iterations")
             if k_rem > len(packing.terminals):
                 raise InfeasibleGuessError(
@@ -339,18 +331,18 @@ class UndirectedStage:
         return tree, {"solver": "undirected", "iterations": log, "detail": detail}
 
 
-def stage_undirected(instance: MulticastInstance, D: int) -> UndirectedStage:
-    """Stage the first iteration's round, which reads only the height budget
-    and packs on first use.  Expects a normalized instance pruned to radius D."""
+def stage_undirected(instance: MulticastInstance, D: int) -> SuperRound:
+    """The first iteration's round, whose region is just the root: it reads
+    only the height budget and packs on first use.  Expects a normalized
+    instance pruned to radius D."""
     g = instance.graph
     if g.directed:
         raise ValueError("the undirected solver requires an undirected graph")
     root, terminals = instance.root, instance.terminals
-    first = SuperRound(
+    return SuperRound(
         g, root, frozenset({root}), frozenset(), terminals, _ceil_cbrt(len(terminals)), D,
         instance.k,
     )
-    return UndirectedStage(instance, first)
 
 
 def solve_undirected(instance: MulticastInstance, guess: PoiseGuess) -> PoiseTree:

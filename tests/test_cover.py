@@ -440,9 +440,8 @@ def layered_terminal_row():
     """The sweep-dir-layered shape: no vertex is rho-good, so the few-trees
     round covers its terminals.  (row, target, iteration cap, t)."""
     inst = generate_instance("layered-dag", {"width": 90, "depth": 2, "t": 90, "k": 72, "seed": 0})
-    stage = stage_budget(inst, 3)
-    assert stage.stitched is None
-    packing = stage.round
+    packing = stage_budget(inst, 3)
+    assert packing.stitched is None
     return packing.row, inst.k - len(packing.packed & packing.terminals), None, len(inst.terminals)
 
 
@@ -450,7 +449,7 @@ def star_of_stars_super_row():
     """The sweep-und-clusters shape: every hub is a super-terminal that only
     the first round's cover reaches.  (row, target, iteration cap, t)."""
     inst = generate_instance("star-of-stars", {"branch": 10, "leaf": 4, "k": 30, "directed": False})
-    first = stage_budget(inst, 3).first
+    first = stage_budget(inst, 3)
     assert first.found is None
     cap = min(default_iteration_cap(inst.k), default_iteration_cap(len(first.supers)))
     return first.super_row, None, cap, len(inst.terminals)

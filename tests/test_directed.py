@@ -302,7 +302,7 @@ class TestComplete:
 
     def test_zero_remaining_short_circuits(self):
         g = Graph(4, [(0, 1), (1, 2), (1, 3)], directed=True)
-        packing = Round(g, 0, {0}, (), {1, 2, 3}, {2, 3}, rho=2, D=1)
+        packing = Round(g, 0, {0}, (), {1, 2, 3}, {2, 3}, rho=2, D=1, k=2)
         assert len(packing.trees) == 1
         tree, _ = complete(g, 0, packing.base, packing.row, 0, B=1)
         m = tree_metrics(tree, MulticastInstance(g, 0, {2, 3}, 2))
@@ -364,6 +364,17 @@ class TestSolveDirected:
         with pytest.raises(InfeasibleGuessError):
             solve_directed(broken, PoiseGuess(2, 2))
 
+    def test_unreachable_packed_root_fails_while_staging(self):
+        # 1 -> 2 packs one tree of rho = 1 terminal, which is enough to
+        # stitch, but the root 0 reaches no vertex: staging itself finds
+        # every degree budget of the row infeasible, before any solve
+        g = Graph(3, [(1, 2)], directed=True)
+        inst = MulticastInstance(g, 0, {2}, 1)
+        with pytest.raises(
+            InfeasibleGuessError, match="^packed-tree root 1 is unreachable from the root region$"
+        ):
+            stage_directed(inst, 2)
+
     def test_additive_bounds_along_random_stream(self):
         for inst in directed_stream(120, seed=424):
             res = exact_min_poise_ktree(inst)
@@ -399,7 +410,7 @@ class TestSolveDirected:
             rho = rng.randint(1, 3)
             packing = Round(
                 g, inst.root, {inst.root}, (), set(g.vertices()) - {inst.root},
-                pruned.terminals, rho, res.D_star,
+                pruned.terminals, rho, res.D_star, inst.k,
             )
             if len(packing.trees) >= rho:
                 continue

@@ -152,7 +152,7 @@ def test_directed_row_builds_paths_to_packed_roots_once(monkeypatch):
     )
     monkeypatch.setattr(directed, "complete", _counting(completes, directed.complete))
     stage = stage_budget(inst, 5)
-    assert stage.stitched is None and len(stage.round.trees) >= 1
+    assert stage.stitched is None and len(stage.trees) >= 1
     for B in range(1, len(inst.terminals) + 1):
         stage.solve(B)
     assert len(completes) >= 2
@@ -225,15 +225,14 @@ def test_untraced_sweep_renders_no_trace(model, params, monkeypatch):
     # a trace is rendered only on request: a sweep that touched one would
     # raise here, and the untraced sweep reports what an unpatched one does
     from poisekit import cover
-    from poisekit.directed import DirectedStage
-    from poisekit.undirected import SuperRound, UndirectedStage
+    from poisekit.directed import Round
+    from poisekit.undirected import SuperRound
 
     def refuse(*args):
         raise AssertionError("a sweep rendered a trace")
 
     inst = generate_instance(model, params)
-    for cls, name in [(DirectedStage, "trace"), (UndirectedStage, "trace"),
-                      (SuperRound, "small_record")]:
+    for cls, name in [(Round, "trace"), (SuperRound, "trace"), (SuperRound, "small_record")]:
         monkeypatch.setattr(cls, name, refuse)
     covers = []
     monkeypatch.setattr(cover, "pm_cover", _counting(covers, cover.pm_cover))

@@ -29,7 +29,7 @@ from poisekit.cover import _closest_representatives, default_iteration_cap
 from poisekit.driver import stage_budget
 from poisekit.errors import InfeasibleGuessError
 from poisekit.graph import bfs_parents, chain_parents, shortest_path_tree
-from poisekit.undirected import UndirectedStage, _ceil_cbrt, stage_undirected
+from poisekit.undirected import SuperRound, _ceil_cbrt, stage_undirected
 
 from conftest import hub_stars_instance, middles_instance, random_graph, undirected_stream
 
@@ -244,9 +244,9 @@ class TestFindGoodVertexWrtSuper:
             "star-of-stars", {"branch": 20, "leaf": 5, "k": 80, "directed": False}
         )
         stage = stage_budget(inst, 3)
-        assert isinstance(stage, UndirectedStage)
+        assert isinstance(stage, SuperRound)
         search_work.clear()
-        assert stage.first.found is None
+        assert stage.found is None
         assert search_work == {"bfs_parents": 1, "reach_labels": 1}
 
 
@@ -266,7 +266,7 @@ class TestStaging:
         for B in range(1, len(inst.terminals) + 1):
             _, trace = stage.trace(B)
             assert [r["branch"] for r in trace["iterations"]] == ["large", "pmcover"]
-        first = stage.first.trees
+        first = stage.trees
         assert len(first) == 4
         assert sum(any(t is f for f in first) for t in contracted) == len(first)
         assert len({id(t) for t in contracted}) == len(contracted)
@@ -436,7 +436,7 @@ def test_row_merges_and_covers_once_per_distinct_step(monkeypatch):
     solves = [_cell(stage, B) for B in budgets]
     assert sum(isinstance(cell, str) for cell in solves) == 1
     assert len(merges) == len(forests) == len(set(forests)) < len(solves) - 1
-    assert len(merges) == len(list(_steps(stage.first)))
+    assert len(merges) == len(list(_steps(stage)))
     monkeypatch.undo()
     assert solves == [_cell(stage_budget(inst, 3), B) for B in budgets]
 
@@ -468,13 +468,13 @@ def test_shared_stage_solves_every_budget_as_a_fresh_stage(monkeypatch, make):
     later_packings = region_ends = 0
     for D in range(1, eccentricity(inst.graph, inst.root) + 1):
         stage = stage_budget(inst, D)
-        if not isinstance(stage, UndirectedStage):
+        if not isinstance(stage, SuperRound):
             continue
         built.clear()
         packed.clear()
         shared = [_cell(stage, B) for B in budgets]
         later = [ref() for ref in built if ref().depth > 1]
-        stepped = list(_steps(stage.first))
+        stepped = list(_steps(stage))
         assert len(later) == len(stepped) == len({id(r) for r in later} | {id(r) for r in stepped})
         packings = [ref() for ref in packed]
         packed_ids = {id(r) for r in packings}
@@ -485,10 +485,11 @@ def test_shared_stage_solves_every_budget_as_a_fresh_stage(monkeypatch, make):
                 walks.append(stage._walk(B)[1:])
             except InfeasibleGuessError:
                 pass
-        # every round a walk goes on from is packed; none it ends on is
+        # every round a walk goes on from is packed; none it ends on is,
+        # nor builds its C = V - R
         assert all(id(r) in packed_ids for walked, _ in walks for r in walked[:-1])
         ends = [walked[-1] for walked, completes in walks if not completes]
-        assert not any(id(r) in packed_ids for r in ends)
+        assert not any(id(r) in packed_ids or "C" in vars(r) for r in ends)
         later_packings += sum(r.depth > 1 for r in packings)
         region_ends += len(ends)
         del later, stepped, packings, walks, ends
