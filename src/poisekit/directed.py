@@ -53,20 +53,28 @@ def coverage_tree(
     C: Iterable[int],
     c: int,
     terminals: Iterable[int],
+    rho: int,
     D: int,
-) -> PoiseTree:
-    """BFS tree of c inside the induced subgraph on C, truncated to depth D and
-    pruned of branches holding no terminal.
-
-    Leaves of the result are exactly the terminals within D hops of c in G[C];
-    when there are none the result is the single vertex c.
+) -> GoodTree | None:
+    """The packed tree of candidate c: the rho terminals of smallest (distance,
+    id) within D hops of c inside G[C] (c itself at distance 0) with their
+    lowest-id BFS parent chains up to c, or None when fewer than rho lie
+    within D.  The one BFS stops after the level of the rho-th terminal,
+    where every distance and parent it keeps is final, so the tree is the
+    full depth-D BFS tree trimmed to those rho terminals.
     """
     C = frozenset(C)
     if c not in C:
         raise ValueError("c must belong to C")
     terminals = frozenset(terminals)
-    dist, parent = bfs_parents(graph, [c], restriction=C, max_depth=D)
-    return PoiseTree(c, chain_parents(parent, (t for t in terminals if t in dist)))
+    dist, parent = bfs_parents(graph, [c], restriction=C, max_depth=D, targets=(terminals, rho))
+    reached = [v for v in dist if v in terminals]
+    if len(reached) < rho:
+        return None
+    reached.sort(key=lambda v: (dist[v], v))
+    kept = reached[:rho]
+    arcs = frozenset((p, v) for v, p in chain_parents(parent, kept).items())
+    return GoodTree(c, arcs, frozenset(kept))
 
 
 def rho_good_vertices(
@@ -85,21 +93,6 @@ def rho_good_vertices(
     return frozenset(v for v, have in held.items() if len(have) >= rho)
 
 
-def trim_to_terminals(tree: PoiseTree, terminals: Iterable[int], rho: int) -> GoodTree:
-    """Keep the rho terminals of smallest (depth, id), drop the rest, and
-    re-prune non-terminal leaves."""
-    terminals = frozenset(terminals)
-    depths = tree.depths()
-    ranked = sorted(
-        (v for v in tree.vertices() if v in terminals), key=lambda v: (depths[v], v)
-    )
-    if len(ranked) < rho:
-        raise ValueError(f"tree holds {len(ranked)} terminals, cannot trim to {rho}")
-    kept_terms = ranked[:rho]
-    parent = chain_parents(tree.parent, kept_terms)
-    return GoodTree(tree.root, frozenset((p, v) for v, p in parent.items()), frozenset(kept_terms))
-
-
 def greedy_packing(
     graph: Graph,
     start_C: Iterable[int],
@@ -109,15 +102,15 @@ def greedy_packing(
 ) -> tuple[list[GoodTree], frozenset[int], frozenset[int]]:
     """Extract rho-good trees from C until none remain.
 
-    Scans C once in ascending vertex order; each rho-good vertex's coverage
-    tree is trimmed to exactly rho terminals and its vertices move from C into
+    Scans C once in ascending vertex order; each rho-good vertex's
+    `coverage_tree` of exactly rho terminals moves its vertices from C into
     the packed set.  This extracts the same trees as restarting from the lowest
     id after each extraction: a vertex that is not rho-good in G[C] stays so
     when C shrinks.  For the same reason a `rho_good_vertices` screen of an
     earlier, larger C rules candidates out: only the vertices it marks good
-    get a coverage tree, and the screen is recomputed when one of them turns
-    out no longer rho-good.  Returns (trees, packed vertices, final C); the
-    final C is a rho-packing.
+    get a `coverage_tree`, and the screen is recomputed when one of them is
+    None.  Returns (trees, packed vertices, final C); the final C is a
+    rho-packing.
     """
     if rho < 1:
         raise ValueError("rho must be at least 1")
@@ -129,11 +122,10 @@ def greedy_packing(
     for c in sorted(C):
         if c not in screen or c not in C:
             continue
-        tree = coverage_tree(graph, C, c, terminals, D)
-        if len(tree.vertices() & terminals) < rho:
+        good = coverage_tree(graph, C, c, terminals, rho, D)
+        if good is None:
             screen = rho_good_vertices(graph, C, terminals, rho, D)
             continue
-        good = trim_to_terminals(tree, terminals, rho)
         verts = good.vertices()
         C -= verts
         packed |= verts

@@ -2,13 +2,15 @@
 
 Vertices are dense integers 0..n-1.  Undirected graphs store each edge once
 and answer adjacency queries in both directions.  Every BFS (`bfs_distances`,
-`bfs_parents`, `subset_bfs_parents`) runs one kernel, `_bfs`, which gives
-distances and the lowest-id parent one level up in a single pass.  The
-question "which labels lie within D hops of a vertex" has one answer too,
-`reach_labels`: the rho-good screen and the super-terminal search ask it
-capped at rho, the coverage system uncapped.  All tie-breaks (BFS parent
-choice, equal-distance choices) resolve to the lowest vertex id so every
-operation is reproducible.
+`bfs_parents`, `subset_bfs_parents`) runs one level-synchronous kernel,
+`_bfs`, which gives distances and the lowest-id parent one level up in a
+single pass and checks its depth and target bounds between levels, where
+all it keeps is final: a packing candidate's search ends at the level of its
+rho-th terminal.  The question "which labels lie within D hops of a vertex"
+has one answer too, `reach_labels`: the rho-good screen and the
+super-terminal search ask it capped at rho, the coverage system uncapped.
+All tie-breaks (BFS parent choice, equal-distance choices) resolve to the
+lowest vertex id so every operation is reproducible.
 
 The solvers build each sweep cell's tree from a union of picked arcs, so the
 passes over such a union are kept to one each: `subset_bfs_parents` checks
@@ -19,7 +21,7 @@ covered terminals in one loop over the parent map.
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -86,8 +88,11 @@ class Graph:
         end outside ``keep`` is dropped.  Equals ``Graph(n, kept arcs,
         directed)`` field for field, but filters this graph's arcs and
         adjacency, which are already valid and sorted, instead of rebuilding
-        them.  An adjacency tuple that loses nothing is shared.
+        them.  An adjacency tuple that loses nothing is shared, and when
+        ``keep`` holds every vertex the graph itself is returned.
         """
+        if len(keep) >= self.n and keep.issuperset(range(self.n)):
+            return self
         # Tuples are built from lists: tuple() over a generator resizes as it
         # grows, which raised the sweep benchmark's `peak_rss_mb` by 4-5%.
         def restrict(adjacency: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
@@ -213,36 +218,47 @@ def _bfs(
     sources: Iterable[int],
     restriction: set[int] | frozenset[int] | None = None,
     max_depth: int | None = None,
+    targets: tuple[set[int] | frozenset[int], int] | None = None,
 ) -> tuple[dict[int, int], dict[int, int]]:
     """The one BFS kernel: (distances, parents) in a single pass.
 
     ``adjacency[u]`` lists u's successors in ascending id order.  The search
-    grows from the sources in ascending order, stays inside ``restriction``
-    and stops at ``max_depth`` hops.  A reached non-source vertex v gets the
-    lowest-id parent one level up: set when v is discovered, then lowered
-    when a later vertex u of that level, with u < parent[v], scans v.
+    grows level by level from the sources in ascending order, stays inside
+    ``restriction`` and stops at ``max_depth`` hops, or with ``targets``
+    (wanted, need) after the first level by which ``need`` vertices of
+    ``wanted`` are reached, sources included.  A reached non-source vertex v
+    gets the lowest-id parent one level up: set when v is discovered, then
+    lowered when a later vertex u of that level, with u < parent[v], scans
+    v.  So a level's entries are final once the level above is scanned, and
+    a bounded search keeps the full search's entries up to its last level,
+    in the same order.
     """
     dist = dict.fromkeys(sorted(set(sources)), 0)
     if not dist:
         raise ValueError("sources must be nonempty")
     if restriction is not None and any(s not in restriction for s in dist):
         raise ValueError("sources must lie inside the restriction")
+    wanted, need = targets if targets is not None else (None, 0)
+    reached = 0 if wanted is None else len(wanted.intersection(dist))
     parent: dict[int, int] = {}
-    queue = deque(dist)
-    while queue:
-        u = queue.popleft()
-        d = dist[u] + 1
-        if max_depth is not None and d > max_depth:
-            break  # the queue is in distance order: nothing later expands
-        for v in adjacency[u]:
-            seen = dist.get(v)
-            if seen is None:
-                if restriction is None or v in restriction:
-                    dist[v] = d
+    level = list(dist)
+    d = 0
+    while level and (max_depth is None or d < max_depth) and (wanted is None or reached < need):
+        d += 1
+        found = []
+        for u in level:
+            for v in adjacency[u]:
+                seen = dist.get(v)
+                if seen is None:
+                    if restriction is None or v in restriction:
+                        dist[v] = d
+                        parent[v] = u
+                        found.append(v)
+                elif seen == d and u < parent[v]:
                     parent[v] = u
-                    queue.append(v)
-            elif seen == d and u < parent[v]:
-                parent[v] = u
+        level = found
+        if wanted is not None:
+            reached += len(wanted.intersection(found))
     return dist, parent
 
 
@@ -266,14 +282,17 @@ def bfs_parents(
     sources: Iterable[int],
     restriction: set[int] | frozenset[int] | None = None,
     max_depth: int | None = None,
+    targets: tuple[set[int] | frozenset[int], int] | None = None,
 ) -> tuple[dict[int, int], dict[int, int]]:
     """(distances, parents) with the lowest-id parent at each distance level.
 
     Sources carry no parent.  Parent of v is the smallest-id in-neighbor of v
     at distance dist(v) - 1 within the restriction.  ``max_depth`` bounds the
-    search as in `bfs_distances`; it changes no distance or parent it keeps.
+    search as in `bfs_distances`; ``targets`` (wanted, need) stops it after
+    the first level by which ``need`` vertices of ``wanted`` are reached.
+    Neither changes a distance or parent it keeps.
     """
-    return _bfs(graph._out, sources, restriction, max_depth)  # type: ignore[attr-defined]
+    return _bfs(graph._out, sources, restriction, max_depth, targets)  # type: ignore[attr-defined]
 
 
 def reach_labels(

@@ -12,8 +12,9 @@ import random
 
 import pytest
 
-from poisekit import Graph, MulticastInstance, generate_instance
+from poisekit import Graph, GoodTree, MulticastInstance, PoiseTree, bfs_parents, generate_instance
 from poisekit.errors import GenerationError
+from poisekit.graph import chain_parents
 
 INF = 10**9
 
@@ -46,6 +47,29 @@ def random_graph(rng: random.Random, n: int, m: int, directed: bool) -> Graph:
     else:
         universe = [(u, v) for u in range(n) for v in range(u + 1, n)]
     return Graph(n, rng.sample(universe, min(m, len(universe))), directed)
+
+
+def full_coverage_tree(graph: Graph, C, c: int, terminals, D: int) -> PoiseTree:
+    """Reference for packing: the whole depth-D BFS tree of c inside G[C],
+    pruned of branches holding no terminal.  Its leaves are exactly the
+    terminals within D hops of c; with none it is the single vertex c."""
+    C = frozenset(C)
+    terminals = frozenset(terminals)
+    dist, parent = bfs_parents(graph, [c], restriction=C, max_depth=D)
+    return PoiseTree(c, chain_parents(parent, [t for t in terminals if t in dist]))
+
+
+def trim_to_terminals(tree: PoiseTree, terminals, rho: int) -> GoodTree:
+    """Reference for packing: keep a tree's rho terminals of smallest
+    (depth, id), drop the rest, and re-prune non-terminal leaves."""
+    terminals = frozenset(terminals)
+    depths = tree.depths()
+    ranked = sorted((v for v in tree.vertices() if v in terminals), key=lambda v: (depths[v], v))
+    if len(ranked) < rho:
+        raise ValueError(f"tree holds {len(ranked)} terminals, cannot trim to {rho}")
+    kept = ranked[:rho]
+    parent = chain_parents(tree.parent, kept)
+    return GoodTree(tree.root, frozenset((p, v) for v, p in parent.items()), frozenset(kept))
 
 
 def two_branch_instance() -> MulticastInstance:

@@ -9,7 +9,6 @@ from poisekit import (
     Graph,
     bfs_parents,
     build_coverage_instance,
-    coverage_tree,
     exact_matroid_coverage,
     greedy_matroid_max,
     pm_cover,
@@ -21,7 +20,7 @@ from poisekit.driver import stage_budget
 from poisekit.errors import InfeasibleGuessError
 from poisekit.generators import generate_instance
 
-from conftest import random_graph
+from conftest import full_coverage_tree, random_graph
 
 
 def two_branch_graph() -> Graph:
@@ -548,7 +547,7 @@ def test_row_arcs_match_coverage_tree_and_super_reference(n, seed, directed):
     terminal_row = CoverRow(g, 0, A, C, singleton_locations(terminals), D)
     super_row = CoverRow(g, 0, A, C, groups, D)
     for c in sorted(C):
-        assert terminal_row.arcs(c) == coverage_tree(g, C, c, terminals, D).arcs()
+        assert terminal_row.arcs(c) == full_coverage_tree(g, C, c, terminals, D).arcs()
         assert super_row.arcs(c) == reference_super_arcs(g, C, c, groups, D)
 
 

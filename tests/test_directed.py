@@ -12,6 +12,7 @@ from poisekit import (
     Graph,
     MulticastInstance,
     PoiseGuess,
+    PoiseTree,
     complete,
     coverage_tree,
     exact_min_poise_ktree,
@@ -24,12 +25,18 @@ from poisekit import (
     tree_metrics,
 )
 from poisekit.cover import CoverRow
-from poisekit.directed import Round, stage_directed, trim_to_terminals
+from poisekit.directed import Round, stage_directed
 from poisekit.driver import stage_budget
 from poisekit.errors import InfeasibleGuessError
 from poisekit.graph import reach_labels
 
-from conftest import directed_stream, random_graph, two_branch_instance
+from conftest import (
+    directed_stream,
+    full_coverage_tree,
+    random_graph,
+    trim_to_terminals,
+    two_branch_instance,
+)
 
 
 @st.composite
@@ -48,8 +55,8 @@ def packing_cases(draw, max_n: int):
 
 def is_rho_good(graph, C, c, terminals, rho, D) -> bool:
     """Reference for the screen: c reaches at least rho terminals within D
-    hops inside G[C], by its own coverage tree."""
-    tree = coverage_tree(graph, C, c, terminals, D)
+    hops inside G[C], by its full coverage tree."""
+    tree = full_coverage_tree(graph, C, c, terminals, D)
     return len(tree.vertices() & frozenset(terminals)) >= rho
 
 
@@ -65,13 +72,16 @@ def log_factor(k: int) -> int:
 class TestCoverageTree:
     def test_single_arc(self):
         g = Graph(4, [(0, 1), (1, 3)], directed=True)
-        tree = coverage_tree(g, {1, 3}, 1, {3}, D=2)
-        assert tree.arcs() == {(1, 3)}
+        tree = coverage_tree(g, {1, 3}, 1, {3}, rho=1, D=2)
+        assert tree.edges == {(1, 3)} and tree.terminals == {3}
 
     def test_no_terminal_in_radius_gives_single_vertex(self):
         g = Graph(4, [(1, 2), (2, 3)], directed=True)
-        tree = coverage_tree(g, {1, 2, 3}, 1, {3}, D=1)
-        assert tree.vertices() == {1}
+        assert full_coverage_tree(g, {1, 2, 3}, 1, {3}, D=1).vertices() == {1}
+        # too few terminals for a packed tree: no candidate
+        assert coverage_tree(g, {1, 2, 3}, 1, {3}, rho=1, D=1) is None
+        assert coverage_tree(g, {1, 2, 3}, 1, {3}, rho=2, D=2) is None
+        assert coverage_tree(g, {1, 2, 3}, 1, {3}, rho=1, D=2).terminals == {3}
 
     def test_prunes_terminal_free_branches(self):
         rng = random.Random(31)
@@ -82,17 +92,23 @@ class TestCoverageTree:
             terms = set(rng.sample(range(n), rng.randint(1, n // 2 + 1)))
             c = rng.choice(sorted(C - terms)) if C - terms else 0
             D = rng.randint(1, 4)
-            tree = coverage_tree(g, C, c, terms, D)
-            # reference: BFS distances inside C, then ancestor closure
+            rho = rng.randint(1, 3)
+            # reference: BFS distances inside C, then the rho terminals of
+            # smallest (distance, id)
+            dist = {v: d for v, d in _bfs(g, c, C).items() if d <= D}
+            ranked = sorted((dist[t], t) for t in terms if t in dist)
+            good = coverage_tree(g, C, c, terms, rho, D)
+            if len(ranked) < rho:
+                assert good is None
+                continue
+            assert good.root_vertex == c
+            assert good.terminals == {t for _, t in ranked[:rho]}
+            tree = PoiseTree(c, {v: p for p, v in good.edges})
             depths = tree.depths()
-            leaves = tree.vertices() - set(tree.parent.values()) - {c} if tree.parent else set()
-            for leaf in leaves:
-                assert leaf in terms
-            expected = {t for t in terms if t != c} & set(
-                v for v, d in _bfs(g, c, C).items() if d <= D
-            )
-            assert tree.vertices() & terms - {c} == expected
-            assert all(d <= D for d in depths.values())
+            assert len(tree.parent) == len(good.edges)  # one parent per vertex
+            assert all(depths[v] == dist[v] for v in depths)
+            leaves = tree.vertices() - set(tree.parent.values())
+            assert leaves <= good.terminals | {c}
 
 
 def _bfs(g, src, C):
@@ -162,7 +178,7 @@ class TestGreedyPacking:
             good = [c for c in sorted(C) if is_rho_good(g, C, c, terms, rho, D)]
             if not good:
                 return trees, frozenset(C)
-            tree = coverage_tree(g, C, good[0], terms, D)
+            tree = full_coverage_tree(g, C, good[0], terms, D)
             trees.append(trim_to_terminals(tree, terms, rho))
             C -= trees[-1].vertices()
 
@@ -215,10 +231,54 @@ class TestGreedyPacking:
     @given(case=packing_cases(max_n=40))
     @settings(max_examples=40, deadline=None)
     def test_coverage_trees_only_for_screened_candidates(self, case):
-        # every coverage tree either is packed or sends the scan to a new screen
+        # every packed tree is a candidate's coverage tree, and every other
+        # candidate sends the scan to a new screen
         (trees, _, _), calls = self.counted_packing(*case)
         recomputes = calls["rho_good_vertices"] - 1
-        assert calls["coverage_tree"] <= len(trees) + recomputes
+        assert len(trees) <= calls["coverage_tree"] <= len(trees) + recomputes
+
+    @given(case=packing_cases(max_n=30))
+    @example(  # a terminal candidate counts itself at distance 0
+        case=(Graph(4, [(0, 1), (0, 2), (2, 3)], True), {0, 1, 2, 3}, {0, 1, 3}, 2, 2)
+    )
+    @example(  # fewer terminals in G[C] than rho
+        case=(Graph(4, [(0, 1), (1, 2), (2, 3)], False), {0, 1, 2}, {1, 3}, 2, 4)
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_candidate_equals_trimmed_full_tree(self, case):
+        # every vertex of C as the candidate, against the old path: the full
+        # depth-D coverage tree trimmed to its rho closest terminals
+        g, C, terms, rho, D = case
+        for c in sorted(C):
+            full = full_coverage_tree(g, C, c, terms, D)
+            if len(full.vertices() & terms) < rho:
+                assert coverage_tree(g, C, c, terms, rho, D) is None
+            else:
+                assert coverage_tree(g, C, c, terms, rho, D) == trim_to_terminals(full, terms, rho)
+
+    def test_candidate_bfs_stops_at_the_rho_th_terminal_level(self):
+        # c = 0 holds terminals 1 and 2 one hop away and a path 0 -> 3 ->
+        # ... -> 9 of non-terminals: with rho = 2 the search ends at level 1,
+        # and only a rho-th terminal at the path's end (9, at distance 7)
+        # lets it run to the end
+        arcs = [(0, 1), (0, 2), (0, 3)] + [(v, v + 1) for v in range(3, 9)]
+        g = Graph(10, arcs, directed=True)
+        reached = []
+        real = directed.bfs_parents
+
+        def counted(*a, **kw):
+            dist, parent = real(*a, **kw)
+            reached.append(len(dist))
+            return dist, parent
+
+        C = set(range(10))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(directed, "bfs_parents", counted)
+            good = coverage_tree(g, C, 0, {1, 2}, 2, 5)
+            deep = coverage_tree(g, C, 0, {1, 9}, 2, 7)
+        assert good.terminals == {1, 2} and deep.terminals == {1, 9}
+        full = len(real(g, [0], restriction=C, max_depth=5)[0])
+        assert reached == [4, 10] and full == 8
 
 
 class TestRhoGoodVertices:

@@ -281,6 +281,18 @@ def test_induced_equals_rebuilt_graph(n, seed, directed):
             assert all(graph.in_neighbors(v) is graph.out_neighbors(v) for v in range(n))
 
 
+@pytest.mark.parametrize("directed", [True, False])
+def test_induced_on_every_vertex_is_the_graph_itself(directed):
+    g = path_graph(4, directed)
+    assert g.induced(set(range(4))) is g
+    assert g.induced(frozenset(range(-1, 5))) is g
+    # as many ids as vertices, but one out of range: a vertex is missing
+    for keep, arcs in [({0, 1, 2, 4}, [(0, 1), (1, 2)]), ({-1, 1, 2, 3}, [(1, 2), (2, 3)])]:
+        sub = g.induced(frozenset(keep))
+        assert sub is not g
+        assert graph_fields(sub) == graph_fields(Graph(4, arcs, directed))
+
+
 @given(n=st.integers(2, 20), seed=st.integers(0, 10**6), directed=st.booleans())
 @settings(max_examples=150, deadline=None)
 def test_shared_root_distances_prune_the_same(n, seed, directed):
@@ -422,14 +434,26 @@ class TestBfsKernel:
         assert str(info.value) == f"arc {bad} not present in the graph"
 
 
+def cut_at_targets(dist, parent, wanted, need):
+    """A full search's (dist, parent) cut after the first level by which
+    ``need`` vertices of ``wanted`` are reached; uncut when never."""
+    levels = sorted(d for v, d in dist.items() if v in wanted)
+    if need > len(levels):
+        return dist, parent
+    stop = levels[need - 1] if need else 0
+    dist = {v: d for v, d in dist.items() if d <= stop}
+    return dist, {v: p for v, p in parent.items() if v in dist}
+
+
 @given(
     n=st.integers(2, 16),
     seed=st.integers(0, 10**6),
     directed=st.booleans(),
     bounded=st.booleans(),
+    targeted=st.booleans(),
 )
 @settings(max_examples=300, deadline=None)
-def test_bfs_kernel_matches_two_pass_references(n, seed, directed, bounded):
+def test_bfs_kernel_matches_two_pass_references(n, seed, directed, bounded, targeted):
     rng = random.Random(seed)
     g = random_graph(rng, n, rng.randint(1, 3 * n), directed)
     sources = set(rng.sample(range(n), rng.randint(1, min(3, n))))
@@ -437,6 +461,10 @@ def test_bfs_kernel_matches_two_pass_references(n, seed, directed, bounded):
     if rng.random() < 0.5:
         restriction = sources | {v for v in range(n) if rng.random() < 0.7}
     depth = rng.randint(0, n) if bounded else None
+    targets = None
+    if targeted:
+        wanted = {v for v in range(n) if rng.random() < 0.4}
+        targets = (wanted, rng.randint(0, len(wanted) + 1))
     # a relabelled copy: queue order no longer follows vertex ids
     perm = list(range(n))
     rng.shuffle(perm)
@@ -449,6 +477,13 @@ def test_bfs_kernel_matches_two_pass_references(n, seed, directed, bounded):
         assert list(bfs_distances(graph, sources, restriction, depth).items()) == list(
             ref_dist.items()
         )
+        if targets is not None:
+            # stopping at the targets keeps the full search's entries up to
+            # its stop level, in the same order
+            cut_dist, cut_parent = cut_at_targets(ref_dist, ref_parent, *targets)
+            dist, parent = bfs_parents(graph, sources, restriction, depth, targets)
+            assert list(dist.items()) == list(cut_dist.items())
+            assert list(parent.items()) == list(cut_parent.items())
         arcs = rng.sample(list(graph.arcs), rng.randint(0, len(graph.arcs)))
         got = subset_bfs_parents(graph, arcs, sorted(sources, reverse=True))
         want = reference_subset_bfs_parents(graph, arcs, sources)
