@@ -57,7 +57,6 @@ from .scheduling import (
     validate_schedule,
 )
 from .undirected import (
-    SuperTerminal,
     find_good_vertex_wrt_super,
     small,
     solve_undirected,

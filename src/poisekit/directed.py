@@ -223,18 +223,18 @@ def complete(
 
 class Round:
     """One packing round: trees of exactly rho terminals packed greedily
-    inside C, and the additive partition they leave: A = R plus the packed
-    vertices, and C = V - A, which holds no rho-good vertex.
+    inside C = V - R, and the additive partition they leave: A = R plus the
+    packed vertices, and V - A, which holds no rho-good vertex.
 
-    The solvers pack everything outside R.  All of it reads only (R, its arcs
-    ``arcs``, D), so a sweep row keeps the round at R = {root} for every
-    degree budget; an undirected region lists each edge once, as its (min,
-    max) key.  Its packing (``trees`` and ``packed``), base arcs and
-    terminal cover row are built on first use; only the cover in `complete`
-    reads the degree budget.  The trees it assembles are kept in
-    ``assembled`` by the cover's picks, so budgets whose covers pick alike,
-    every budget above an unbound cover's ``peak_load`` among them
-    (`CoverRow`), share one tree object for as long as the round lives.
+    All of it reads only (R, its arcs ``arcs``, D), so a sweep row keeps the
+    round at R = {root} for every degree budget; an undirected region lists
+    each edge once, as its (min, max) key.  Its C, packing (``trees`` and
+    ``packed``), base arcs and terminal cover row are built on first use;
+    only the cover in `complete` reads the degree budget.  The trees it
+    assembles are kept in ``assembled`` by the cover's picks, so budgets
+    whose covers pick alike, every budget above an unbound cover's
+    ``peak_load`` among them (`CoverRow`), share one tree object for as long
+    as the round lives.
 
     The round at {root} is the directed stage (`stage_directed`): ``solve(B)``
     answers the guess (B, D) for the target ``k``, and ``trace(B)`` returns
@@ -243,12 +243,15 @@ class Round:
 
     def __init__(
         self, graph: Graph, root: int, R: Iterable[int], arcs: Iterable[Arc],
-        C: Iterable[int], terminals: Iterable[int], rho: int, D: int, k: int,
+        terminals: Iterable[int], rho: int, D: int, k: int,
     ):
         self.graph, self.root, self.rho, self.D, self.k = graph, root, rho, D, k
-        self.R, self.arcs, self.C = frozenset(R), arcs, frozenset(C)
-        self.terminals = frozenset(terminals)
+        self.R, self.arcs, self.terminals = frozenset(R), arcs, frozenset(terminals)
         self.assembled: dict[frozenset[Arc], PoiseTree] = {}
+
+    @functools.cached_property
+    def C(self) -> frozenset[int]:
+        return frozenset(self.graph.vertices()) - self.R
 
     @functools.cached_property
     def _packing(self) -> tuple[tuple[GoodTree, ...], frozenset[int]]:
@@ -277,10 +280,10 @@ class Round:
     def row(self) -> CoverRow:
         """The partition's cover row over the terminals in C, each its own
         only representative."""
-        A = self.R | self.packed
-        C = frozenset(self.graph.vertices()) - A
+        C = self.C - self.packed
         return CoverRow(
-            self.graph, self.root, A, C, {t: (t,) for t in sorted(self.terminals & C)}, self.D
+            self.graph, self.root, self.R | self.packed, C,
+            {t: (t,) for t in sorted(self.terminals & C)}, self.D,
         )
 
     def complete(self, k_remaining: int, B: int) -> tuple[PoiseTree, CoverSelection | None]:
@@ -330,7 +333,7 @@ def stage_directed(instance: MulticastInstance, D: int) -> Round:
     """
     g, root, k = instance.graph, instance.root, instance.k
     rho = math.isqrt(k) if math.isqrt(k) ** 2 == k else math.isqrt(k) + 1
-    packing = Round(g, root, {root}, (), set(g.vertices()) - {root}, instance.terminals, rho, D, k)
+    packing = Round(g, root, {root}, (), instance.terminals, rho, D, k)
     packing.stitched  # staged here: an unreachable packed root fails the whole row
     return packing
 

@@ -162,10 +162,15 @@ class PoiseGuess:
 
 @dataclass
 class PoiseTree:
-    """Rooted out-tree as a partial parent map (root and excluded vertices absent)."""
+    """Rooted out-tree as a partial parent map (root and excluded vertices
+    absent): a map that lists the root as a key is a ValueError."""
 
     root: int
     parent: dict[int, int] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.root in self.parent:
+            raise ValueError(f"parent map lists the root {self.root} as a key")
 
     def vertices(self) -> set[int]:
         return {self.root} | set(self.parent)
@@ -504,15 +509,9 @@ def tree_metrics(tree: PoiseTree, instance: MulticastInstance) -> TreeMetrics:
         out_degree[p] = out_degree.get(p, 0) + 1
         if v in terminals:
             covered += 1
-    depths = tree.depths()
-    root_parent = tree.parent.get(tree.root)
-    if root_parent is not None and root_parent not in depths:
-        # `depths` does not follow a parent of the root; one outside the tree
-        # raises the KeyError that `PoiseTree.out_degrees` raises
-        raise KeyError(root_parent)
-    if tree.root in terminals and tree.root not in tree.parent:
-        covered += 1  # a root listed as a key was counted in the loop
-    height = max(depths.values())
+    height = max(tree.depths().values())
+    if tree.root in terminals:
+        covered += 1
     degree = max(out_degree.values(), default=0)
     return TreeMetrics(degree, height, degree + height, covered)
 

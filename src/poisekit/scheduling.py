@@ -29,29 +29,30 @@ class ValidationReport:
         return asdict(self)
 
 
+def _broadcast_order(tree: PoiseTree) -> tuple[dict[int, int], dict[int, list[int]]]:
+    """b(v) for every vertex of the tree (`broadcast_rounds`), and each
+    vertex's children in the order it calls them: by b descending, ties to
+    the lowest id."""
+    children: dict[int, list[int]] = {v: [] for v in tree.vertices()}
+    for v, p in tree.parent.items():
+        children[p].append(v)
+    b: dict[int, int] = {}
+    for v, _ in sorted(tree.depths().items(), key=lambda item: -item[1]):
+        kids = children[v]
+        kids.sort(key=lambda c: (-b[c], c))
+        b[v] = max((i + 1 + b[c] for i, c in enumerate(kids)), default=0)
+    return b, children
+
+
 def broadcast_rounds(tree: PoiseTree) -> dict[int, int]:
     """Bottom-up round counts b(v): rounds needed to inform v's whole subtree.
 
     b(leaf) = 0; otherwise sort children by b descending (ties to the lowest
     id) and take max over the 1-based position i of (i + b(child_i)).  b(root)
     is the minimum round count of any telephone schedule confined to the
-    tree's arcs.  A parent map that lists the root as a key is a ValueError.
+    tree's arcs.
     """
-    if tree.root in tree.parent:
-        raise ValueError(f'field "parent" lists the root {tree.root} as a key')
-    children: dict[int, list[int]] = {v: [] for v in tree.vertices()}
-    for v, p in tree.parent.items():
-        children[p].append(v)
-    b: dict[int, int] = {}
-    order = sorted(tree.depths().items(), key=lambda item: -item[1])
-    for v, _ in order:
-        kids = children[v]
-        if not kids:
-            b[v] = 0
-            continue
-        kids.sort(key=lambda c: (-b[c], c))
-        b[v] = max(i + 1 + b[c] for i, c in enumerate(kids))
-    return b
+    return _broadcast_order(tree)[0]
 
 
 def tree_broadcast_schedule(tree: PoiseTree) -> Schedule:
@@ -61,17 +62,13 @@ def tree_broadcast_schedule(tree: PoiseTree) -> Schedule:
     round, starting the round after it becomes informed.  Total rounds equal
     b(root).
     """
-    b = broadcast_rounds(tree)
-    children: dict[int, list[int]] = {v: [] for v in tree.vertices()}
-    for v, p in tree.parent.items():
-        children[p].append(v)
+    b, children = _broadcast_order(tree)
     informed_at = {tree.root: 0}
     rounds: dict[int, list[tuple[int, int]]] = {}
     stack = [tree.root]
     while stack:
         v = stack.pop()
-        kids = sorted(children[v], key=lambda c: (-b[c], c))
-        for i, c in enumerate(kids):
+        for i, c in enumerate(children[v]):
             when = informed_at[v] + i + 1
             informed_at[c] = when
             rounds.setdefault(when, []).append((v, c))

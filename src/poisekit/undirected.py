@@ -1,18 +1,19 @@
 """Undirected minimum-poise k-trees via super-terminal contraction.
 
-The solver grows a covered region R from the root.  Each round it packs small
-trees of exactly ceil(t^(1/3)) terminals; if fewer than that many exist the
-partition completes directly, otherwise the small trees contract into
-super-terminals that are either aggregated by one large tree or covered by the
-iterated matroid cover, discarding a t^(2/3)-sized terminal batch per round.
+The solver grows a covered region R from the root.  Each round is the
+directed solver's `Round` outside R: it packs small trees of exactly
+ceil(t^(1/3)) terminals in V - R; if fewer than that many exist the partition
+completes directly, otherwise each packed `GoodTree` is a super-terminal,
+reachable through any of its vertices.  Rho of them are either aggregated by
+one large tree or covered by the iterated matroid cover, discarding a
+t^(2/3)-sized terminal batch per round.
 """
 
 from __future__ import annotations
 
 import functools
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Iterable
+from typing import Any, Iterable, Sequence
 
 from .cover import CoverRow, CoverSelection, _closest_representatives, default_iteration_cap
 from .directed import GoodTree, Round, _cover_forest
@@ -31,15 +32,6 @@ from .graph import (
 Arc = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class SuperTerminal:
-    """A contracted small tree: coverable through any of its vertices."""
-
-    id: int
-    tree: GoodTree
-    representatives: frozenset[int]
-
-
 def _edge_key(arc: Arc) -> Arc:
     """The undirected edge of an arc: its endpoints in ascending order."""
     u, v = arc
@@ -55,7 +47,6 @@ def _ceil_cbrt(t: int) -> int:
 
 def small(
     graph: Graph,
-    C: Iterable[int],
     terminals: Iterable[int],
     t: int,
     k_remaining: int,
@@ -63,7 +54,7 @@ def small(
     D: int,
     root: int,
 ) -> PoiseTree | list[GoodTree]:
-    """Pack trees of exactly ceil(t^(1/3)) terminals inside C.
+    """Pack trees of exactly ceil(t^(1/3)) terminals in V - {root}.
 
     When fewer than that many trees exist the packing is an additive
     partition anchored at the root plus the packed vertices, so the cover
@@ -74,7 +65,7 @@ def small(
     `SuperRound`.  It stays as the first iteration on its own, for the tests
     and for the benchmark's tracer, which counts calls to it.
     """
-    packing = Round(graph, root, {root}, (), C, terminals, _ceil_cbrt(t), D, k_remaining)
+    packing = Round(graph, root, {root}, (), terminals, _ceil_cbrt(t), D, k_remaining)
     if len(packing.trees) >= packing.rho:
         return list(packing.trees)
     return packing.complete(k_remaining, B)[0]
@@ -83,12 +74,13 @@ def small(
 def find_good_vertex_wrt_super(
     graph: Graph,
     C: Iterable[int],
-    supers: list[SuperTerminal],
+    trees: Sequence[GoodTree],
     threshold: int,
     D: int,
 ) -> tuple[int, PoiseTree] | None:
     """First vertex of C (ascending) reaching ``threshold`` super-terminals
-    within D hops in G[C], together with the tree aggregating them.
+    within D hops in G[C], together with the tree aggregating them.  Super-
+    terminal i is the packed tree ``trees[i]``, represented by its vertices.
 
     Distance to a super-terminal is the minimum over its representatives; the
     aggregate tree joins the BFS path to the closest representative of each of
@@ -104,13 +96,13 @@ def find_good_vertex_wrt_super(
     representative shared between supers can only over-count, so a marked
     vertex that fails is passed over.
     """
-    if not supers:
-        raise ValueError("supers must be nonempty")
+    if not trees:
+        raise ValueError("trees must be nonempty")
     C = frozenset(C)
     if not C:
         return None
-    owner = {w: s.id for s in supers for w in s.representatives}
-    by_id = {s.id: s for s in supers}
+    location = {i: tr.vertices() for i, tr in enumerate(trees)}
+    owner = {w: i for i, reps in location.items() for w in reps}
 
     def aggregate(v: int) -> PoiseTree | None:
         dist, parent = bfs_parents(graph, [v], restriction=C, max_depth=D)
@@ -120,14 +112,14 @@ def find_good_vertex_wrt_super(
         chosen = sorted((d, i, w) for i, (d, w) in closest.items())[:threshold]
         union = {(p, u) for u, p in chain_parents(parent, [w for _, _, w in chosen]).items()}
         for _, i, _ in chosen:
-            union |= by_id[i].tree.edges
+            union |= trees[i].edges
         return shortest_path_tree(graph, union, v)
 
     first = min(C)
     tree = aggregate(first)
     if tree is not None:
         return first, tree
-    held = reach_labels(graph, C, {s.id: s.representatives for s in supers}, D, threshold)
+    held = reach_labels(graph, C, location, D, threshold)
     for v in sorted(v for v, have in held.items() if len(have) >= threshold and v != first):
         tree = aggregate(v)
         if tree is not None:
@@ -154,11 +146,12 @@ class SuperRound(Round):
     ``depth``-th iteration of a solve, and the region the iteration before it
     left: that iteration's ``covered`` count and its ``record`` and
     ``detail`` trace dicts (None in the first round).  When the round packs
-    at least rho trees they contract into super-terminals, searched for a
-    vertex aggregating rho of them, joined to R when found, or else covered
-    from the super-terminal row; each of these is built on first use, as
-    are C = V - R, the packing and the ``cap`` on its cover's iterations, so
-    a walk whose answer is a round's region never packs that round.
+    at least rho trees, each packed tree is a super-terminal: C is searched
+    for a vertex aggregating rho of them, joined to R when found, or else
+    they are covered from the super-terminal row.  Each of these is built on
+    first use, as are the `Round`'s C and packing and the ``cap`` on the
+    cover's iterations, so a walk whose answer is a round's region never
+    packs that round.
 
     The region's ``arcs`` are its undirected edges, each once as a (min,
     max) key: every tree built over them reads an edge in both directions.
@@ -182,16 +175,9 @@ class SuperRound(Round):
         covered: int = 0, record: dict[str, Any] | None = None,
         detail: dict[str, Any] | None = None,
     ):
-        # not Round.__init__, which takes C: here C = V - R, built on first use
-        self.graph, self.root, self.rho, self.D, self.k = graph, root, rho, D, k
-        self.R, self.arcs, self.terminals = R, edges, frozenset(terminals)
+        super().__init__(graph, root, R, edges, terminals, rho, D, k)
         self.depth, self.covered, self.record, self.detail = depth, covered, record, detail
-        self.assembled: dict[frozenset[Arc], PoiseTree] = {}
         self.steps: dict[frozenset[Arc] | None, SuperRound] = {}
-
-    @functools.cached_property
-    def C(self) -> frozenset[int]:
-        return frozenset(self.graph.vertices()) - self.R
 
     @functools.cached_property
     def cap(self) -> int:
@@ -204,12 +190,8 @@ class SuperRound(Round):
         return shortest_path_tree(self.graph, self.arcs, self.root)
 
     @functools.cached_property
-    def supers(self) -> list[SuperTerminal]:
-        return [SuperTerminal(i, tr, frozenset(tr.vertices())) for i, tr in enumerate(self.trees)]
-
-    @functools.cached_property
     def found(self) -> tuple[int, PoiseTree] | None:
-        return find_good_vertex_wrt_super(self.graph, self.C, self.supers, self.rho, self.D)
+        return find_good_vertex_wrt_super(self.graph, self.C, self.trees, self.rho, self.D)
 
     @functools.cached_property
     def super_row(self) -> CoverRow:
@@ -217,7 +199,7 @@ class SuperRound(Round):
         packed tree's vertices."""
         return CoverRow(
             self.graph, self.root, self.R, self.C,
-            {s.id: s.representatives for s in self.supers}, self.D,
+            {i: tr.vertices() for i, tr in enumerate(self.trees)}, self.D,
         )
 
     def step(self, B: int) -> SuperRound:
@@ -248,15 +230,15 @@ class SuperRound(Round):
         return self._advance("large", [path, sorted(big.arcs())], covered, covered)
 
     def _covered(self, selection: CoverSelection) -> SuperRound:
-        supers = self.supers
+        trees = self.trees
         t_c = _cover_forest(self.graph, self.super_row, selection.chosen)
         covered_tree_arcs: list[Arc] = []
         covered: set[int] = set()
         for i in sorted(selection.covered_elements):
-            covered_tree_arcs.extend(sorted(supers[i].tree.edges))
-            covered |= supers[i].tree.terminals
+            covered_tree_arcs.extend(sorted(trees[i].edges))
+            covered |= trees[i].terminals
         groups = [sorted(selection.chosen), sorted(t_c), covered_tree_arcs]
-        discarded = self.terminals & set().union(*(tr.terminals for tr in self.trees))
+        discarded = self.terminals & set().union(*(tr.terminals for tr in trees))
         return self._advance("pmcover", groups, covered, discarded)
 
     def _advance(
@@ -269,7 +251,7 @@ class SuperRound(Round):
             raise InfeasibleGuessError("iteration neither covered nor discarded terminals")
         edges = set(self.arcs)
         added = _merge_arcs(edges, groups)
-        record = self._record(branch, len(self.supers), added, len(covered), len(discarded))
+        record = self._record(branch, len(self.trees), added, len(covered), len(discarded))
         detail = {"iter": self.depth, "branch": branch, "covered_terminals": sorted(covered),
                   "discarded_terminals": sorted(discarded)}
         return SuperRound(

@@ -450,7 +450,7 @@ def star_of_stars_super_row():
     inst = generate_instance("star-of-stars", {"branch": 10, "leaf": 4, "k": 30, "directed": False})
     first = stage_budget(inst, 3)
     assert first.found is None
-    cap = min(default_iteration_cap(inst.k), default_iteration_cap(len(first.supers)))
+    cap = min(default_iteration_cap(inst.k), default_iteration_cap(len(first.trees)))
     return first.super_row, None, cap, len(inst.terminals)
 
 

@@ -362,7 +362,7 @@ class TestComplete:
 
     def test_zero_remaining_short_circuits(self):
         g = Graph(4, [(0, 1), (1, 2), (1, 3)], directed=True)
-        packing = Round(g, 0, {0}, (), {1, 2, 3}, {2, 3}, rho=2, D=1, k=2)
+        packing = Round(g, 0, {0}, (), {2, 3}, rho=2, D=1, k=2)
         assert len(packing.trees) == 1
         tree, _ = complete(g, 0, packing.base, packing.row, 0, B=1)
         m = tree_metrics(tree, MulticastInstance(g, 0, {2, 3}, 2))
@@ -468,10 +468,7 @@ class TestSolveDirected:
             pruned = prune_beyond(inst, res.D_star)
             g = pruned.graph
             rho = rng.randint(1, 3)
-            packing = Round(
-                g, inst.root, {inst.root}, (), set(g.vertices()) - {inst.root},
-                pruned.terminals, rho, res.D_star, inst.k,
-            )
+            packing = Round(g, inst.root, {inst.root}, (), pruned.terminals, rho, res.D_star, inst.k)
             if len(packing.trees) >= rho:
                 continue
             checked += 1
@@ -505,6 +502,17 @@ def test_screen_rejects_a_cap_below_one():
         with pytest.raises(ValueError, match="rho must be at least 1"):
             rho_good_vertices(g, range(5), terminals, bad, 2)
     assert rho_good_vertices(g, range(5), terminals, 3, 2) == {0, 1}
+
+
+def test_round_builds_C_on_first_use():
+    # the stage's round at {root} packs V - {root}, built when the packing
+    # is first read: a round that is never packed never builds it
+    g = Graph(4, [(0, 1), (1, 2), (1, 3)], directed=True)
+    packing = Round(g, 0, {0}, (), {2, 3}, rho=2, D=1, k=2)
+    assert "C" not in vars(packing)
+    assert len(packing.trees) == 1
+    assert vars(packing)["C"] == {1, 2, 3}
+    assert packing.row.C == frozenset()
 
 
 def test_row_assembles_each_cover_selection_once(monkeypatch):

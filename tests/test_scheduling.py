@@ -71,11 +71,30 @@ class TestTreeBroadcastSchedule:
             assert b >= max(height, root_degree)
             assert b <= degree * max(height, 1)
 
-    @pytest.mark.parametrize("schedule_rounds", [broadcast_rounds, tree_broadcast_schedule])
-    def test_root_listed_in_parent_map_is_named(self, schedule_rounds):
-        tree = PoiseTree(0, {0: 1, 1: 0, 2: 1})
-        with pytest.raises(ValueError, match='field "parent" lists the root 0 as a key'):
-            schedule_rounds(tree)
+    def test_each_vertex_calls_its_children_in_decreasing_b_order(self):
+        # ties to the lowest id, one a round from the round after it is informed
+        rng = random.Random(36)
+        for _ in range(50):
+            n = rng.randint(2, 40)
+            tree = PoiseTree(0, random_parent_map(n, rng))
+            b = broadcast_rounds(tree)
+            informed_at = {0: 0}
+            calls: dict[int, list[tuple[int, int]]] = {}
+            for when, rnd in enumerate(tree_broadcast_schedule(tree).rounds, 1):
+                for v, c in rnd:
+                    informed_at[c] = when
+                    calls.setdefault(v, []).append((when, c))
+            assert len(informed_at) == n
+            for v, made in calls.items():
+                kids = [c for _, c in made]
+                assert kids == sorted(kids, key=lambda c: (-b[c], c))
+                start = informed_at[v] + 1
+                assert [when for when, _ in made] == list(range(start, start + len(made)))
+
+    def test_root_listed_in_parent_map_is_named(self):
+        # refused at construction, so no schedule ever sees such a tree
+        with pytest.raises(ValueError, match="parent map lists the root 0 as a key"):
+            PoiseTree(0, {0: 1, 1: 0, 2: 1})
 
     def test_optimal_on_small_random_trees(self):
         rng = random.Random(26)

@@ -14,7 +14,6 @@ from poisekit import (
     MulticastInstance,
     PoiseGuess,
     PoiseTree,
-    SuperTerminal,
     eccentricity,
     exact_min_poise_ktree,
     find_good_vertex_wrt_super,
@@ -44,10 +43,7 @@ class TestSmall:
         # eight 1-terminal middles: no vertex reaches 2 terminals inside C,
         # so the packing is empty and the completion covers everything
         inst = middles_instance(8)
-        result = small(
-            inst.graph, set(range(1, 17)), inst.terminals, t=8, k_remaining=8,
-            B=8, D=2, root=0,
-        )
+        result = small(inst.graph, inst.terminals, t=8, k_remaining=8, B=8, D=2, root=0)
         assert isinstance(result, PoiseTree)
         m = tree_metrics(result, inst)
         assert m.terminals_covered == 8
@@ -64,43 +60,25 @@ class TestSmall:
             nxt += 2
         g = Graph(nxt, arcs, directed=False)
         inst = MulticastInstance(g, 0, terms, 8)
-        result = small(
-            g, set(range(1, nxt)), inst.terminals, t=8, k_remaining=8,
-            B=2, D=2, root=0,
-        )
+        result = small(g, inst.terminals, t=8, k_remaining=8, B=2, D=2, root=0)
         assert isinstance(result, list)
         assert len(result) == 4
         assert all(len(t.terminals) == 2 for t in result)
 
-    def test_packs_inside_C_and_completes_outside_it(self):
-        # terminals 2, 5 hang off 1 and 4, 6 off 3; C leaves out 3, so the
-        # packing finds one 2-terminal tree (at 1), below rho = 2, and the
-        # completion, anchored at the root plus that tree, reaches 4 and 6
-        # through 3 (with 3 in C the packing would find two trees)
-        g = Graph(7, [(0, 1), (1, 2), (1, 5), (0, 3), (3, 4), (3, 6)], directed=False)
-        terms = {2, 4, 5, 6}
-        args = dict(t=4, k_remaining=4, B=1, D=2, root=0)
-        assert len(small(g, set(range(1, 7)), terms, **args)) == 2
-        result = small(g, {1, 2, 4, 5, 6}, terms, **args)
-        assert isinstance(result, PoiseTree)
-        assert result.root == 0
-        assert result.parent == {1: 0, 2: 1, 5: 1, 3: 0, 4: 3, 6: 3}
-
     def test_single_terminal_degenerates(self):
         g = Graph(3, [(0, 1), (1, 2)], directed=False)
         inst = MulticastInstance(g, 0, {2}, 1)
-        result = small(g, {1, 2}, inst.terminals, t=1, k_remaining=1, B=1, D=2, root=0)
+        result = small(g, inst.terminals, t=1, k_remaining=1, B=1, D=2, root=0)
         # rho = 1: the terminal itself makes a 1-good tree, so trees come back
         assert isinstance(result, list)
         assert len(result) >= 1 and all(len(t.terminals) == 1 for t in result)
 
 
-def reference_good_vertex(graph, C, supers, threshold, D):
+def reference_good_vertex(graph, C, trees, threshold, D):
     """The super-terminal search as one BFS per vertex of C, in ascending
     order, kept here only to check the search against."""
     C = frozenset(C)
-    owner = {w: s.id for s in supers for w in s.representatives}
-    by_id = {s.id: s for s in supers}
+    owner = {w: i for i, tr in enumerate(trees) for w in tr.vertices()}
     for v in sorted(C):
         dist, parent = bfs_parents(graph, [v], restriction=C, max_depth=D)
         closest = _closest_representatives(dist, owner)
@@ -109,14 +87,14 @@ def reference_good_vertex(graph, C, supers, threshold, D):
         chosen = sorted((d, i, w) for i, (d, w) in closest.items())[:threshold]
         union = {(p, u) for u, p in chain_parents(parent, [w for _, _, w in chosen]).items()}
         for _, i, _ in chosen:
-            union |= by_id[i].tree.edges
+            union |= trees[i].edges
         return v, shortest_path_tree(graph, union, v)
     return None
 
 
 def random_supers(rng, graph):
-    """Vertex-disjoint super-terminals over ``graph``'s arcs: each a root and
-    up to two of its unused out-neighbours, represented by all its vertices."""
+    """Vertex-disjoint packed trees over ``graph``'s arcs: each a root and up
+    to two of its unused out-neighbours."""
     used: set[int] = set()
     supers = []
     for r in rng.sample(range(graph.n), graph.n):
@@ -126,11 +104,9 @@ def random_supers(rng, graph):
             continue
         free = [x for x in graph.out_neighbors(r) if x not in used]
         children = rng.sample(free, min(len(free), rng.randint(0, 2)))
+        used |= {r, *children}
         edges = frozenset((r, x) for x in children)
-        verts = frozenset([r, *children])
-        used |= verts
-        tree = GoodTree(r, edges, frozenset(children) or frozenset({r}))
-        supers.append(SuperTerminal(len(supers), tree, verts))
+        supers.append(GoodTree(r, edges, frozenset(children) or frozenset({r})))
     return supers
 
 
@@ -151,11 +127,9 @@ def search_work(monkeypatch):
 
 class TestFindGoodVertexWrtSuper:
     def make_supers(self):
-        t1 = GoodTree(5, frozenset({(5, 6)}), frozenset({5, 6}))
-        t2 = GoodTree(7, frozenset({(7, 8)}), frozenset({7, 8}))
         return [
-            SuperTerminal(0, t1, frozenset({5, 6})),
-            SuperTerminal(1, t2, frozenset({7, 8})),
+            GoodTree(5, frozenset({(5, 6)}), frozenset({5, 6})),
+            GoodTree(7, frozenset({(7, 8)}), frozenset({7, 8})),
         ]
 
     def graph(self):
@@ -188,9 +162,9 @@ class TestFindGoodVertexWrtSuper:
         # screen for both, so it marks 4 and 5, whose BFSes fall short, before 6
         graph = Graph(8, [(0, 1), (1, 4), (4, 5), (5, 6), (6, 7)], directed=False)
         supers = [
-            SuperTerminal(0, GoodTree(5, frozenset(), frozenset({5})), frozenset({5})),
-            SuperTerminal(1, GoodTree(5, frozenset({(5, 6)}), frozenset({6})), frozenset({5, 6})),
-            SuperTerminal(2, GoodTree(7, frozenset(), frozenset({7})), frozenset({7})),
+            GoodTree(5, frozenset(), frozenset({5})),
+            GoodTree(5, frozenset({(5, 6)}), frozenset({6})),
+            GoodTree(7, frozenset(), frozenset({7})),
         ]
         C = {1, 4, 5, 6, 7}
         got = find_good_vertex_wrt_super(graph, C, supers, 2, D=1)
@@ -223,7 +197,7 @@ class TestFindGoodVertexWrtSuper:
             graph = random_graph(rng, n, rng.randint(1, 2 * n), directed)
             supers = random_supers(rng, graph)
             C = set(rng.sample(range(n), rng.randint(0, n)))
-            outcomes["outside"] += any(not s.representatives <= C for s in supers)
+            outcomes["outside"] += any(not s.vertices() <= C for s in supers)
             for D in range(5):
                 for threshold in range(1, len(supers) + 2):
                     got = find_good_vertex_wrt_super(graph, C, supers, threshold, D)
@@ -254,13 +228,14 @@ class TestStaging:
     def test_first_round_contracts_its_trees_once_per_row(self, monkeypatch):
         # D = 3 is the one row past pruning; every cell aggregates the first
         # round's super-terminals (large), then covers a fresh round's (pmcover)
-        contracted = []
+        searched = []
+        real = undirected.find_good_vertex_wrt_super
 
-        def recording(i, tree, representatives):
-            contracted.append(tree)
-            return SuperTerminal(i, tree, representatives)
+        def recording(graph, C, trees, threshold, D):
+            searched.append(trees)
+            return real(graph, C, trees, threshold, D)
 
-        monkeypatch.setattr(undirected, "SuperTerminal", recording)
+        monkeypatch.setattr(undirected, "find_good_vertex_wrt_super", recording)
         inst = hub_stars_instance()
         stage = stage_budget(inst, 3)
         for B in range(1, len(inst.terminals) + 1):
@@ -268,8 +243,10 @@ class TestStaging:
             assert [r["branch"] for r in trace["iterations"]] == ["large", "pmcover"]
         first = stage.trees
         assert len(first) == 4
-        assert sum(any(t is f for f in first) for t in contracted) == len(first)
-        assert len({id(t) for t in contracted}) == len(contracted)
+        assert [trees is first for trees in searched].count(True) == 1
+        passed = [t for trees in searched for t in trees]
+        assert sum(any(t is f for f in first) for t in passed) == len(first)
+        assert len({id(t) for t in passed}) == len(passed)
 
 
 class TestSolveUndirected:
