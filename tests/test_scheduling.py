@@ -91,10 +91,11 @@ class TestTreeBroadcastSchedule:
                 start = informed_at[v] + 1
                 assert [when for when, _ in made] == list(range(start, start + len(made)))
 
-    def test_root_listed_in_parent_map_is_named(self):
+    @pytest.mark.parametrize("schedule_rounds", [broadcast_rounds, tree_broadcast_schedule])
+    def test_root_listed_in_parent_map_is_named(self, schedule_rounds):
         # refused at construction, so no schedule ever sees such a tree
         with pytest.raises(ValueError, match="parent map lists the root 0 as a key"):
-            PoiseTree(0, {0: 1, 1: 0, 2: 1})
+            schedule_rounds(PoiseTree(0, {0: 1, 1: 0, 2: 1}))
 
     def test_optimal_on_small_random_trees(self):
         rng = random.Random(26)
