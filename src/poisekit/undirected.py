@@ -142,16 +142,15 @@ def _merge_arcs(edges: set[Arc], groups: Iterable[Iterable[Arc]]) -> list[Arc]:
 
 
 class SuperRound(Round):
-    """An undirected packing round outside the covered region R, the
-    ``depth``-th iteration of a solve, and the region the iteration before it
-    left: that iteration's ``covered`` count and its ``record`` and
-    ``detail`` trace dicts (None in the first round).  When the round packs
-    at least rho trees, each packed tree is a super-terminal: C is searched
-    for a vertex aggregating rho of them, joined to R when found, or else
-    they are covered from the super-terminal row.  Each of these is built on
-    first use, as are the `Round`'s C and packing and the ``cap`` on the
-    cover's iterations, so a walk whose answer is a round's region never
-    packs that round.
+    """An undirected packing round outside the covered region R, and the
+    region the iteration before it left: the arcs that iteration ``added``
+    to R, in merge order, and the terminals it ``covered`` (both empty in
+    the first round).  When the round packs at least rho trees, each packed
+    tree is a super-terminal: C is searched for a vertex aggregating rho of
+    them, joined to R when found, or else they are covered from the
+    super-terminal row.  Each of these is built on first use, as are the
+    `Round`'s C and packing and the ``cap`` on the cover's iterations, so a
+    walk whose answer is a round's region never packs that round.
 
     The region's ``arcs`` are its undirected edges, each once as a (min,
     max) key: every tree built over them reads an edge in both directions.
@@ -160,8 +159,7 @@ class SuperRound(Round):
     next round by those picks (None for the budget-free aggregation), so
     every degree budget of a row walks one shared tree of rounds from the
     stage's first.  A round holds no reference back to the round before it,
-    so a stage's rounds are freed as soon as the stage is.  The records are
-    shared by every budget that picks alike: nothing may mutate them.
+    so a stage's rounds are freed as soon as the stage is.
 
     The first round, at R = {root}, is the undirected stage
     (`stage_undirected`): ``solve(B)`` and ``trace(B)`` take one `_walk` of
@@ -171,12 +169,11 @@ class SuperRound(Round):
 
     def __init__(
         self, graph: Graph, root: int, R: frozenset[int], edges: frozenset[Arc],
-        terminals: Iterable[int], rho: int, D: int, k: int, depth: int = 1,
-        covered: int = 0, record: dict[str, Any] | None = None,
-        detail: dict[str, Any] | None = None,
+        terminals: Iterable[int], rho: int, D: int, k: int, added: tuple[Arc, ...] = (),
+        covered: frozenset[int] = frozenset(),
     ):
         super().__init__(graph, root, R, edges, terminals, rho, D, k)
-        self.depth, self.covered, self.record, self.detail = depth, covered, record, detail
+        self.added, self.covered = added, covered
         self.steps: dict[frozenset[Arc] | None, SuperRound] = {}
 
     @functools.cached_property
@@ -227,59 +224,52 @@ class SuperRound(Round):
         _, attach = min(candidates)
         path = [(p, u) for u, p in chain_parents(parent, [attach]).items()]
         covered = big.vertices() & self.terminals
-        return self._advance("large", [path, sorted(big.arcs())], covered, covered)
+        return self._advance([path, sorted(big.arcs())], covered, covered)
 
     def _covered(self, selection: CoverSelection) -> SuperRound:
-        trees = self.trees
         t_c = _cover_forest(self.graph, self.super_row, selection.chosen)
-        covered_tree_arcs: list[Arc] = []
-        covered: set[int] = set()
-        for i in sorted(selection.covered_elements):
-            covered_tree_arcs.extend(sorted(trees[i].edges))
-            covered |= trees[i].terminals
-        groups = [sorted(selection.chosen), sorted(t_c), covered_tree_arcs]
-        discarded = self.terminals & set().union(*(tr.terminals for tr in trees))
-        return self._advance("pmcover", groups, covered, discarded)
+        reached = [self.trees[i] for i in sorted(selection.covered_elements)]
+        groups = [sorted(selection.chosen), sorted(t_c), *(sorted(tr.edges) for tr in reached)]
+        covered = {v for tr in reached for v in tr.terminals}
+        discarded = self.terminals & set().union(*(tr.terminals for tr in self.trees))
+        return self._advance(groups, covered, discarded)
 
     def _advance(
-        self, branch: str, groups: Iterable[Iterable[Arc]], covered: set[int],
+        self, groups: Iterable[Iterable[Arc]], covered: set[int],
         discarded: set[int] | frozenset[int],
     ) -> SuperRound:
         """The round that joins ``groups``' arcs to the region and retires
-        the discarded terminals, with this iteration's trace records."""
+        the discarded terminals."""
         if not covered and not discarded:
             raise InfeasibleGuessError("iteration neither covered nor discarded terminals")
         edges = set(self.arcs)
-        added = _merge_arcs(edges, groups)
-        record = self._record(branch, len(self.trees), added, len(covered), len(discarded))
-        detail = {"iter": self.depth, "branch": branch, "covered_terminals": sorted(covered),
-                  "discarded_terminals": sorted(discarded)}
+        added = tuple(_merge_arcs(edges, groups))
         return SuperRound(
             self.graph, self.root, self.R.union(*added), frozenset(edges),
-            self.terminals - discarded, self.rho, self.D, self.k, self.depth + 1,
-            len(covered), record, detail,
+            self.terminals - discarded, self.rho, self.D, self.k, added, frozenset(covered),
         )
 
     def _record(
-        self, branch: str, supers: int, added: Iterable[Arc], covered: int, discarded: int
+        self, it: int, branch: str, supers: int, added: Iterable[Arc], covered: int,
+        discarded: int,
     ) -> dict[str, Any]:
-        """The trace record of an iteration that joins ``added`` to the
-        region.  Each added arc counts toward the degree of its region-nearer
-        endpoint (its stored parent), inside R or outside it."""
+        """The trace record of iteration ``it``, which joins ``added`` to this
+        round's region.  Each added arc counts toward the degree of its stored
+        parent, the endpoint nearer the region, inside R or outside it."""
         delta = Counter(p for p, _ in added)
         return {
-            "iter": self.depth, "branch": branch, "supers": supers,
+            "iter": it, "branch": branch, "supers": supers,
             "covered": covered, "discarded": discarded,
             "max_degree_delta_R": max((d for v, d in delta.items() if v in self.R), default=0),
             "max_degree_delta_C": max((d for v, d in delta.items() if v not in self.R), default=0),
         }
 
-    def small_record(self, tree: PoiseTree) -> dict[str, Any]:
-        """The trace record of a last iteration that completes this round's
-        partition into ``tree``."""
+    def small_record(self, it: int, tree: PoiseTree) -> dict[str, Any]:
+        """The trace record of a last iteration ``it`` that completes this
+        round's partition into ``tree``."""
         added = [a for a in tree.arcs() if _edge_key(a) not in self.arcs]
         covered = len(tree.vertices() & self.terminals)
-        return self._record("small", 0, added, covered, covered)
+        return self._record(it, "small", 0, added, covered, covered)
 
     def _walk(self, B: int) -> tuple[PoiseTree, list[SuperRound], bool]:
         """The tree a solve at degree budget B ends in, the rounds it walks
@@ -298,18 +288,27 @@ class SuperRound(Round):
             if len(packing.trees) < packing.rho:
                 return packing.complete(k_rem, B)[0], walked, True
             walked.append(packing.step(B))
-            k_rem -= walked[-1].covered
+            k_rem -= len(walked[-1].covered)
         return walked[-1].tree, walked, False
 
     def solve(self, B: int) -> PoiseTree:
         return self._walk(B)[0]
 
     def trace(self, B: int) -> tuple[PoiseTree, dict[str, Any]]:
+        """``solve(B)``'s tree with a record and a detail per iteration of its
+        walk.  Each branch discards only terminals of the round it leaves."""
         tree, walked, completes = self._walk(B)
-        log = [r.record for r in walked[1:]]
+        log, detail = [], []
+        for it, (before, after) in enumerate(zip(walked, walked[1:]), 1):
+            branch = "pmcover" if before.found is None else "large"
+            discarded = before.terminals - after.terminals
+            log.append(before._record(it, branch, len(before.trees), after.added,
+                                      len(after.covered), len(discarded)))
+            covered = sorted(after.covered)
+            detail.append({"iter": it, "branch": branch, "covered_terminals": covered,
+                           "discarded_terminals": sorted(discarded)})
         if completes:
-            log.append(walked[-1].small_record(tree))
-        detail = [r.detail for r in walked[1:]]
+            log.append(walked[-1].small_record(len(walked), tree))
         return tree, {"solver": "undirected", "iterations": log, "detail": detail}
 
 

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -307,6 +309,19 @@ class TestBench:
         assert run(["bench", "--suite", "quick", "--seed", "5", "--out", str(a)]) == 0
         assert run(["bench", "--suite", "quick", "--seed", "5", "--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_with_timing_appends_a_time_column(self, tmp_path):
+        # the timed CSV is the untimed one plus a last time_ms column
+        plain, timed = tmp_path / "plain.csv", tmp_path / "timed.csv"
+        assert run(["bench", "--suite", "quick", "--seed", "5", "--out", str(plain)]) == 0
+        assert run(["bench", "--suite", "quick", "--seed", "5", "--with-timing",
+                    "--out", str(timed)]) == 0
+        header, *rows = csv.reader(io.StringIO(timed.read_text()))
+        assert header[-1] == "time_ms" and rows
+        assert all(float(row[-1]) >= 0 for row in rows)
+        untimed = io.StringIO()
+        csv.writer(untimed, lineterminator="\n").writerows(row[:-1] for row in [header, *rows])
+        assert untimed.getvalue() == plain.read_text()
 
 
 def test_round_trip_through_files(tmp_path):

@@ -232,7 +232,9 @@ def test_untraced_sweep_renders_no_trace(model, params, monkeypatch):
         raise AssertionError("a sweep rendered a trace")
 
     inst = generate_instance(model, params)
-    for cls, name in [(Round, "trace"), (SuperRound, "trace"), (SuperRound, "small_record")]:
+    refused = [(Round, "trace"), (SuperRound, "trace"), (SuperRound, "small_record"),
+               (SuperRound, "_record")]
+    for cls, name in refused:
         monkeypatch.setattr(cls, name, refuse)
     covers = []
     monkeypatch.setattr(cover, "pm_cover", _counting(covers, cover.pm_cover))

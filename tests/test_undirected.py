@@ -450,7 +450,7 @@ def test_shared_stage_solves_every_budget_as_a_fresh_stage(monkeypatch, make):
         built.clear()
         packed.clear()
         shared = [_cell(stage, B) for B in budgets]
-        later = [ref() for ref in built if ref().depth > 1]
+        later = [ref() for ref in built if ref() is not stage]
         stepped = list(_steps(stage))
         assert len(later) == len(stepped) == len({id(r) for r in later} | {id(r) for r in stepped})
         packings = [ref() for ref in packed]
@@ -461,13 +461,19 @@ def test_shared_stage_solves_every_budget_as_a_fresh_stage(monkeypatch, make):
             try:
                 walks.append(stage._walk(B)[1:])
             except InfeasibleGuessError:
-                pass
+                continue
+            # each trace renders its records afresh: none is shared with
+            # another call, so a caller that mutates one spoils nothing
+            (_, first), (_, second) = stage.trace(B), stage.trace(B)
+            assert first == second
+            for key in ("iterations", "detail"):
+                assert not {id(r) for r in first[key]} & {id(r) for r in second[key]}
         # every round a walk goes on from is packed; none it ends on is,
         # nor builds its C = V - R
         assert all(id(r) in packed_ids for walked, _ in walks for r in walked[:-1])
         ends = [walked[-1] for walked, completes in walks if not completes]
         assert not any(id(r) in packed_ids or "C" in vars(r) for r in ends)
-        later_packings += sum(r.depth > 1 for r in packings)
+        later_packings += sum(r is not stage for r in packings)
         region_ends += len(ends)
         del later, stepped, packings, walks, ends
         gc.disable()
