@@ -98,7 +98,7 @@ def _random_digraph(params: dict) -> MulticastInstance:
         if connected and len(reach) < n:
             continue
         if sum(1 for s in terms if s in reach) >= k:
-            return _reachable_instance(graph, 0, terms, k)
+            return normalize_terminals(MulticastInstance(graph, 0, terms, k))
     raise GenerationError("random-digraph: could not reach k terminals after retries")
 
 

@@ -12,6 +12,11 @@ super-terminal search ask it capped at rho, the coverage system uncapped.
 All tie-breaks (BFS parent choice, equal-distance choices) resolve to the
 lowest vertex id so every operation is reproducible.
 
+A `Graph` is built in one pass: each arc is checked once, in input order, and
+encoded as the integer u * n + v; one sort of the distinct keys gives the
+sorted arcs, and decoding them in that order fills every adjacency row
+already ascending.
+
 The solvers build each sweep cell's tree from a union of picked arcs, so the
 passes over such a union are kept to one each: `subset_bfs_parents` checks
 every arc against the graph's adjacency while it builds plain successor
@@ -48,25 +53,28 @@ class Graph:
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]], directed: bool):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        seen = set()
+        keys = []
         for u, v in arcs:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            seen.add((u, v) if directed else (min(u, v), max(u, v)))
+            keys.append(u * n + v if directed or u < v else v * n + u)
+        # Decoding the sorted keys fills each row ascending: an undirected row
+        # gets its lower neighbours (edges ending at it) before its higher ones.
+        pairs = [divmod(key, n) for key in sorted(set(keys))]
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "arcs", tuple(sorted(seen)))
+        object.__setattr__(self, "arcs", tuple(pairs))
         object.__setattr__(self, "directed", directed)
         out: list[list[int]] = [[] for _ in range(n)]
         inc: list[list[int]] = [[] for _ in range(n)] if directed else out
-        for u, v in self.arcs:
+        for u, v in pairs:
             out[u].append(v)
             inc[v].append(u)
-        adjacency = tuple(tuple(sorted(a)) for a in out)
+        adjacency = tuple([tuple(row) for row in out])
         object.__setattr__(self, "_out", adjacency)
         if directed:
-            adjacency = tuple(tuple(sorted(a)) for a in inc)
+            adjacency = tuple([tuple(row) for row in inc])
         object.__setattr__(self, "_in", adjacency)
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:

@@ -102,7 +102,13 @@ def instance_from_json(text: str) -> MulticastInstance:
     n, root, k = (_integer(data[name], name) for name in ("n", "root", "k"))
     if n > MAX_VERTICES:
         raise ValueError(f'field "n" must be at most {MAX_VERTICES}, got {n}')
-    arcs = [_pair(edge, "edges", "u, v") for edge in _list(data["edges"], "edges")]
+    edges = _list(data["edges"], "edges")
+    arcs = [
+        edge for edge in edges
+        if type(edge) is list and len(edge) == 2 and type(edge[0]) is int and type(edge[1]) is int
+    ]
+    if len(arcs) != len(edges):  # `_pair` names the first malformed edge
+        arcs = [_pair(edge, "edges", "u, v") for edge in edges]
     terminals: set[int] = set()
     for t in _list(data["terminals"], "terminals"):
         if _integer(t, "terminals") in terminals:

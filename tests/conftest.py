@@ -179,6 +179,13 @@ MALFORMED_INSTANCES = [
      'field "edges" must hold [u, v] pairs'),
     ("scalar-edge", _two_branch_with(edges=[0, 1]), 'field "edges" must hold [u, v] pairs'),
     ("edges-not-list", _two_branch_with(edges={"0": 1}), 'field "edges" must be a JSON list'),
+    # bad only after a valid edge: the message quotes the first bad edge
+    ("bool-endpoint-after-valid", _two_branch_with(edges=[[0, 1], [0, True]]),
+     'field "edges" must hold JSON integers, got [0, true]'),
+    ("three-element-edge-after-valid", _two_branch_with(edges=[[0, 1], [0, 2, 3]]),
+     'field "edges" must hold [u, v] pairs, got [0, 2, 3]'),
+    ("float-endpoint-after-valid", _two_branch_with(edges=[[0, 1], [1, 2.5]]),
+     'field "edges" must hold JSON integers, got [1, 2.5]'),
     ("repeated-key", _two_branch_with().replace('"n": 5', '"n": 3, "n": 5'), 'repeated key "n"'),
 ]
 

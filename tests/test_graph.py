@@ -47,6 +47,19 @@ class TestGraph:
         g = Graph(3, [(0, 1)], directed=True)
         assert g.has_arc(0, 1) and not g.has_arc(1, 0)
 
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("arcs, message", [
+        # an unchecked key u * n + v would read (1, -1) as the arc (0, 2)
+        ([(0, 1), (1, -1), (2, 2)], "arc (1, -1) out of range for n=3"),
+        ([(0, 1), (2, 2), (1, -1)], "self-loop at vertex 2"),
+        ([(1, 0), (0, 3), (1, 1)], "arc (0, 3) out of range for n=3"),
+        ([(2, 1), (-1, 0), (0, 5)], "arc (-1, 0) out of range for n=3"),
+    ])
+    def test_first_bad_arc_in_input_order_is_named(self, arcs, message, directed):
+        with pytest.raises(ValueError) as info:
+            Graph(3, arcs, directed)
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("u, v", [(-1, 1), (3, 1), (0, -2), (0, 3)])
     def test_has_arc_is_false_off_the_vertex_range(self, u, v):
         # vertex -1 must not read vertex 2's adjacency, which holds the arc (2, 1)
@@ -259,6 +272,33 @@ def graph_fields(graph: Graph):
         [graph.out_neighbors(v) for v in graph.vertices()],
         [graph.in_neighbors(v) for v in graph.vertices()],
     )
+
+
+@given(n=st.integers(1, 20), seed=st.integers(0, 10**6), directed=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_construction_matches_sorted_canonical_pairs(n, seed, directed):
+    rng = random.Random(seed)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v]
+    arcs = rng.sample(pairs, rng.randint(0, min(len(pairs), 3 * n)))
+    if not directed:
+        arcs += [(v, u) for u, v in arcs if rng.random() < 0.5]  # both orientations
+    arcs += [rng.choice(arcs) for _ in range(rng.randint(0, len(arcs)))]  # repeats
+    rng.shuffle(arcs)
+    canonical = sorted({(u, v) if directed or u < v else (v, u) for u, v in arcs})
+    out = [[] for _ in range(n)]
+    inc = [[] for _ in range(n)]
+    for u, v in canonical:
+        out[u].append(v)
+        inc[v].append(u)
+        if not directed:
+            out[v].append(u)
+            inc[u].append(v)
+    g = Graph(n, arcs, directed)
+    assert (g.n, g.directed, g.arcs) == (n, directed, tuple(canonical))
+    assert g._out == tuple(tuple(sorted(row)) for row in out)
+    assert g._in == tuple(tuple(sorted(row)) for row in inc)
+    if not directed:
+        assert g._in is g._out
 
 
 @given(n=st.integers(1, 20), seed=st.integers(0, 10**6), directed=st.booleans())
