@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-from dataclasses import dataclass, field
 from typing import Any, Hashable, Iterable, Mapping
 
 from .errors import InfeasibleGuessError
@@ -34,6 +33,9 @@ from .graph import Graph, bfs_parents, chain_parents, reach_labels
 
 Element = Hashable
 Pair = tuple[int, int]
+# One cover iteration: its pair indices in ascending order, the mask of the
+# elements it newly covered and its picks per part.
+Step = tuple[list[int], int, dict[int, int]]
 
 
 class CoverageSystem:
@@ -63,7 +65,7 @@ class CoverageSystem:
         self.elements = sorted(self.ground, key=repr)
         self.bit = {e: 1 << j for j, e in enumerate(self.elements)}
         self.parts = [a for a, _, _ in self.pairs]
-        self.masks = [self.mask(cov) for _, _, cov in self.pairs]
+        self.masks = [sum(map(self.bit.__getitem__, cov)) for _, _, cov in self.pairs]
         self.part_union: dict[int, int] = {}
         for a, m in zip(self.parts, self.masks):
             self.part_union[a] = self.part_union.get(a, 0) | m
@@ -104,20 +106,37 @@ class CoverageSystem:
         return self.order[p:]
 
 
-@dataclass
 class CoverSelection:
-    """Accumulated boundary arcs, the elements they cover and the iteration
-    log.  ``peak_load`` is the most pairs any one part took in one iteration:
-    while it stays below the capacity, the capacity never bound a pick."""
+    """The boundary arcs a cover loop chose, the bitmask of the elements they
+    cover and ``peak_load``, the most pairs any one part took in one
+    iteration: while it stays below the capacity, the capacity never bound a
+    pick.  ``covered_elements`` and the ``log`` are decoded from the
+    iterations' ``steps`` on first read."""
 
-    chosen: frozenset[Pair]
-    covered_elements: set
-    log: list[dict[str, Any]] = field(default_factory=list)
-    peak_load: int = 0
+    def __init__(self, system: CoverageSystem, steps: list[Step], covered_mask: int, peak_load: int):
+        self.system, self.steps = system, steps
+        self.covered_mask, self.peak_load = covered_mask, peak_load
+        self.iterations = len(steps)
+        self.chosen = frozenset(system.pairs[i][:2] for picks, _, _ in steps for i in picks)
 
-    @property
-    def iterations(self) -> int:
-        return len(self.log)
+    @functools.cached_property
+    def covered_elements(self) -> set:
+        return set(self.system.elements_of(self.covered_mask))
+
+    @functools.cached_property
+    def log(self) -> list[dict[str, Any]]:
+        """One record per iteration: its number, its arcs in (a, c) order,
+        the elements it newly covered in repr order and its picks per part."""
+        pairs, decode = self.system.pairs, self.system.elements_of
+        return [
+            {
+                "iteration": it,
+                "chosen": [pairs[i][:2] for i in picks],
+                "covered": decode(newly),
+                "per_part": per_part,
+            }
+            for it, (picks, newly, per_part) in enumerate(self.steps, 1)
+        ]
 
 
 def build_coverage_instance(
@@ -156,10 +175,12 @@ def build_coverage_instance(
 def greedy_matroid_max(
     system: CoverageSystem,
     capacity: int,
-    already_covered: Iterable[Element] = (),
+    already_covered: Iterable[Element] | int = (),
 ) -> set[int]:
     """Greedy maximum coverage under the partition matroid whose parts are
-    the pairs' anchors, each taking at most ``capacity`` pairs.
+    the pairs' anchors, each taking at most ``capacity`` pairs, over the
+    elements ``already_covered``: an iterable of elements or, as an int, the
+    system's bitmask of them.
 
     Repeatedly adds the pair of largest marginal coverage whose part still has
     spare capacity, ties broken by (a, c) order; stops at zero marginal gain.
@@ -181,7 +202,7 @@ def greedy_matroid_max(
     """
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
-    covered = system.mask(already_covered)
+    covered = already_covered if isinstance(already_covered, int) else system.mask(already_covered)
     p = system.position.get(covered)
     picks = None if p is None else system.replay(p, capacity)
     if picks is None:
@@ -246,44 +267,31 @@ def pm_cover_system(
         raise ValueError("max_iterations must be at least 1")
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
-    chosen: set[Pair] = set()
-    covered: set = set()
-    log: list[dict[str, Any]] = []
-    covered_mask = peak_load = 0
-    while len(log) < max_iterations:
-        if target is not None and len(covered) >= target:
+    total = len(system.elements)
+    steps: list[Step] = []
+    covered = peak_load = 0
+    while len(steps) < max_iterations:
+        count = covered.bit_count()
+        if count == total or (target is not None and count >= target):
             break
-        if len(covered) == len(system.ground):
-            break
-        picks = greedy_matroid_max(system, capacity, covered)
+        picks = sorted(greedy_matroid_max(system, capacity, covered))
         union = 0
-        arcs = []
         per_part: dict[int, int] = {}
-        for i in sorted(picks):
-            a, c, _ = system.pairs[i]
-            arcs.append((a, c))
+        for i in picks:
+            a = system.parts[i]
             per_part[a] = per_part.get(a, 0) + 1
             union |= system.masks[i]
-        newly = system.elements_of(union & ~covered_mask)
+        newly = union & ~covered
         peak_load = max(peak_load, *per_part.values(), 0)
-        log.append(
-            {
-                "iteration": len(log) + 1,
-                "chosen": arcs,
-                "covered": newly,
-                "per_part": per_part,
-            }
-        )
+        steps.append((picks, newly, per_part))
         if not newly:
-            if target is not None and len(covered) < target:
+            if target is not None:
                 raise InfeasibleGuessError(
                     "coverage stalled: an iteration covered no new elements"
                 )
             break
-        chosen.update(arcs)
-        covered.update(newly)
-        covered_mask |= union
-    return CoverSelection(frozenset(chosen), covered, log, peak_load)
+        covered |= newly
+    return CoverSelection(system, steps, covered, peak_load)
 
 
 def pm_cover(

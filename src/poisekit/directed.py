@@ -208,7 +208,7 @@ def complete(
     selection = None
     if k_remaining > 0:
         selection = row.cover(k_remaining, B)
-        if len(selection.covered_elements) < k_remaining:
+        if selection.covered_mask.bit_count() < k_remaining:
             raise InfeasibleGuessError(
                 "matroid cover hit its iteration cap below the coverage target"
             )

@@ -108,11 +108,12 @@ def run_sweep(
     smallest (B, D)).  One BFS from the root gives the eccentricity and the
     distances every row prunes from.  The sweep runs one D row at a time and
     stages the row's first round once; the first cell of each row carries the
-    stage's time in its ``wall_ms``.  A row's cells share tree objects (a
-    stitched tree, or a tree a round kept for the same cover picks or
-    region), so each tree is measured once per row: a map from
-    each tree object to its metrics lives, with the trees it holds, until
-    the row ends.  Records are reported in (B, D) order.
+    stage's time in its ``wall_ms``.  A row whose stage is an
+    `InfeasibleStage` records its reason in every cell without solving.  A
+    row's cells share tree objects (a stitched tree, or a tree a round kept
+    for the same cover picks or region), so each tree is measured once per
+    row: a map from each tree object to its metrics lives, with the trees it
+    holds, until the row ends.  Records are reported in (B, D) order.
     """
     root_dist = bfs_distances(instance.graph, [instance.root])
     ecc = max(root_dist.values())
@@ -126,23 +127,26 @@ def run_sweep(
         stage = stage_budget(instance, D, mode, root_dist)
         measured: dict[int, tuple[PoiseTree, TreeMetrics]] = {}  # keeps each id's tree
         for B in range(1, t + 1):
-            try:
-                tree = solve_guess(instance, PoiseGuess(B, D), mode, stage=stage)
-                if id(tree) not in measured:
-                    measured[id(tree)] = tree, tree_metrics(tree, instance)
-                m = measured[id(tree)][1]
-                rec = {
-                    "B": B,
-                    "D": D,
-                    "feasible": True,
-                    "poise": m.poise,
-                    "max_out_degree": m.max_out_degree,
-                    "height": m.height,
-                    "terminals_covered": m.terminals_covered,
-                }
-            except InfeasibleGuessError as exc:
-                tree = None
-                rec = {"B": B, "D": D, "feasible": False, "reason": str(exc)}
+            tree = None
+            if isinstance(stage, InfeasibleStage):
+                rec = {"B": B, "D": D, "feasible": False, "reason": stage.reason}
+            else:
+                try:
+                    tree = solve_guess(instance, PoiseGuess(B, D), mode, stage=stage)
+                    if id(tree) not in measured:
+                        measured[id(tree)] = tree, tree_metrics(tree, instance)
+                    m = measured[id(tree)][1]
+                    rec = {
+                        "B": B,
+                        "D": D,
+                        "feasible": True,
+                        "poise": m.poise,
+                        "max_out_degree": m.max_out_degree,
+                        "height": m.height,
+                        "terminals_covered": m.terminals_covered,
+                    }
+                except InfeasibleGuessError as exc:
+                    rec = {"B": B, "D": D, "feasible": False, "reason": str(exc)}
             now = time.perf_counter()
             rec["wall_ms"] = round((now - start) * 1000.0, 3)
             start = now

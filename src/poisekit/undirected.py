@@ -231,7 +231,7 @@ class SuperRound(Round):
         reached = [self.trees[i] for i in sorted(selection.covered_elements)]
         groups = [sorted(selection.chosen), sorted(t_c), *(sorted(tr.edges) for tr in reached)]
         covered = {v for tr in reached for v in tr.terminals}
-        discarded = self.terminals & set().union(*(tr.terminals for tr in self.trees))
+        discarded = {v for tr in self.trees for v in tr.terminals if v in self.terminals}
         return self._advance(groups, covered, discarded)
 
     def _advance(

@@ -12,8 +12,17 @@ import random
 
 import pytest
 
-from poisekit import Graph, GoodTree, MulticastInstance, PoiseTree, bfs_parents, generate_instance
-from poisekit.errors import GenerationError
+from poisekit import (
+    Graph,
+    GoodTree,
+    MulticastInstance,
+    PoiseTree,
+    bfs_parents,
+    generate_instance,
+    greedy_matroid_max,
+)
+from poisekit.cover import default_iteration_cap
+from poisekit.errors import GenerationError, InfeasibleGuessError
 from poisekit.graph import chain_parents
 
 INF = 10**9
@@ -70,6 +79,49 @@ def trim_to_terminals(tree: PoiseTree, terminals, rho: int) -> GoodTree:
     kept = ranked[:rho]
     parent = chain_parents(tree.parent, kept)
     return GoodTree(tree.root, frozenset((p, v) for v, p in parent.items()), frozenset(kept))
+
+
+def set_based_pm_cover(system, capacity, target, max_iterations=None):
+    """Reference for the cover loop: `pm_cover_system` written on element
+    sets, which hands the greedy the covered set itself and decodes each
+    iteration's new coverage into elements.  (chosen, covered elements,
+    iterations, log, peak load); raises InfeasibleGuessError when an
+    iteration covers nothing below a numeric target."""
+    if max_iterations is None:
+        max_iterations = default_iteration_cap(target)
+    chosen: set = set()
+    covered: set = set()
+    log: list = []
+    covered_mask = peak_load = 0
+    while len(log) < max_iterations:
+        if target is not None and len(covered) >= target:
+            break
+        if len(covered) == len(system.ground):
+            break
+        picks = greedy_matroid_max(system, capacity, covered)
+        union = 0
+        arcs = []
+        per_part: dict = {}
+        for i in sorted(picks):
+            a, c, _ = system.pairs[i]
+            arcs.append((a, c))
+            per_part[a] = per_part.get(a, 0) + 1
+            union |= system.masks[i]
+        newly = system.elements_of(union & ~covered_mask)
+        peak_load = max(peak_load, *per_part.values(), 0)
+        log.append(
+            {"iteration": len(log) + 1, "chosen": arcs, "covered": newly, "per_part": per_part}
+        )
+        if not newly:
+            if target is not None and len(covered) < target:
+                raise InfeasibleGuessError(
+                    "coverage stalled: an iteration covered no new elements"
+                )
+            break
+        chosen.update(arcs)
+        covered.update(newly)
+        covered_mask |= union
+    return frozenset(chosen), covered, len(log), log, peak_load
 
 
 def two_branch_instance() -> MulticastInstance:

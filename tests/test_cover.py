@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from poisekit import (
@@ -16,11 +16,11 @@ from poisekit import (
 )
 from poisekit import cover
 from poisekit.cover import CoverRow, default_iteration_cap
-from poisekit.driver import stage_budget
+from poisekit.driver import run_sweep, stage_budget
 from poisekit.errors import InfeasibleGuessError
 from poisekit.generators import generate_instance
 
-from conftest import full_coverage_tree, random_graph
+from conftest import full_coverage_tree, random_graph, set_based_pm_cover
 
 
 def two_branch_graph() -> Graph:
@@ -325,6 +325,58 @@ def test_capacity_above_peak_load_changes_nothing(seed, make):
             )
 
 
+@st.composite
+def cover_runs(draw):
+    """A system over up to 10 elements below 31 (repr order is not numeric
+    order past 9) with up to 4 parts, some elements possibly in no pair;
+    a capacity in 0-4, a numeric or None target, and an iteration cap
+    (None, the default, only for a numeric target)."""
+    elements = draw(st.lists(st.integers(0, 30), min_size=1, max_size=10, unique=True))
+    parts = draw(st.integers(1, 4))
+    pairs = draw(st.dictionaries(
+        st.tuples(st.integers(0, parts - 1), st.integers(10, 25)),
+        st.frozensets(st.sampled_from(elements)), min_size=1, max_size=12,
+    ))
+    system = CoverageSystem(elements, [(a, c, cov) for (a, c), cov in pairs.items()])
+    target = draw(st.none() | st.integers(1, len(elements) + 2))
+    cap = draw((st.none() if target is not None else st.nothing()) | st.integers(1, 5))
+    return system, draw(st.integers(0, 4)), target, cap
+
+
+ONE_PART = CoverageSystem(range(6), [(0, 10 + i, frozenset({i, (i + 1) % 6})) for i in range(6)])
+BLOCKED = CoverageSystem(  # its capped picks are not a prefix of its order
+    [4, 5, 6, 9, 10, 11],
+    [(0, 10, frozenset({9, 10, 11})), (0, 11, frozenset({4, 5})), (1, 12, frozenset({6}))],
+)
+UNREACHED = CoverageSystem([1, 2, 3], [(0, 10, frozenset({1})), (1, 11, frozenset({2}))])
+
+
+@given(cover_runs())
+@example((ONE_PART, 2, None, 4))  # every iteration replays the order
+@example((BLOCKED, 1, None, 3))  # the first iteration runs the heap
+@example((UNREACHED, 2, 3, None))  # stalls below its target and raises
+@example((UNREACHED, 2, None, 3))  # stalls and stops
+@example((ONE_PART, 0, 2, None))  # capacity 0 stalls at once
+@example((ONE_PART, 1, 2, None))  # stops on reaching its target with more coverable
+@settings(max_examples=400, deadline=None)
+def test_mask_cover_loop_matches_the_set_based_loop(run):
+    # the loop on the system's bitmasks against the loop on element sets:
+    # the same selection, decoded log and peak load, or the same exception
+    system, capacity, target, cap = run
+
+    def outcome(cover_loop):
+        try:
+            return cover_loop()
+        except InfeasibleGuessError as exc:
+            return str(exc)
+
+    def on_masks():
+        sel = pm_cover_system(system, capacity, target, cap)
+        return sel.chosen, sel.covered_elements, sel.iterations, sel.log, sel.peak_load
+
+    assert outcome(on_masks) == outcome(lambda: set_based_pm_cover(system, capacity, target, cap))
+
+
 class TestPmCover:
     def test_two_branch_capacity_one_takes_two_iterations(self):
         g = two_branch_graph()
@@ -508,6 +560,34 @@ def test_row_cover_above_a_kept_peak_load_runs_no_cover(make_row, monkeypatch):
     for larger in range(kept.peak_load + 1, t + 2):
         assert row.cover(target, larger, cap) is kept
     assert len(calls) == B
+
+
+def test_untraced_sweep_neither_encodes_nor_decodes_covered_sets(monkeypatch):
+    # the cover loop keeps its covered set as the system's bitmask and
+    # decodes elements only for a trace, which still logs what the loop on
+    # element sets logs
+    inst = generate_instance("layered-dag", {"width": 90, "depth": 2, "t": 90, "k": 72, "seed": 0})
+    calls = []
+    for name in ("elements_of", "mask"):
+        real = getattr(CoverageSystem, name)
+        monkeypatch.setattr(
+            CoverageSystem, name,
+            lambda self, arg, name=name, real=real: calls.append(name) or real(self, arg),
+        )
+    loops = _counting_pm_cover(monkeypatch)
+    report, _ = run_sweep(inst)
+    assert loops and any(record["feasible"] for record in report.records)
+    assert calls == []
+    stage = stage_budget(inst, 3)
+    logged = 0
+    for B in range(1, len(inst.terminals) + 1):
+        try:
+            _, trace = stage.trace(B)
+        except InfeasibleGuessError:
+            continue
+        assert trace["pmcover"] == set_based_pm_cover(stage.row.system, B, trace["k_remaining"])[3]
+        logged += bool(trace["pmcover"])
+    assert logged and "elements_of" in calls
 
 
 def reference_super_arcs(graph, C, c, groups, D):

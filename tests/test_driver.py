@@ -244,3 +244,32 @@ def test_untraced_sweep_renders_no_trace(model, params, monkeypatch):
     assert tree is not None and covers  # the sweep covered, untraced
     drop = lambda records: [{k: v for k, v in r.items() if k != "wall_ms"} for r in records]
     assert drop(report.records) == drop(expected.records)
+
+
+def test_infeasible_rows_are_written_without_solving(monkeypatch):
+    # a row whose stage is infeasible takes every cell's record from the
+    # stage's reason, the record the fixed-guess path reports, without
+    # raising per cell; the record keys keep their order
+    from poisekit.driver import InfeasibleStage
+
+    def refuse(self, B):
+        raise AssertionError("the sweep solved an infeasible stage")
+
+    inst = generate_instance("layered-dag", {"width": 30, "depth": 2, "t": 30, "k": 24, "seed": 0})
+    monkeypatch.setattr(InfeasibleStage, "solve", refuse)
+    report, tree = run_sweep(inst)
+    monkeypatch.undo()
+    assert tree is not None
+    records = {(r["B"], r["D"]): r for r in report.records}
+    infeasible_rows = 0
+    for D in range(1, report.grid["D_max"] + 1):
+        if not isinstance(stage_budget(inst, D), InfeasibleStage):
+            continue
+        infeasible_rows += 1
+        for B in range(1, report.grid["B_max"] + 1):
+            with pytest.raises(InfeasibleGuessError) as info:
+                solve_guess(inst, PoiseGuess(B, D))
+            rec = records[(B, D)]
+            assert list(rec) == ["B", "D", "feasible", "reason", "wall_ms"]
+            assert rec["feasible"] is False and rec["reason"] == str(info.value)
+    assert infeasible_rows

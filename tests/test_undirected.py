@@ -371,6 +371,26 @@ def test_stage_assembles_each_final_region_once(monkeypatch):
     assert set(kept) == set(regions)
 
 
+def test_pmcover_discards_the_terminals_in_the_rounds_packed_trees():
+    # the sweep-und-clusters shape at its one covering row: a pmcover
+    # iteration retires every terminal its round packed, covered or not
+    inst = generate_instance("star-of-stars", {"branch": 10, "leaf": 4, "k": 30, "directed": False})
+    stage = stage_budget(inst, 3)
+    checked = 0
+    for B in range(1, len(inst.terminals) + 1):
+        try:
+            _, walked, _ = stage._walk(B)
+        except InfeasibleGuessError:
+            continue
+        _, trace = stage.trace(B)
+        for record, before in zip(trace["detail"], walked):
+            if record["branch"] == "pmcover":
+                packed = set().union(*(tr.vertices() for tr in before.trees))
+                assert record["discarded_terminals"] == sorted(before.terminals & packed)
+                checked += 1
+    assert checked
+
+
 def _steps(packing):
     """Every round a stage has stepped to from ``packing`` on, depth first."""
     for following in packing.steps.values():
