@@ -153,8 +153,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
         guess = PoiseGuess(args.B, args.D)
     except ValueError as exc:
         raise _fail(f"error: {exc}")
-    stage = stage_budget(prep.instance, guess.D, args.mode)
     try:
+        stage = stage_budget(prep.instance, guess.D, args.mode)
         if args.trace:
             tree, trace = stage.trace(guess.B)
         else:

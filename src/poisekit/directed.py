@@ -332,7 +332,7 @@ def stage_directed(instance: MulticastInstance, D: int) -> Round:
     makes every degree budget infeasible.
     """
     g, root, k = instance.graph, instance.root, instance.k
-    rho = math.isqrt(k) if math.isqrt(k) ** 2 == k else math.isqrt(k) + 1
+    rho = math.isqrt(k - 1) + 1  # ceil(sqrt(k)); check_k keeps k >= 1
     packing = Round(g, root, {root}, (), instance.terminals, rho, D, k)
     packing.stitched  # staged here: an unreachable packed root fails the whole row
     return packing

@@ -33,37 +33,18 @@ class SweepReport:
         return asdict(self)
 
 
-@dataclass(frozen=True)
-class InfeasibleStage:
-    """A height budget at which every degree budget is infeasible.
-
-    Keeps the reason as text, not the exception: an exception's traceback
-    keeps the frames that raised it alive.
-    """
-
-    reason: str
-
-    def solve(self, B: int) -> PoiseTree:
-        raise InfeasibleGuessError(self.reason)
-
-    trace = solve  # both raise
-
-
-Stage = Round | InfeasibleStage
-
-
 def stage_budget(
     instance: MulticastInstance,
     D: int,
     mode: str = "auto",
     root_dist: dict[int, int] | None = None,
-) -> Stage:
+) -> Round:
     """The work shared by every guess with height budget D: prune to radius
-    D, then stage the solver's first round (a `Round`; an `InfeasibleStage`
-    when staging finds the row infeasible).  ``stage.solve(B)`` solves the
-    guess (B, D) into its tree, and ``stage.trace(B)``, on request, takes
-    that same solve and returns its tree with the trace.  ``root_dist`` is
-    passed on to `prune_beyond`.
+    D, then stage the solver's first round, a `Round`; raises
+    InfeasibleGuessError when pruning or staging finds the whole row
+    infeasible.  ``stage.solve(B)`` solves the guess (B, D) into its tree,
+    and ``stage.trace(B)``, on request, takes that same solve and returns
+    its tree with the trace.  ``root_dist`` is passed on to `prune_beyond`.
 
     The instance must already be in normalized shape (leaf terminals).
     """
@@ -75,21 +56,18 @@ def stage_budget(
     if mode == "undirected" and instance.graph.directed:
         # before pruning, which may already find D infeasible
         raise ValueError("the undirected solver requires an undirected graph")
-    try:
-        return stagers[mode](prune_beyond(instance, D, root_dist), D)
-    except InfeasibleGuessError as exc:
-        return InfeasibleStage(str(exc))
+    return stagers[mode](prune_beyond(instance, D, root_dist), D)
 
 
 def solve_guess(
     instance: MulticastInstance,
     guess: PoiseGuess,
     mode: str = "auto",
-    stage: Stage | None = None,
+    stage: Round | None = None,
 ) -> PoiseTree:
     """Solve one (B, D) guess: solve ``stage``, the guess's D-only stage
     from `stage_budget`, at degree budget B.  Without ``stage`` it is built
-    here.
+    here, so an infeasible row raises its InfeasibleGuessError here too.
 
     The instance must already be in normalized shape (leaf terminals).
     """
@@ -108,8 +86,8 @@ def run_sweep(
     smallest (B, D)).  One BFS from the root gives the eccentricity and the
     distances every row prunes from.  The sweep runs one D row at a time and
     stages the row's first round once; the first cell of each row carries the
-    stage's time in its ``wall_ms``.  A row whose stage is an
-    `InfeasibleStage` records its reason in every cell without solving.  A
+    stage's time in its ``wall_ms``.  A row that `stage_budget` finds
+    infeasible records the error's message in every cell without solving.  A
     row's cells share tree objects (a stitched tree, or a tree a round kept
     for the same cover picks or region), so each tree is measured once per
     row: a map from each tree object to its metrics lives, with the trees it
@@ -124,12 +102,15 @@ def run_sweep(
     best_tree = None
     for D in range(1, ecc + 1):
         start = time.perf_counter()
-        stage = stage_budget(instance, D, mode, root_dist)
+        try:
+            stage, reason = stage_budget(instance, D, mode, root_dist), None
+        except InfeasibleGuessError as exc:
+            stage, reason = None, str(exc)  # the text only: no traceback kept
         measured: dict[int, tuple[PoiseTree, TreeMetrics]] = {}  # keeps each id's tree
         for B in range(1, t + 1):
             tree = None
-            if isinstance(stage, InfeasibleStage):
-                rec = {"B": B, "D": D, "feasible": False, "reason": stage.reason}
+            if stage is None:
+                rec = {"B": B, "D": D, "feasible": False, "reason": reason}
             else:
                 try:
                     tree = solve_guess(instance, PoiseGuess(B, D), mode, stage=stage)

@@ -15,7 +15,8 @@ lowest vertex id so every operation is reproducible.
 A `Graph` is built in one pass: each arc is checked once, in input order, and
 encoded as the integer u * n + v; one sort of the distinct keys gives the
 sorted arcs, and decoding them in that order fills every adjacency row
-already ascending.
+already ascending.  `Graph.induced` keeps the arcs it wants, already in
+order, and fills through the same builder.
 
 The solvers build each sweep cell's tree from a union of picked arcs, so the
 passes over such a union are kept to one each: `subset_bfs_parents` checks
@@ -55,6 +56,8 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         keys = []
         for u, v in arcs:
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"arc ({u!r}, {v!r}) has an endpoint that is not an int")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
             if u == v:
@@ -62,8 +65,13 @@ class Graph:
             keys.append(u * n + v if directed or u < v else v * n + u)
         # Decoding the sorted keys fills each row ascending: an undirected row
         # gets its lower neighbours (edges ending at it) before its higher ones.
-        pairs = [divmod(key, n) for key in sorted(set(keys))]
+        self._fill(n, [divmod(key, n) for key in sorted(set(keys))], directed)
+
+    def _fill(self, n: int, pairs: list[tuple[int, int]], directed: bool) -> None:
+        """Set every field from ``pairs``: valid, sorted and distinct arcs."""
         object.__setattr__(self, "n", n)
+        # Tuples are built from lists: tuple() over a generator resizes as it
+        # grows, which raised the sweep benchmark's `peak_rss_mb` by 4-5%.
         object.__setattr__(self, "arcs", tuple(pairs))
         object.__setattr__(self, "directed", directed)
         out: list[list[int]] = [[] for _ in range(n)]
@@ -94,35 +102,14 @@ class Graph:
     def induced(self, keep: set[int] | frozenset[int]) -> Graph:
         """The subgraph induced on ``keep``, with the same n: every arc with an
         end outside ``keep`` is dropped.  Equals ``Graph(n, kept arcs,
-        directed)`` field for field, but filters this graph's arcs and
-        adjacency, which are already valid and sorted, instead of rebuilding
-        them.  An adjacency tuple that loses nothing is shared, and when
-        ``keep`` holds every vertex the graph itself is returned.
+        directed)`` field for field, but fills from this graph's arcs, which
+        are already valid and sorted, without checking or sorting them again.
+        When ``keep`` holds every vertex the graph itself is returned.
         """
         if len(keep) >= self.n and keep.issuperset(range(self.n)):
             return self
-        # Tuples are built from lists: tuple() over a generator resizes as it
-        # grows, which raised the sweep benchmark's `peak_rss_mb` by 4-5%.
-        def restrict(adjacency: tuple[tuple[int, ...], ...]) -> tuple[tuple[int, ...], ...]:
-            rows = []
-            for u, row in enumerate(adjacency):
-                if u not in keep:
-                    rows.append(())
-                    continue
-                kept = [v for v in row if v in keep]
-                rows.append(row if len(kept) == len(row) else tuple(kept))
-            return tuple(rows)
-
         sub = object.__new__(Graph)
-        object.__setattr__(sub, "n", self.n)
-        object.__setattr__(
-            sub, "arcs", tuple([(u, v) for u, v in self.arcs if u in keep and v in keep])
-        )
-        object.__setattr__(sub, "directed", self.directed)
-        out = restrict(self._out)  # type: ignore[attr-defined]
-        inc = restrict(self._in) if self.directed else out  # type: ignore[attr-defined]
-        object.__setattr__(sub, "_out", out)
-        object.__setattr__(sub, "_in", inc)
+        sub._fill(self.n, [(u, v) for u, v in self.arcs if u in keep and v in keep], self.directed)
         return sub
 
 

@@ -1,6 +1,7 @@
 import heapq
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings
@@ -67,6 +68,20 @@ def ceil_sqrt(k: int) -> int:
 
 def log_factor(k: int) -> int:
     return (k - 1).bit_length() + 1
+
+
+def test_stage_directed_rho_is_the_ceiling_square_root(monkeypatch):
+    # the round stage_directed builds carries rho; one that skips packing
+    # and stitching makes every k cheap to stage
+    class Unpacked(Round):
+        stitched = None
+
+    monkeypatch.setattr(directed, "Round", Unpacked)
+    graph = Graph(2, [(0, 1)], directed=True)
+    for k in range(1, 10_001):
+        instance = SimpleNamespace(graph=graph, root=0, terminals=(1,), k=k)
+        rho = stage_directed(instance, 1).rho
+        assert rho**2 >= k > (rho - 1) ** 2
 
 
 class TestCoverageTree:

@@ -8,7 +8,7 @@ from poisekit import (
 )
 from poisekit.driver import BENCH_COLUMNS, bench_rows, solve_guess, stage_budget
 from poisekit.errors import InfeasibleGuessError
-from poisekit.graph import PoiseGuess
+from poisekit.graph import PoiseGuess, bfs_distances
 
 from conftest import middles_instance
 from poisekit.graph import normalize_terminals
@@ -195,9 +195,15 @@ def test_sweep_measures_each_distinct_tree_once_per_row(monkeypatch):
     report, _ = run_sweep(inst)
     expected, distinct = [], 0
     for D in range(1, report.grid["D_max"] + 1):
-        stage = stage_budget(inst, D)
+        try:
+            stage = stage_budget(inst, D)
+        except InfeasibleGuessError as exc:
+            stage, reason = None, str(exc)
         trees = set()
         for B in range(1, report.grid["B_max"] + 1):
+            if stage is None:
+                expected.append({"B": B, "D": D, "feasible": False, "reason": reason})
+                continue
             try:
                 tree = stage.solve(B)
             except InfeasibleGuessError as exc:
@@ -247,29 +253,39 @@ def test_untraced_sweep_renders_no_trace(model, params, monkeypatch):
 
 
 def test_infeasible_rows_are_written_without_solving(monkeypatch):
-    # a row whose stage is infeasible takes every cell's record from the
-    # stage's reason, the record the fixed-guess path reports, without
-    # raising per cell; the record keys keep their order
-    from poisekit.driver import InfeasibleStage
-
-    def refuse(self, B):
-        raise AssertionError("the sweep solved an infeasible stage")
+    # stage_budget raises for a row with too few terminals in reach; the
+    # sweep writes that message into every cell of the row, the record the
+    # fixed-guess path reports, without solving it; the record keys keep
+    # their order
+    from poisekit import driver
 
     inst = generate_instance("layered-dag", {"width": 30, "depth": 2, "t": 30, "k": 24, "seed": 0})
-    monkeypatch.setattr(InfeasibleStage, "solve", refuse)
-    report, tree = run_sweep(inst)
-    monkeypatch.undo()
-    assert tree is not None
-    records = {(r["B"], r["D"]): r for r in report.records}
-    infeasible_rows = 0
-    for D in range(1, report.grid["D_max"] + 1):
-        if not isinstance(stage_budget(inst, D), InfeasibleStage):
-            continue
-        infeasible_rows += 1
-        for B in range(1, report.grid["B_max"] + 1):
+    dist = bfs_distances(inst.graph, [inst.root])
+    reasons = {}
+    for D in range(1, max(dist.values()) + 1):
+        if sum(dist.get(t, D + 1) <= D for t in inst.terminals) >= inst.k:
+            continue  # a row the sweep solves
+        with pytest.raises(InfeasibleGuessError) as info:
+            stage_budget(inst, D)
+        reasons[D] = str(info.value)
+        for B in range(1, len(inst.terminals) + 1):
             with pytest.raises(InfeasibleGuessError) as info:
                 solve_guess(inst, PoiseGuess(B, D))
-            rec = records[(B, D)]
-            assert list(rec) == ["B", "D", "feasible", "reason", "wall_ms"]
-            assert rec["feasible"] is False and rec["reason"] == str(info.value)
-    assert infeasible_rows
+            assert str(info.value) == reasons[D]
+    assert reasons
+
+    solved = set()
+
+    def refusing(instance, guess, mode="auto", stage=None):
+        assert guess.D not in reasons, "the sweep solved an infeasible row"
+        solved.add(guess.D)
+        return solve_guess(instance, guess, mode, stage)
+
+    monkeypatch.setattr(driver, "solve_guess", refusing)
+    report, tree = run_sweep(inst)
+    assert tree is not None and solved == set(dist.values()) - {0} - set(reasons)
+    written = [rec for rec in report.records if rec["D"] in reasons]
+    assert len(written) == len(reasons) * len(inst.terminals)
+    for rec in written:
+        assert list(rec) == ["B", "D", "feasible", "reason", "wall_ms"]
+        assert rec["feasible"] is False and rec["reason"] == reasons[rec["D"]]

@@ -54,6 +54,10 @@ class TestGraph:
         ([(0, 1), (2, 2), (1, -1)], "self-loop at vertex 2"),
         ([(1, 0), (0, 3), (1, 1)], "arc (0, 3) out of range for n=3"),
         ([(2, 1), (-1, 0), (0, 5)], "arc (-1, 0) out of range for n=3"),
+        # True == 1 would read as the arc (0, 1); 1.0 would reach the row fill
+        ([(0, 2), (0, True), (1, 1)], "arc (0, True) has an endpoint that is not an int"),
+        ([(1.0, 2), (0, 1)], "arc (1.0, 2) has an endpoint that is not an int"),
+        ([(0, 1), (2, "1"), (1, -1)], "arc (2, '1') has an endpoint that is not an int"),
     ])
     def test_first_bad_arc_in_input_order_is_named(self, arcs, message, directed):
         with pytest.raises(ValueError) as info:

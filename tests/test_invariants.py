@@ -36,6 +36,14 @@ def _outcome(solve):
         return str(exc)
 
 
+def _solves(stage, budgets):
+    """Each budget's outcome on ``stage``, solved in the order given; an
+    infeasible row's message, instead of a stage, fills every cell."""
+    if isinstance(stage, str):
+        return {B: stage for B in budgets}
+    return {B: _outcome(lambda: stage.solve(B)) for B in budgets}
+
+
 def check_every_cell(instance, mode: str = "auto") -> list[str]:
     """Check every (B, D) cell of solver ``mode``; return the branches the
     feasible ones took, plus "kept" for each cell whose solve returned the
@@ -45,10 +53,9 @@ def check_every_cell(instance, mode: str = "auto") -> list[str]:
     branches = []
     budgets = range(1, len(instance.terminals) + 1)
     for D in range(1, eccentricity(instance.graph, instance.root) + 1):
-        stage = stage_budget(instance, D, mode)
-        swept = {B: _outcome(lambda: stage.solve(B)) for B in budgets}
-        descending = stage_budget(instance, D, mode)
-        descended = {B: _outcome(lambda: descending.solve(B)) for B in reversed(budgets)}
+        stage = _outcome(lambda: stage_budget(instance, D, mode))
+        swept = _solves(stage, budgets)
+        descended = _solves(_outcome(lambda: stage_budget(instance, D, mode)), reversed(budgets))
         previous = None
         for B in budgets:
             staged = swept[B]

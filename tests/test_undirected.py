@@ -398,9 +398,20 @@ def _steps(packing):
         yield from _steps(following)
 
 
+def _stage(inst, D):
+    """The row's stage, or the message of the error that finds it
+    infeasible."""
+    try:
+        return stage_budget(inst, D)
+    except InfeasibleGuessError as exc:
+        return str(exc)
+
+
 def _cell(stage, B):
     """A cell's (root, parent map in order, trace), or its infeasibility
-    message."""
+    message; an infeasible row's message stands in for its stage."""
+    if isinstance(stage, str):
+        return stage
     try:
         tree = stage.solve(B)
     except InfeasibleGuessError as exc:
@@ -464,7 +475,7 @@ def test_shared_stage_solves_every_budget_as_a_fresh_stage(monkeypatch, make):
     budgets = range(1, len(inst.terminals) + 1)
     later_packings = region_ends = 0
     for D in range(1, eccentricity(inst.graph, inst.root) + 1):
-        stage = stage_budget(inst, D)
+        stage = _stage(inst, D)
         if not isinstance(stage, SuperRound):
             continue
         built.clear()
@@ -502,7 +513,7 @@ def test_shared_stage_solves_every_budget_as_a_fresh_stage(monkeypatch, make):
             assert all(ref() is None for ref in built)
         finally:
             gc.enable()
-        assert shared == [_cell(stage_budget(inst, D), B) for B in budgets]
+        assert shared == [_cell(_stage(inst, D), B) for B in budgets]
     assert later_packings > 0 and region_ends > 0
 
 
@@ -514,7 +525,7 @@ def test_shared_stage_matches_fresh_stages_on_random_instances(seed, rng):
     inst = next(undirected_stream(1, seed))
     budgets = list(range(1, len(inst.terminals) + 1))
     for D in range(1, eccentricity(inst.graph, inst.root) + 2):
-        stage = stage_budget(inst, D)
+        stage = _stage(inst, D)
         rng.shuffle(budgets)
         for B in budgets:
-            assert _cell(stage, B) == _cell(stage_budget(inst, D), B)
+            assert _cell(stage, B) == _cell(_stage(inst, D), B)
