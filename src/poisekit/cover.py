@@ -29,7 +29,7 @@ import heapq
 from typing import Any, Hashable, Iterable, Mapping
 
 from .errors import InfeasibleGuessError
-from .graph import Graph, bfs_parents, chain_parents, reach_labels
+from .graph import ArcKeys, Graph, bfs_parents, chain_parents, reach_labels, row_keys
 
 Element = Hashable
 Pair = tuple[int, int]
@@ -355,7 +355,7 @@ class CoverRow:
         self.graph, self.root, self.D = graph, root, D
         self.A, self.C = frozenset(A), frozenset(C)
         self.location = element_location
-        self._arcs: dict[int, frozenset[Pair]] = {}
+        self._arcs: dict[int, ArcKeys] = {}
         self._unbound: dict[tuple[int | None, int | None], CoverSelection] = {}
 
     @functools.cached_property
@@ -386,14 +386,17 @@ class CoverRow:
             self._unbound[key] = selection
         return selection
 
-    def arcs(self, c: int) -> frozenset[Pair]:
-        """The arcs that realise c's coverage: the BFS paths in G[C] from c to
-        the closest representative of each element within D hops."""
-        if c not in self._arcs:
+    def arcs(self, c: int) -> ArcKeys:
+        """The keys of the arcs that realise c's coverage: the BFS paths in
+        G[C] from c to the closest representative of each element within D
+        hops."""
+        keys = self._arcs.get(c)
+        if keys is None:
             dist, parent = bfs_parents(self.graph, [c], restriction=self.C, max_depth=self.D)
             targets = [w for _, w in _closest_representatives(dist, self._owner).values()]
-            self._arcs[c] = frozenset((p, v) for v, p in chain_parents(parent, targets).items())
-        return self._arcs[c]
+            paths = chain_parents(parent, targets)
+            keys = self._arcs[c] = row_keys(self.graph, zip(paths.values(), paths))
+        return keys
 
 
 def _closest_representatives(

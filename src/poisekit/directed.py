@@ -19,13 +19,16 @@ from typing import Any, Iterable, Sequence
 from .cover import CoverRow, CoverSelection
 from .errors import InfeasibleGuessError
 from .graph import (
+    ArcKeys,
     Graph,
     MulticastInstance,
     PoiseGuess,
     PoiseTree,
+    arc_keys,
     bfs_parents,
     chain_parents,
     reach_labels,
+    row_keys,
     shortest_path_tree,
     subset_bfs_parents,
 )
@@ -159,36 +162,34 @@ def solve_many_trees(
     if len(trees) < rho:
         raise ValueError(f"need at least rho={rho} trees, got {len(trees)}")
     chosen = trees[:rho]
-    H: set[Arc] = set()
-    for tr in chosen:
-        H |= tr.edges
-    H |= _paths_to_tree_roots(graph, [root], chosen)
+    H = [arc for tr in chosen for arc in tr.edges]
+    H.extend(_paths_to_tree_roots(graph, [root], chosen))
     return shortest_path_tree(graph, H, root)
 
 
 def _multi_source_spt_arcs(
-    graph: Graph, arc_subset: set[Arc], sources: Iterable[int]
-) -> set[Arc]:
-    """Arcs of a shortest-path forest over ``arc_subset`` rooted at the source
-    set (lowest-id parent), i.e. the in-C part of a tree hung off a virtual
-    root joined to every source."""
-    return {(p, v) for v, p in subset_bfs_parents(graph, arc_subset, sources).items()}
+    graph: Graph, arc_subset: ArcKeys, sources: Iterable[int]
+) -> dict[int, int]:
+    """A shortest-path forest over ``arc_subset`` rooted at the source set,
+    as its parent map (lowest-id parent): the in-C part of a tree hung off
+    a virtual root joined to every source.  It has a name of its own so that
+    the benchmark's per-layer `cover.spt_forest_s` can time the forest."""
+    return subset_bfs_parents(graph, arc_subset, sources)
 
 
-def _cover_forest(graph: Graph, row: CoverRow, chosen: Iterable[Arc]) -> set[Arc]:
-    """The in-C arcs that realise a cover's picks: a shortest-path forest from
-    the picked boundary vertices over the union of their row arcs."""
+def _cover_forest(graph: Graph, row: CoverRow, chosen: Iterable[Arc]) -> dict[int, int]:
+    """The in-C arcs that realise a cover's picks, as a parent map: a
+    shortest-path forest from the picked boundary vertices over the union
+    of their row arcs."""
     chosen_cs = sorted({c for _, c in chosen})
-    union: set[Arc] = set()
-    for c in chosen_cs:
-        union.update(row.arcs(c))
+    union = ArcKeys(frozenset().union(*[row.arcs(c) for c in chosen_cs]))
     return _multi_source_spt_arcs(graph, union, chosen_cs)
 
 
 def complete(
     graph: Graph,
     root: int,
-    base: Iterable[Arc],
+    base: Iterable[Arc] | ArcKeys,
     row: CoverRow,
     k_remaining: int,
     B: int,
@@ -196,7 +197,8 @@ def complete(
 ) -> tuple[PoiseTree, CoverSelection | None]:
     """Finish a rho-additive partition at degree budget B: cover k_remaining
     terminals from ``row`` with the iterated matroid cover, add the picks and
-    their in-C forest to the ``base`` arcs (`Round.base`), and return the
+    their in-C forest to the ``base`` arcs (`Round.base` passes their keys,
+    other arcs are checked and encoded by `arc_keys`), and return the
     shortest-path tree over the union with the cover's selection (None when
     no terminal was left to cover).
 
@@ -216,7 +218,12 @@ def complete(
     if assembled is None:
         assembled = {}
     if chosen not in assembled:
-        H = set(base).union(chosen, _cover_forest(graph, row, chosen)) if chosen else base
+        H = arc_keys(graph, base)
+        if chosen:
+            # the picks are boundary pairs and the forest a BFS's parent
+            # arcs, both read off the graph's rows
+            forest = _cover_forest(graph, row, chosen)
+            H = ArcKeys(H.union(row_keys(graph, [*chosen, *zip(forest.values(), forest)])))
         assembled[chosen] = shortest_path_tree(graph, H, root)
     return assembled[chosen], selection
 
@@ -267,14 +274,15 @@ class Round:
         return self._packing[1]
 
     @functools.cached_property
-    def base(self) -> frozenset[Arc]:
-        """R's arcs, the packed trees' edges and the shortest paths from R to
-        their roots; raises InfeasibleGuessError when a root is unreachable."""
-        H = set(self.arcs)
+    def base(self) -> ArcKeys:
+        """The keys of R's arcs, the packed trees' edges and the shortest
+        paths from R to their roots; raises InfeasibleGuessError when a root
+        is unreachable."""
+        H = list(self.arcs)
         for tr in self.trees:
-            H |= tr.edges
-        H |= _paths_to_tree_roots(self.graph, sorted(self.R), self.trees)
-        return frozenset(H)
+            H.extend(tr.edges)
+        H.extend(_paths_to_tree_roots(self.graph, sorted(self.R), self.trees))
+        return arc_keys(self.graph, H)
 
     @functools.cached_property
     def row(self) -> CoverRow:

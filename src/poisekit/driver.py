@@ -16,6 +16,7 @@ from .graph import (
     TreeMetrics,
     bfs_distances,
     prune_beyond,
+    spt_metrics,
     tree_metrics,
 )
 from .oracle import DEFAULT_LIMIT_N, exact_min_poise_ktree
@@ -91,7 +92,11 @@ def run_sweep(
     row's cells share tree objects (a stitched tree, or a tree a round kept
     for the same cover picks or region), so each tree is measured once per
     row: a map from each tree object to its metrics lives, with the trees it
-    holds, until the row ends.  Records are reported in (B, D) order.
+    holds, until the row ends.  Every tree a stage returns was built by
+    `shortest_path_tree`, so `spt_metrics` reads its metrics off the BFS
+    parent map; the best tree alone goes through the checking
+    `tree_metrics`, and a disagreement raises RuntimeError.  Records are
+    reported in (B, D) order.
     """
     root_dist = bfs_distances(instance.graph, [instance.root])
     ecc = max(root_dist.values())
@@ -100,6 +105,7 @@ def run_sweep(
     records: dict[tuple[int, int], dict[str, Any]] = {}
     best_key = None
     best_tree = None
+    best_metrics = None
     for D in range(1, ecc + 1):
         start = time.perf_counter()
         try:
@@ -115,7 +121,7 @@ def run_sweep(
                 try:
                     tree = solve_guess(instance, PoiseGuess(B, D), mode, stage=stage)
                     if id(tree) not in measured:
-                        measured[id(tree)] = tree, tree_metrics(tree, instance)
+                        measured[id(tree)] = tree, spt_metrics(tree, instance.terminals)
                     m = measured[id(tree)][1]
                     rec = {
                         "B": B,
@@ -133,9 +139,13 @@ def run_sweep(
             start = now
             records[(B, D)] = rec
             if rec["feasible"] and (best_key is None or (rec["poise"], B, D) < best_key):
-                best_key, best_tree = (rec["poise"], B, D), tree
+                best_key, best_tree, best_metrics = (rec["poise"], B, D), tree, m
                 report.best = dict(rec)
         del stage, measured  # not held while the next row builds its own
+    if best_tree is not None:
+        checked = tree_metrics(best_tree, instance)
+        if checked != best_metrics:
+            raise RuntimeError(f"best tree measures {checked}, the sweep read {best_metrics}")
     report.records = [records[key] for key in sorted(records)]
     return report, best_tree
 

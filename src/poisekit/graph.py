@@ -13,21 +13,30 @@ All tie-breaks (BFS parent choice, equal-distance choices) resolve to the
 lowest vertex id so every operation is reproducible.
 
 A `Graph` is built in one pass: each arc is checked once, in input order, and
-encoded as the integer u * n + v; one sort of the distinct keys gives the
-sorted arcs, and decoding them in that order fills every adjacency row
-already ascending.  `Graph.induced` keeps the arcs it wants, already in
+encoded by `_keys` as the integer u * n + v; one sort of the distinct keys
+gives the sorted arcs, and decoding them in that order fills every adjacency
+row already ascending.  `Graph.induced` keeps the arcs it wants, already in
 order, and fills through the same builder.
 
-The solvers build each sweep cell's tree from a union of picked arcs, so the
-passes over such a union are kept to one each: `subset_bfs_parents` checks
-every arc against the graph's adjacency while it builds plain successor
-lists, and `tree_metrics` checks the tree's arcs and counts out-degrees and
-covered terminals in one loop over the parent map.
+The solvers build each sweep cell's tree from a union of picked arcs, held
+as an `ArcKeys`: each arc's integer key, the encoding `Graph` sorts by, an
+undirected edge under its (min, max) key, as `_keys` spells it (and
+`_bfs`'s arc filter, inline).  `arc_keys` checks each arc once, when it is
+encoded, and `row_keys` encodes arcs read off the graph's own rows without
+a check, so a row encodes the arcs it reuses once and unions int sets after
+that.  `subset_bfs_parents`
+and `shortest_path_tree` run `_bfs` over the graph's own ascending rows
+with an arc filter that skips every arc whose key is not in the set: they
+build no successor lists and sort no rows.  A tree they build lists its
+vertices in BFS order, so `spt_metrics` reads its height, out-degrees and
+covered terminals off the parent map; `tree_metrics` checks every arc and
+walks the depths, for trees from anywhere.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Mapping, Sequence
 
@@ -36,6 +45,15 @@ from .errors import InfeasibleGuessError
 # A graph allocates lists of length n, so readers and generators bound n
 # before anything is built.
 MAX_VERTICES = 10**6
+
+
+def _keys(n: int, directed: bool, arcs: Iterable[tuple[int, int]]) -> list[int]:
+    """The integer key of each arc of an n-vertex graph: u * n + v, an
+    undirected edge under its (min, max) key.  `Graph` sorts its arcs by
+    these keys and an `ArcKeys` holds them; `_bfs`'s arc filter spells the
+    same expression inline, since a call per scanned arc would cost more than
+    the scan."""
+    return [u * n + v if directed or u < v else v * n + u for u, v in arcs]
 
 
 @dataclass(frozen=True)
@@ -54,7 +72,7 @@ class Graph:
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]], directed: bool):
         if n < 1:
             raise ValueError("graph needs at least one vertex")
-        keys = []
+        arcs = list(arcs)
         for u, v in arcs:
             if type(u) is not int or type(v) is not int:
                 raise ValueError(f"arc ({u!r}, {v!r}) has an endpoint that is not an int")
@@ -62,10 +80,10 @@ class Graph:
                 raise ValueError(f"arc ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self-loop at vertex {u}")
-            keys.append(u * n + v if directed or u < v else v * n + u)
         # Decoding the sorted keys fills each row ascending: an undirected row
         # gets its lower neighbours (edges ending at it) before its higher ones.
-        self._fill(n, [divmod(key, n) for key in sorted(set(keys))], directed)
+        keys = sorted(set(_keys(n, directed, arcs)))
+        self._fill(n, [divmod(key, n) for key in keys], directed)
 
     def _fill(self, n: int, pairs: list[tuple[int, int]], directed: bool) -> None:
         """Set every field from ``pairs``: valid, sorted and distinct arcs."""
@@ -214,11 +232,12 @@ class TreeMetrics:
 
 
 def _bfs(
-    adjacency: Sequence[Sequence[int]] | Mapping[int, Sequence[int]],
+    adjacency: Sequence[Sequence[int]],
     sources: Iterable[int],
     restriction: set[int] | frozenset[int] | None = None,
     max_depth: int | None = None,
     targets: tuple[set[int] | frozenset[int], int] | None = None,
+    arc_filter: tuple[int, bool, frozenset[int]] | None = None,
 ) -> tuple[dict[int, int], dict[int, int]]:
     """The one BFS kernel: (distances, parents) in a single pass.
 
@@ -226,12 +245,13 @@ def _bfs(
     grows level by level from the sources in ascending order, stays inside
     ``restriction`` and stops at ``max_depth`` hops, or with ``targets``
     (wanted, need) after the first level by which ``need`` vertices of
-    ``wanted`` are reached, sources included.  A reached non-source vertex v
-    gets the lowest-id parent one level up: set when v is discovered, then
-    lowered when a later vertex u of that level, with u < parent[v], scans
-    v.  So a level's entries are final once the level above is scanned, and
-    a bounded search keeps the full search's entries up to its last level,
-    in the same order.
+    ``wanted`` are reached, sources included.  With ``arc_filter`` (n,
+    directed, keys) it follows only the arcs whose `_keys` key lies in keys.
+    A reached non-source vertex v gets the lowest-id parent one level up:
+    set when v is discovered, then lowered when a later vertex u of that
+    level, with u < parent[v], scans v.  So a level's entries are final once
+    the level above is scanned, and a bounded search keeps the full search's
+    entries up to its last level, in the same order.
     """
     dist = dict.fromkeys(sorted(set(sources)), 0)
     if not dist:
@@ -240,6 +260,7 @@ def _bfs(
         raise ValueError("sources must lie inside the restriction")
     wanted, need = targets if targets is not None else (None, 0)
     reached = 0 if wanted is None else len(wanted.intersection(dist))
+    n, directed, keys = arc_filter if arc_filter is not None else (0, True, None)
     parent: dict[int, int] = {}
     level = list(dist)
     d = 0
@@ -247,7 +268,10 @@ def _bfs(
         d += 1
         found = []
         for u in level:
+            base = u * n
             for v in adjacency[u]:
+                if keys is not None and (base + v if directed or u < v else v * n + u) not in keys:
+                    continue
                 seen = dist.get(v)
                 if seen is None:
                     if restriction is None or v in restriction:
@@ -369,45 +393,75 @@ def chain_parents(parent: Mapping[int, int], targets: Iterable[int]) -> dict[int
     return kept
 
 
+class ArcKeys(frozenset):
+    """Arcs of one graph, each held as its `_keys` key: u * n + v, an
+    undirected edge as its (min, max) key, the order `Graph` sorts its arcs
+    by.  `arc_keys` builds one from any arcs, checking each, and `row_keys`
+    from arcs read off the graph's rows; `subset_bfs_parents` and
+    `shortest_path_tree` read it as is, so a solver encodes the arcs it
+    reuses once and unions int sets after that."""
+
+    __slots__ = ()
+
+
+def arc_keys(graph: Graph, arcs: Iterable[tuple[int, int]] | ArcKeys) -> ArcKeys:
+    """The keys of ``arcs``, read once (it may be an iterator); an `ArcKeys`
+    is returned as is.  Each arc must be a graph arc, checked as it is read
+    by bisecting u's ascending row, so the first non-arc raises.  Repeated
+    arcs, and an undirected edge given in both orientations, share one key."""
+    if isinstance(arcs, ArcKeys):
+        return arcs
+    out = graph._out  # type: ignore[attr-defined]
+    n = graph.n
+    arcs = list(arcs)
+    for u, v in arcs:
+        row = out[u] if 0 <= u < n else ()
+        try:
+            i = bisect_left(row, v)
+        except TypeError:  # a head that does not compare with ints
+            i = len(row)
+        if i == len(row) or row[i] != v:
+            raise ValueError(f"arc ({u}, {v}) not present in the graph")
+    return ArcKeys(_keys(n, graph.directed, arcs))
+
+
+def row_keys(graph: Graph, arcs: Iterable[tuple[int, int]]) -> ArcKeys:
+    """The keys of ``arcs`` read off this graph's own rows, such as a BFS's
+    parent arcs or a cover's boundary pairs: they are graph arcs already and
+    are not checked again."""
+    return ArcKeys(_keys(graph.n, graph.directed, arcs))
+
+
 def subset_bfs_parents(
-    graph: Graph, edge_subset: Iterable[tuple[int, int]], sources: Iterable[int]
+    graph: Graph, edge_subset: Iterable[tuple[int, int]] | ArcKeys, sources: Iterable[int]
 ) -> dict[int, int]:
     """Lowest-id BFS parents over the subgraph spanned by ``edge_subset``,
     grown from a source set: every vertex the sources reach inside the
     subgraph, sources excepted, maps to its lowest-id predecessor one level up.
     No sources give no parents.
 
-    ``edge_subset`` is read once (it may be an iterator).  Each arc must be a
-    graph arc, checked as it is read, so the first non-arc raises even when
-    there are no sources.  Repeated arcs, and an undirected edge given in both
-    orientations, only repeat a successor, which the BFS ignores; each
-    adjacency list is sorted once.
+    ``edge_subset`` goes through `arc_keys`, which checks and encodes plain
+    arcs, so a non-arc raises even when there are no sources.  The search is
+    `_bfs` over the graph's own ascending rows, filtered to those keys.
     """
-    out = graph._out  # type: ignore[attr-defined]
-    n = graph.n
-    undirected = not graph.directed
-    succ: defaultdict[int, list[int]] = defaultdict(list)
-    for u, v in edge_subset:
-        if not 0 <= u < n or v not in out[u]:
-            raise ValueError(f"arc ({u}, {v}) not present in the graph")
-        succ[u].append(v)
-        if undirected:
-            succ[v].append(u)
+    keys = arc_keys(graph, edge_subset)
     sources = set(sources)
     if not sources:
         return {}
-    for row in succ.values():
-        row.sort()
-    return _bfs(succ, sources)[1]
+    out = graph._out  # type: ignore[attr-defined]
+    return _bfs(out, sources, arc_filter=(graph.n, graph.directed, keys))[1]
 
 
 def shortest_path_tree(
-    graph: Graph, edge_subset: Iterable[tuple[int, int]], root: int
+    graph: Graph, edge_subset: Iterable[tuple[int, int]] | ArcKeys, root: int
 ) -> PoiseTree:
-    """BFS tree over the subgraph spanned by ``edge_subset``, rooted at ``root``.
+    """BFS tree over the subgraph spanned by ``edge_subset`` (arcs or an
+    `ArcKeys`), rooted at ``root``.
 
     Every vertex reachable from the root inside the subgraph is included at
-    its subgraph distance; parents are the lowest-id predecessor one level up.
+    its subgraph distance; parents are the lowest-id predecessor one level
+    up.  The parent map lists the vertices in BFS order, which
+    `spt_metrics` reads.
     """
     return PoiseTree(root, subset_bfs_parents(graph, edge_subset, [root]))
 
@@ -508,6 +562,23 @@ def tree_metrics(tree: PoiseTree, instance: MulticastInstance) -> TreeMetrics:
     if tree.root in terminals:
         covered += 1
     degree = max(out_degree.values(), default=0)
+    return TreeMetrics(degree, height, degree + height, covered)
+
+
+def spt_metrics(tree: PoiseTree, terminals: frozenset[int]) -> TreeMetrics:
+    """`tree_metrics` of a tree that `shortest_path_tree` built, read from
+    its parent map without checking it: the map lists the vertices in BFS
+    order, so the last one is a deepest, and its parent chain gives the
+    height.  Out-degrees and covered ``terminals`` are counted in C."""
+    parent = tree.parent
+    degree = max(Counter(parent.values()).values(), default=0)
+    height = 0
+    if parent:
+        v = next(reversed(parent))
+        while v != tree.root:
+            v = parent[v]
+            height += 1
+    covered = len(terminals.intersection(parent)) + (tree.root in terminals)
     return TreeMetrics(degree, height, degree + height, covered)
 
 

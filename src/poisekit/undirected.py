@@ -227,9 +227,10 @@ class SuperRound(Round):
         return self._advance([path, sorted(big.arcs())], covered, covered)
 
     def _covered(self, selection: CoverSelection) -> SuperRound:
-        t_c = _cover_forest(self.graph, self.super_row, selection.chosen)
+        forest = _cover_forest(self.graph, self.super_row, selection.chosen)
+        t_c = sorted([(p, v) for v, p in forest.items()])
         reached = [self.trees[i] for i in sorted(selection.covered_elements)]
-        groups = [sorted(selection.chosen), sorted(t_c), *(sorted(tr.edges) for tr in reached)]
+        groups = [sorted(selection.chosen), t_c, *(sorted(tr.edges) for tr in reached)]
         covered = {v for tr in reached for v in tr.terminals}
         discarded = {v for tr in self.trees for v in tr.terminals if v in self.terminals}
         return self._advance(groups, covered, discarded)

@@ -19,6 +19,7 @@ from poisekit.cover import CoverRow, default_iteration_cap
 from poisekit.driver import run_sweep, stage_budget
 from poisekit.errors import InfeasibleGuessError
 from poisekit.generators import generate_instance
+from poisekit.graph import arc_keys
 
 from conftest import full_coverage_tree, random_graph, set_based_pm_cover
 
@@ -477,13 +478,14 @@ class TestCoverRow:
             counted(cover.build_coverage_instance, lambda args: "system"),
         )
         monkeypatch.setattr(cover, "bfs_parents", counted(cover.bfs_parents, lambda args: args[1]))
-        row = CoverRow(two_branch_graph(), 0, {0}, {1, 2, 3, 4}, singleton_locations([3, 4]), D=2)
+        g = two_branch_graph()
+        row = CoverRow(g, 0, {0}, {1, 2, 3, 4}, singleton_locations([3, 4]), D=2)
         assert calls == []
         system = row.system
         assert row.system is system
         assert row.cover(2, B=1).covered_elements == {3, 4}
-        assert row.arcs(1) == {(1, 3)} and row.arcs(1) == {(1, 3)}
-        assert row.arcs(2) == {(2, 4)} and row.arcs(2) == {(2, 4)}
+        assert row.arcs(1) == arc_keys(g, {(1, 3)}) and row.arcs(1) == arc_keys(g, {(1, 3)})
+        assert row.arcs(2) == arc_keys(g, {(2, 4)}) and row.arcs(2) == arc_keys(g, {(2, 4)})
         assert calls == ["system", [1], [2]]
 
 
@@ -627,8 +629,8 @@ def test_row_arcs_match_coverage_tree_and_super_reference(n, seed, directed):
     terminal_row = CoverRow(g, 0, A, C, singleton_locations(terminals), D)
     super_row = CoverRow(g, 0, A, C, groups, D)
     for c in sorted(C):
-        assert terminal_row.arcs(c) == full_coverage_tree(g, C, c, terminals, D).arcs()
-        assert super_row.arcs(c) == reference_super_arcs(g, C, c, groups, D)
+        assert terminal_row.arcs(c) == arc_keys(g, full_coverage_tree(g, C, c, terminals, D).arcs())
+        assert super_row.arcs(c) == arc_keys(g, reference_super_arcs(g, C, c, groups, D))
 
 
 def test_negative_capacity_rejected():

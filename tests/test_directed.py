@@ -29,7 +29,7 @@ from poisekit.cover import CoverRow
 from poisekit.directed import Round, stage_directed
 from poisekit.driver import stage_budget
 from poisekit.errors import InfeasibleGuessError
-from poisekit.graph import reach_labels
+from poisekit.graph import arc_keys, reach_labels
 
 from conftest import (
     directed_stream,
@@ -393,6 +393,21 @@ class TestComplete:
         m = tree_metrics(tree, inst)
         assert m.terminals_covered == 2
         assert tree.parent[3] == 2 and tree.parent[4] == 2
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_plain_base_arcs_join_the_picks(self, directed):
+        # base arcs given as pairs are checked and encoded like a round's keys,
+        # so they stay in the tree when the cover makes picks
+        g = Graph(7, [(0, 1), (0, 2), (1, 3), (2, 4), (0, 5), (5, 6)], directed)
+        row = CoverRow(g, 0, {0, 5, 6}, {1, 2, 3, 4}, {3: (3,), 4: (4,)}, D=2)
+        base = [(0, 5), (6, 5) if not directed else (5, 6)]
+        tree, selection = complete(g, 0, base, row, 2, B=2)
+        assert selection.chosen
+        assert tree.parent[6] == 5 and tree.parent[5] == 0
+        assert tree.arcs() == complete(g, 0, arc_keys(g, base), row, 2, B=2)[0].arcs()
+        with pytest.raises(ValueError) as info:
+            complete(g, 0, [(0, 5), (1, 6)], row, 2, B=2)
+        assert str(info.value) == "arc (1, 6) not present in the graph"
 
 
 class TestSolveDirected:

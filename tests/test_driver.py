@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from poisekit import (
     exact_min_poise_ktree,
@@ -7,8 +9,9 @@ from poisekit import (
     run_sweep,
 )
 from poisekit.driver import BENCH_COLUMNS, bench_rows, solve_guess, stage_budget
-from poisekit.errors import InfeasibleGuessError
-from poisekit.graph import PoiseGuess, bfs_distances
+from poisekit.errors import GenerationError, InfeasibleGuessError
+from poisekit.graph import PoiseGuess, bfs_distances, is_normalized, tree_metrics
+from poisekit.undirected import SuperRound
 
 from conftest import middles_instance
 from poisekit.graph import normalize_terminals
@@ -182,17 +185,106 @@ def test_undirected_row_builds_its_aggregation_path_once(monkeypatch):
     assert len(region_bfs) == 1
 
 
+def _records_match_tree_metrics(inst, mode):
+    """Check every feasible record of ``run_sweep(inst, mode)`` against
+    `tree_metrics` of the tree its row's stage solves at that budget, the
+    budgets ascending as the sweep takes them; return the number of feasible
+    cells whose directed stage covered picks (the few-trees branch)."""
+    report, _ = run_sweep(inst, mode)
+    covered = 0
+    stages = {}
+    for rec in sorted(report.records, key=lambda r: (r["D"], r["B"])):
+        if not rec["feasible"]:
+            continue
+        D = rec["D"]
+        if D not in stages:
+            stages[D] = stage_budget(inst, D, mode)
+        stage = stages[D]
+        tree = stage.solve(rec["B"])
+        m = tree_metrics(tree, inst)
+        assert (rec["poise"], rec["max_out_degree"], rec["height"], rec["terminals_covered"]) == (
+            m.poise, m.max_out_degree, m.height, m.terminals_covered
+        )
+        if not isinstance(stage, SuperRound) and stage.stitched is None:
+            covered += any(tree is built for picks, built in stage.assembled.items() if picks)
+    return covered
+
+
+def _sweep_params(model, size, k_share, directed, seed):
+    if model == "random-digraph":
+        n = 6 + 2 * size
+        t = 3 + size // 2
+        return {"n": n, "m": 3 * n if directed else 2 * n, "t": t,
+                "k": max(1, int(t * k_share)), "directed": directed, "connected": not directed,
+                "seed": seed}
+    if model == "layered-dag":
+        width = 3 + 2 * size
+        return {"width": width, "depth": 1 + size % 3, "t": width,
+                "k": max(1, int(width * k_share)), "directed": directed, "seed": seed}
+    if model == "grid":
+        t = 2 + size
+        return {"w": 2 + size // 2, "h": 3 + size // 3, "t": t, "k": max(1, int(t * k_share)),
+                "directed": directed, "seed": seed}
+    leaves = (2 + size // 2) * (1 + size % 4)
+    return {"branch": 2 + size // 2, "leaf": 1 + size % 4, "k": max(1, int(leaves * k_share)),
+            "directed": directed}
+
+
+@given(
+    model=st.sampled_from(["random-digraph", "layered-dag", "grid", "star-of-stars"]),
+    size=st.integers(0, 7),
+    k_share=st.floats(0.1, 1.0),
+    directed=st.booleans(),
+    mode=st.sampled_from(["auto", "directed"]),
+    seed=st.integers(0, 10**6),
+)
+@settings(max_examples=80, deadline=None)
+def test_sweep_records_equal_tree_metrics_of_each_cell(model, size, k_share, directed, mode, seed):
+    # the sweep reads each tree's metrics off its BFS parent map: every
+    # feasible record must equal the checking `tree_metrics` of that cell's
+    # tree, on every model, both orientations, and with the directed solver
+    # on undirected graphs
+    try:
+        inst = generate_instance(model, _sweep_params(model, size, k_share, directed, seed))
+    except GenerationError:
+        assume(False)
+    if not is_normalized(inst):
+        inst = normalize_terminals(inst)
+    _records_match_tree_metrics(inst, mode)
+
+
+def test_layered_sweep_records_equal_tree_metrics_of_covered_cells():
+    # the sweep-dir-layered shape: no vertex is rho-good, so the few-trees
+    # branch covers picks at every degree budget, and those trees too must
+    # read as `tree_metrics` measures them
+    inst = generate_instance("layered-dag", {"width": 13, "depth": 2, "t": 13, "k": 10, "seed": 0})
+    assert _records_match_tree_metrics(inst, "auto") > 0
+
+
+def test_sweep_fails_loudly_when_its_metrics_disagree_with_tree_metrics(monkeypatch):
+    from poisekit import driver
+    from poisekit.graph import TreeMetrics
+
+    inst = generate_instance("star-of-stars", {"branch": 3, "leaf": 2, "k": 4})
+    monkeypatch.setattr(driver, "spt_metrics", lambda tree, terminals: TreeMetrics(1, 1, 2, 9))
+    with pytest.raises(RuntimeError, match="best tree measures"):
+        run_sweep(inst)
+
+
 def test_sweep_measures_each_distinct_tree_once_per_row(monkeypatch):
     # an undirected star of stars is itself a tree, so a cell's tree is the
     # region it grew, and equal regions give the row's one kept tree: the
-    # sweep measures it once, yet reports the metrics of every cell
+    # sweep measures it once, yet reports the metrics of every cell; only
+    # the best tree goes through the checking `tree_metrics`, once
     from poisekit import driver
-    from poisekit.graph import tree_metrics
+    from poisekit.graph import spt_metrics, tree_metrics
 
     inst = generate_instance("star-of-stars", {"branch": 10, "leaf": 4, "k": 30, "directed": False})
-    measured = []
-    monkeypatch.setattr(driver, "tree_metrics", _counting(measured, tree_metrics))
+    measured, checked = [], []
+    monkeypatch.setattr(driver, "spt_metrics", _counting(measured, spt_metrics))
+    monkeypatch.setattr(driver, "tree_metrics", _counting(checked, tree_metrics))
     report, _ = run_sweep(inst)
+    assert len(checked) == 1
     expected, distinct = [], 0
     for D in range(1, report.grid["D_max"] + 1):
         try:

@@ -18,7 +18,7 @@ from poisekit import (
     tree_metrics,
 )
 from poisekit.errors import InfeasibleGuessError
-from poisekit.graph import TreeMetrics, reach_labels, subset_bfs_parents
+from poisekit.graph import TreeMetrics, arc_keys, reach_labels, spt_metrics, subset_bfs_parents
 from poisekit.oracle import poise_feasible
 
 from conftest import floyd_warshall, random_graph
@@ -477,6 +477,23 @@ class TestBfsKernel:
             shortest_path_tree(g, arcs, 0)
         assert str(info.value) == f"arc {bad} not present in the graph"
 
+    def test_subset_head_that_is_not_a_vertex_is_named(self):
+        g = Graph(3, [(0, 1), (2, 1)], directed=True)
+        with pytest.raises(ValueError) as info:
+            shortest_path_tree(g, [(0, 1), (0, "1")], 0)
+        assert str(info.value) == "arc (0, 1) not present in the graph"
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_a_rows_base_arc_off_the_graph_is_named(self, directed):
+        # a round's own arcs are encoded with its base, once, and checked there
+        from poisekit.directed import Round
+
+        g = Graph(4, [(0, 1), (1, 2), (2, 3)], directed)
+        packing = Round(g, 0, {0, 1}, [(0, 1), (1, 3)], {3}, rho=2, D=2, k=1)
+        with pytest.raises(ValueError) as info:
+            packing.base
+        assert str(info.value) == "arc (1, 3) not present in the graph"
+
 
 def cut_at_targets(dist, parent, wanted, need):
     """A full search's (dist, parent) cut after the first level by which
@@ -559,14 +576,26 @@ def test_subset_bfs_reads_repeats_orientations_and_iterators(
     sources = set(rng.sample(range(n), rng.randint(1, min(3, n)))) if with_sources else set()
     bad = [(u, v) for u, v in arcs if not g.has_arc(u, v)]
     if bad:
-        # the first non-arc read is named, whether or not there are sources
-        with pytest.raises(ValueError) as info:
-            subset_bfs_parents(g, (a for a in arcs), sources)
-        assert str(info.value) == f"arc {bad[0]} not present in the graph"
+        # the first non-arc read is named, whether or not there are sources,
+        # by every reader of arcs
+        for read in (
+            lambda: subset_bfs_parents(g, (a for a in arcs), sources),
+            lambda: shortest_path_tree(g, (a for a in arcs), 0),
+            lambda: arc_keys(g, (a for a in arcs)),
+        ):
+            with pytest.raises(ValueError) as info:
+                read()
+            assert str(info.value) == f"arc {bad[0]} not present in the graph"
         return
     want = reference_subset_bfs_parents(g, arcs, sources)
     got = subset_bfs_parents(g, (a for a in arcs), iter(sources))
     assert list(got.items()) == list(want.items())
+    # arcs encoded once as keys are read the same way
+    keys = arc_keys(g, arcs)
+    assert len(keys) == len({(min(a), max(a)) if not directed else a for a in arcs})
+    assert list(subset_bfs_parents(g, keys, iter(sources)).items()) == list(want.items())
+    tree = shortest_path_tree(g, keys, 0)
+    assert list(tree.parent.items()) == list(reference_subset_bfs_parents(g, arcs, {0}).items())
 
 
 def chain_walk_depths(tree: PoiseTree) -> dict[int, int]:
@@ -729,3 +758,17 @@ def test_reach_labels_match_per_vertex_bfs(n, seed, directed, overlapping, D):
             assert len(got) <= max(cap, len(own))
             assert (len(got) >= cap) == (len(want[v]) >= cap)
 
+
+@given(n=st.integers(2, 14), seed=st.integers(0, 10**6), directed=st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_spt_metrics_match_tree_metrics_on_shortest_path_trees(n, seed, directed):
+    # a tree `shortest_path_tree` builds lists its vertices in BFS order, so
+    # its metrics read off the parent map equal the checking walk's
+    rng = random.Random(seed)
+    g = random_graph(rng, n, rng.randint(1, 3 * n), directed)
+    root = rng.randrange(n)
+    terminals = rng.sample([v for v in range(n) if v != root], rng.randint(1, n - 1))
+    inst = MulticastInstance(g, root, terminals, 1)
+    arcs = rng.sample(list(g.arcs), rng.randint(0, len(g.arcs)))
+    tree = shortest_path_tree(g, arcs, root)
+    assert spt_metrics(tree, inst.terminals) == tree_metrics(tree, inst)
