@@ -27,11 +27,13 @@ from .errors import (
 )
 from .generators import generate_instance
 from .graph import (
+    ArcKeys,
     Graph,
     MulticastInstance,
     PoiseGuess,
     PoiseTree,
     TreeMetrics,
+    arc_keys,
     bfs_distances,
     bfs_parents,
     eccentricity,

@@ -175,12 +175,12 @@ def build_coverage_instance(
 def greedy_matroid_max(
     system: CoverageSystem,
     capacity: int,
-    already_covered: Iterable[Element] | int = (),
+    already_covered: int = 0,
 ) -> set[int]:
     """Greedy maximum coverage under the partition matroid whose parts are
     the pairs' anchors, each taking at most ``capacity`` pairs, over the
-    elements ``already_covered``: an iterable of elements or, as an int, the
-    system's bitmask of them.
+    elements ``already_covered``, the system's bitmask of them
+    (`CoverageSystem.mask`).
 
     Repeatedly adds the pair of largest marginal coverage whose part still has
     spare capacity, ties broken by (a, c) order; stops at zero marginal gain.
@@ -202,11 +202,10 @@ def greedy_matroid_max(
     """
     if capacity < 0:
         raise ValueError("capacity must be nonnegative")
-    covered = already_covered if isinstance(already_covered, int) else system.mask(already_covered)
-    p = system.position.get(covered)
+    p = system.position.get(already_covered)
     picks = None if p is None else system.replay(p, capacity)
     if picks is None:
-        picks = _lazy_greedy(system.masks, system.parts, capacity, covered)
+        picks = _lazy_greedy(system.masks, system.parts, capacity, already_covered)
     return set(picks)
 
 

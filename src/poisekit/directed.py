@@ -28,6 +28,7 @@ from .graph import (
     bfs_parents,
     chain_parents,
     reach_labels,
+    require_keys,
     row_keys,
     shortest_path_tree,
     subset_bfs_parents,
@@ -164,7 +165,7 @@ def solve_many_trees(
     chosen = trees[:rho]
     H = [arc for tr in chosen for arc in tr.edges]
     H.extend(_paths_to_tree_roots(graph, [root], chosen))
-    return shortest_path_tree(graph, H, root)
+    return shortest_path_tree(graph, arc_keys(graph, H), root)
 
 
 def _multi_source_spt_arcs(
@@ -189,7 +190,7 @@ def _cover_forest(graph: Graph, row: CoverRow, chosen: Iterable[Arc]) -> dict[in
 def complete(
     graph: Graph,
     root: int,
-    base: Iterable[Arc] | ArcKeys,
+    base: ArcKeys,
     row: CoverRow,
     k_remaining: int,
     B: int,
@@ -197,16 +198,16 @@ def complete(
 ) -> tuple[PoiseTree, CoverSelection | None]:
     """Finish a rho-additive partition at degree budget B: cover k_remaining
     terminals from ``row`` with the iterated matroid cover, add the picks and
-    their in-C forest to the ``base`` arcs (`Round.base` passes their keys,
-    other arcs are checked and encoded by `arc_keys`), and return the
-    shortest-path tree over the union with the cover's selection (None when
-    no terminal was left to cover).
+    their in-C forest to the ``base`` keys (an `ArcKeys`, else TypeError),
+    and return the shortest-path tree over the union with the cover's
+    selection (None when no terminal was left to cover).
 
     The tree is a function of the picks alone, so ``assembled`` (one per
     base and row, `Round.assembled`) keeps each tree by its picks, the empty
     set when none were needed: a budget whose cover picks what another
     budget's did gets that budget's tree object, unbuilt.
     """
+    require_keys(base)
     selection = None
     if k_remaining > 0:
         selection = row.cover(k_remaining, B)
@@ -218,7 +219,7 @@ def complete(
     if assembled is None:
         assembled = {}
     if chosen not in assembled:
-        H = arc_keys(graph, base)
+        H = base
         if chosen:
             # the picks are boundary pairs and the forest a BFS's parent
             # arcs, both read off the graph's rows
@@ -233,15 +234,14 @@ class Round:
     inside C = V - R, and the additive partition they leave: A = R plus the
     packed vertices, and V - A, which holds no rho-good vertex.
 
-    All of it reads only (R, its arcs ``arcs``, D), so a sweep row keeps the
-    round at R = {root} for every degree budget; an undirected region lists
-    each edge once, as its (min, max) key.  Its C, packing (``trees`` and
-    ``packed``), base arcs and terminal cover row are built on first use;
-    only the cover in `complete` reads the degree budget.  The trees it
-    assembles are kept in ``assembled`` by the cover's picks, so budgets
-    whose covers pick alike, every budget above an unbound cover's
-    ``peak_load`` among them (`CoverRow`), share one tree object for as long
-    as the round lives.
+    All of it reads only (R, the keys ``arcs`` of its arcs, D), so a sweep
+    row keeps the round at R = {root} for every degree budget.  Its C,
+    packing (``trees`` and ``packed``), base arcs and terminal cover row are
+    built on first use; only the cover in `complete` reads the degree
+    budget.  The trees it assembles are kept in ``assembled`` by the cover's
+    picks, so budgets whose covers pick alike, every budget above an unbound
+    cover's ``peak_load`` among them (`CoverRow`), share one tree object for
+    as long as the round lives.
 
     The round at {root} is the directed stage (`stage_directed`): ``solve(B)``
     answers the guess (B, D) for the target ``k``, and ``trace(B)`` returns
@@ -249,7 +249,7 @@ class Round:
     """
 
     def __init__(
-        self, graph: Graph, root: int, R: Iterable[int], arcs: Iterable[Arc],
+        self, graph: Graph, root: int, R: Iterable[int], arcs: ArcKeys,
         terminals: Iterable[int], rho: int, D: int, k: int,
     ):
         self.graph, self.root, self.rho, self.D, self.k = graph, root, rho, D, k
@@ -276,13 +276,11 @@ class Round:
     @functools.cached_property
     def base(self) -> ArcKeys:
         """The keys of R's arcs, the packed trees' edges and the shortest
-        paths from R to their roots; raises InfeasibleGuessError when a root
-        is unreachable."""
-        H = list(self.arcs)
-        for tr in self.trees:
-            H.extend(tr.edges)
+        paths from R to their roots, only the latter two checked here;
+        raises InfeasibleGuessError when a root is unreachable."""
+        H = [arc for tr in self.trees for arc in tr.edges]
         H.extend(_paths_to_tree_roots(self.graph, sorted(self.R), self.trees))
-        return arc_keys(self.graph, H)
+        return ArcKeys(self.arcs.union(arc_keys(self.graph, H)))
 
     @functools.cached_property
     def row(self) -> CoverRow:
@@ -341,7 +339,7 @@ def stage_directed(instance: MulticastInstance, D: int) -> Round:
     """
     g, root, k = instance.graph, instance.root, instance.k
     rho = math.isqrt(k - 1) + 1  # ceil(sqrt(k)); check_k keeps k >= 1
-    packing = Round(g, root, {root}, (), instance.terminals, rho, D, k)
+    packing = Round(g, root, {root}, ArcKeys(), instance.terminals, rho, D, k)
     packing.stitched  # staged here: an unreachable packed root fails the whole row
     return packing
 

@@ -21,16 +21,16 @@ order, and fills through the same builder.
 The solvers build each sweep cell's tree from a union of picked arcs, held
 as an `ArcKeys`: each arc's integer key, the encoding `Graph` sorts by, an
 undirected edge under its (min, max) key, as `_keys` spells it (and
-`_bfs`'s arc filter, inline).  `arc_keys` checks each arc once, when it is
-encoded, and `row_keys` encodes arcs read off the graph's own rows without
-a check, so a row encodes the arcs it reuses once and unions int sets after
-that.  `subset_bfs_parents`
-and `shortest_path_tree` run `_bfs` over the graph's own ascending rows
-with an arc filter that skips every arc whose key is not in the set: they
-build no successor lists and sort no rows.  A tree they build lists its
-vertices in BFS order, so `spt_metrics` reads its height, out-degrees and
-covered terminals off the parent map; `tree_metrics` checks every arc and
-walks the depths, for trees from anywhere.
+`_bfs`'s arc filter, inline).  `subset_bfs_parents` and
+`shortest_path_tree` take keys only, so the caller states what it trusts:
+`arc_keys` checks each arc once, when it is encoded, and `row_keys` encodes
+arcs read off the graph's own rows without a check.  The searches run
+`_bfs` over the graph's own ascending rows with an arc filter that skips
+every arc whose key is not in the set: they build no successor lists and
+sort no rows.  A tree they build lists its vertices in BFS order, so
+`spt_metrics` reads its height, out-degrees and covered terminals off the
+parent map; `tree_metrics` checks every arc and walks the depths, for trees
+from anywhere.
 """
 
 from __future__ import annotations
@@ -398,19 +398,23 @@ class ArcKeys(frozenset):
     undirected edge as its (min, max) key, the order `Graph` sorts its arcs
     by.  `arc_keys` builds one from any arcs, checking each, and `row_keys`
     from arcs read off the graph's rows; `subset_bfs_parents` and
-    `shortest_path_tree` read it as is, so a solver encodes the arcs it
-    reuses once and unions int sets after that."""
+    `shortest_path_tree` take nothing else."""
 
     __slots__ = ()
 
 
-def arc_keys(graph: Graph, arcs: Iterable[tuple[int, int]] | ArcKeys) -> ArcKeys:
-    """The keys of ``arcs``, read once (it may be an iterator); an `ArcKeys`
-    is returned as is.  Each arc must be a graph arc, checked as it is read
-    by bisecting u's ascending row, so the first non-arc raises.  Repeated
-    arcs, and an undirected edge given in both orientations, share one key."""
-    if isinstance(arcs, ArcKeys):
-        return arcs
+def require_keys(keys: object) -> None:
+    """Raise TypeError unless ``keys`` is an `ArcKeys`: plain arcs filtered
+    as keys would match none, and joined to keys would never be followed."""
+    if not isinstance(keys, ArcKeys):
+        raise TypeError(f"expected ArcKeys, got {type(keys).__name__}: use arc_keys(graph, arcs)")
+
+
+def arc_keys(graph: Graph, arcs: Iterable[tuple[int, int]]) -> ArcKeys:
+    """The keys of ``arcs``, read once (it may be an iterator).  Each arc
+    must be a graph arc, checked as it is read by bisecting u's ascending
+    row, so the first non-arc raises.  Repeated arcs, and an undirected edge
+    given in both orientations, share one key."""
     out = graph._out  # type: ignore[attr-defined]
     n = graph.n
     arcs = list(arcs)
@@ -432,19 +436,16 @@ def row_keys(graph: Graph, arcs: Iterable[tuple[int, int]]) -> ArcKeys:
     return ArcKeys(_keys(graph.n, graph.directed, arcs))
 
 
-def subset_bfs_parents(
-    graph: Graph, edge_subset: Iterable[tuple[int, int]] | ArcKeys, sources: Iterable[int]
-) -> dict[int, int]:
-    """Lowest-id BFS parents over the subgraph spanned by ``edge_subset``,
-    grown from a source set: every vertex the sources reach inside the
-    subgraph, sources excepted, maps to its lowest-id predecessor one level up.
-    No sources give no parents.
+def subset_bfs_parents(graph: Graph, keys: ArcKeys, sources: Iterable[int]) -> dict[int, int]:
+    """Lowest-id BFS parents over the subgraph spanned by the arcs ``keys``
+    holds, grown from a source set: every vertex the sources reach inside
+    the subgraph, sources excepted, maps to its lowest-id predecessor one
+    level up.  No sources give no parents.
 
-    ``edge_subset`` goes through `arc_keys`, which checks and encodes plain
-    arcs, so a non-arc raises even when there are no sources.  The search is
-    `_bfs` over the graph's own ascending rows, filtered to those keys.
+    Anything but an `ArcKeys` raises TypeError, sources or not.  The search
+    is `_bfs` over the graph's own ascending rows, filtered to those keys.
     """
-    keys = arc_keys(graph, edge_subset)
+    require_keys(keys)
     sources = set(sources)
     if not sources:
         return {}
@@ -452,18 +453,16 @@ def subset_bfs_parents(
     return _bfs(out, sources, arc_filter=(graph.n, graph.directed, keys))[1]
 
 
-def shortest_path_tree(
-    graph: Graph, edge_subset: Iterable[tuple[int, int]] | ArcKeys, root: int
-) -> PoiseTree:
-    """BFS tree over the subgraph spanned by ``edge_subset`` (arcs or an
-    `ArcKeys`), rooted at ``root``.
+def shortest_path_tree(graph: Graph, keys: ArcKeys, root: int) -> PoiseTree:
+    """BFS tree over the subgraph spanned by the arcs ``keys`` holds, rooted
+    at ``root``.
 
     Every vertex reachable from the root inside the subgraph is included at
     its subgraph distance; parents are the lowest-id predecessor one level
     up.  The parent map lists the vertices in BFS order, which
     `spt_metrics` reads.
     """
-    return PoiseTree(root, subset_bfs_parents(graph, edge_subset, [root]))
+    return PoiseTree(root, subset_bfs_parents(graph, keys, [root]))
 
 
 def normalize_terminals(instance: MulticastInstance) -> MulticastInstance:

@@ -19,10 +19,13 @@ from .cover import CoverRow, CoverSelection, _closest_representatives, default_i
 from .directed import GoodTree, Round, _cover_forest
 from .errors import InfeasibleGuessError
 from .graph import (
+    ArcKeys,
     Graph,
     MulticastInstance,
     PoiseGuess,
     PoiseTree,
+    _keys,
+    arc_keys,
     bfs_parents,
     chain_parents,
     reach_labels,
@@ -30,12 +33,6 @@ from .graph import (
 )
 
 Arc = tuple[int, int]
-
-
-def _edge_key(arc: Arc) -> Arc:
-    """The undirected edge of an arc: its endpoints in ascending order."""
-    u, v = arc
-    return (u, v) if u < v else (v, u)
 
 
 def _ceil_cbrt(t: int) -> int:
@@ -65,7 +62,7 @@ def small(
     `SuperRound`.  It stays as the first iteration on its own, for the tests
     and for the benchmark's tracer, which counts calls to it.
     """
-    packing = Round(graph, root, {root}, (), terminals, _ceil_cbrt(t), D, k_remaining)
+    packing = Round(graph, root, {root}, ArcKeys(), terminals, _ceil_cbrt(t), D, k_remaining)
     if len(packing.trees) >= packing.rho:
         return list(packing.trees)
     return packing.complete(k_remaining, B)[0]
@@ -113,7 +110,7 @@ def find_good_vertex_wrt_super(
         union = {(p, u) for u, p in chain_parents(parent, [w for _, _, w in chosen]).items()}
         for _, i, _ in chosen:
             union |= trees[i].edges
-        return shortest_path_tree(graph, union, v)
+        return shortest_path_tree(graph, arc_keys(graph, union), v)
 
     first = min(C)
     tree = aggregate(first)
@@ -127,16 +124,15 @@ def find_good_vertex_wrt_super(
     return None
 
 
-def _merge_arcs(edges: set[Arc], groups: Iterable[Iterable[Arc]]) -> list[Arc]:
-    """The arcs of ``groups`` whose undirected edge is not in ``edges`` yet,
-    one orientation per edge, in group order; adds their edges to ``edges``."""
+def _merge_arcs(graph: Graph, region: ArcKeys, groups: Iterable[Iterable[Arc]]) -> list[Arc]:
+    """The arcs of ``groups`` whose edge is not in ``region`` yet, in group
+    order, each edge once, in the orientation it is first seen in."""
+    arcs = [arc for group in groups for arc in group]
     added: list[Arc] = []
-    for group in groups:
-        for arc in group:
-            key = _edge_key(arc)
-            if key in edges:
-                continue
-            edges.add(key)
+    seen: set[int] = set()
+    for arc, key in zip(arcs, _keys(graph.n, graph.directed, arcs)):
+        if key not in region and key not in seen:
+            seen.add(key)
             added.append(arc)
     return added
 
@@ -152,8 +148,8 @@ class SuperRound(Round):
     `Round`'s C and packing and the ``cap`` on the cover's iterations, so a
     walk whose answer is a round's region never packs that round.
 
-    The region's ``arcs`` are its undirected edges, each once as a (min,
-    max) key: every tree built over them reads an edge in both directions.
+    The region's ``arcs`` are the keys of its edges: the previous round's
+    and those of ``added``, which `arc_keys` checks once, as they join.
     The round reads no degree budget: its cover does, and the next round is
     a function of this one and what the cover picked.  ``steps`` keeps each
     next round by those picks (None for the budget-free aggregation), so
@@ -168,11 +164,11 @@ class SuperRound(Round):
     """
 
     def __init__(
-        self, graph: Graph, root: int, R: frozenset[int], edges: frozenset[Arc],
+        self, graph: Graph, root: int, R: frozenset[int], arcs: ArcKeys,
         terminals: Iterable[int], rho: int, D: int, k: int, added: tuple[Arc, ...] = (),
         covered: frozenset[int] = frozenset(),
     ):
-        super().__init__(graph, root, R, edges, terminals, rho, D, k)
+        super().__init__(graph, root, R, arcs, terminals, rho, D, k)
         self.added, self.covered = added, covered
         self.steps: dict[frozenset[Arc] | None, SuperRound] = {}
 
@@ -182,7 +178,7 @@ class SuperRound(Round):
 
     @functools.cached_property
     def tree(self) -> PoiseTree:
-        """The shortest-path tree from the root over the region's edges: the
+        """The shortest-path tree from the root over the region's arcs: the
         answer of a walk that ends in this round."""
         return shortest_path_tree(self.graph, self.arcs, self.root)
 
@@ -243,10 +239,10 @@ class SuperRound(Round):
         the discarded terminals."""
         if not covered and not discarded:
             raise InfeasibleGuessError("iteration neither covered nor discarded terminals")
-        edges = set(self.arcs)
-        added = tuple(_merge_arcs(edges, groups))
+        added = tuple(_merge_arcs(self.graph, self.arcs, groups))
+        arcs = ArcKeys(self.arcs.union(arc_keys(self.graph, added)))
         return SuperRound(
-            self.graph, self.root, self.R.union(*added), frozenset(edges),
+            self.graph, self.root, self.R.union(*added), arcs,
             self.terminals - discarded, self.rho, self.D, self.k, added, frozenset(covered),
         )
 
@@ -268,7 +264,9 @@ class SuperRound(Round):
     def small_record(self, it: int, tree: PoiseTree) -> dict[str, Any]:
         """The trace record of a last iteration ``it`` that completes this
         round's partition into ``tree``."""
-        added = [a for a in tree.arcs() if _edge_key(a) not in self.arcs]
+        arcs = list(tree.arcs())
+        keys = _keys(self.graph.n, self.graph.directed, arcs)
+        added = [a for a, key in zip(arcs, keys) if key not in self.arcs]
         covered = len(tree.vertices() & self.terminals)
         return self._record(it, "small", 0, added, covered, covered)
 
@@ -322,7 +320,7 @@ def stage_undirected(instance: MulticastInstance, D: int) -> SuperRound:
         raise ValueError("the undirected solver requires an undirected graph")
     root, terminals = instance.root, instance.terminals
     return SuperRound(
-        g, root, frozenset({root}), frozenset(), terminals, _ceil_cbrt(len(terminals)), D,
+        g, root, frozenset({root}), ArcKeys(), terminals, _ceil_cbrt(len(terminals)), D,
         instance.k,
     )
 

@@ -83,10 +83,10 @@ def trim_to_terminals(tree: PoiseTree, terminals, rho: int) -> GoodTree:
 
 def set_based_pm_cover(system, capacity, target, max_iterations=None):
     """Reference for the cover loop: `pm_cover_system` written on element
-    sets, which hands the greedy the covered set itself and decodes each
-    iteration's new coverage into elements.  (chosen, covered elements,
-    iterations, log, peak load); raises InfeasibleGuessError when an
-    iteration covers nothing below a numeric target."""
+    sets, which encodes the covered set for the greedy each iteration and
+    decodes each iteration's new coverage into elements.  (chosen, covered
+    elements, iterations, log, peak load); raises InfeasibleGuessError when
+    an iteration covers nothing below a numeric target."""
     if max_iterations is None:
         max_iterations = default_iteration_cap(target)
     chosen: set = set()
@@ -98,7 +98,7 @@ def set_based_pm_cover(system, capacity, target, max_iterations=None):
             break
         if len(covered) == len(system.ground):
             break
-        picks = greedy_matroid_max(system, capacity, covered)
+        picks = greedy_matroid_max(system, capacity, system.mask(covered))
         union = 0
         arcs = []
         per_part: dict = {}

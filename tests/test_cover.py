@@ -256,7 +256,8 @@ def test_lazy_greedy_matches_eager_scan(seed, make, capacity, prefix):
         already = set().union(*(system.pairs[i][2] for i in order[: rng.randint(0, len(order))]))
     else:
         already = {e for e in system.ground if rng.random() < 0.5}
-    assert greedy_matroid_max(system, capacity, already) == eager_greedy(system, capacity, already)
+    got = greedy_matroid_max(system, capacity, system.mask(already))
+    assert got == eager_greedy(system, capacity, already)
 
     target = rng.choice([None, rng.randint(1, len(system.ground))])
     cap = default_iteration_cap(target or len(system.ground))

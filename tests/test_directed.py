@@ -370,14 +370,14 @@ class TestComplete:
         res = exact_min_poise_ktree(inst)
         assert (res.B_star, res.D_star, res.poise_star) == (2, 2, 4)
         row = CoverRow(inst.graph, 0, {0}, {1, 2, 3, 4}, {t: (t,) for t in inst.terminals}, D=2)
-        tree, _ = complete(inst.graph, 0, (), row, 2, B=2)
+        tree, _ = complete(inst.graph, 0, arc_keys(inst.graph, ()), row, 2, B=2)
         assert tree.arcs() == {(0, 1), (0, 2), (1, 3), (2, 4)}
         m = tree_metrics(tree, inst)
         assert (m.max_out_degree, m.height) == (2, 2)
 
     def test_zero_remaining_short_circuits(self):
         g = Graph(4, [(0, 1), (1, 2), (1, 3)], directed=True)
-        packing = Round(g, 0, {0}, (), {2, 3}, rho=2, D=1, k=2)
+        packing = Round(g, 0, {0}, arc_keys(g, ()), {2, 3}, rho=2, D=1, k=2)
         assert len(packing.trees) == 1
         tree, _ = complete(g, 0, packing.base, packing.row, 0, B=1)
         m = tree_metrics(tree, MulticastInstance(g, 0, {2, 3}, 2))
@@ -389,24 +389,32 @@ class TestComplete:
         g = Graph(5, [(0, 2), (1, 2), (0, 1), (2, 3), (2, 4)], directed=True)
         inst = MulticastInstance(g, 0, {3, 4}, 2)
         row = CoverRow(g, 0, {0, 1}, {2, 3, 4}, {3: (3,), 4: (4,)}, D=2)
-        tree, _ = complete(g, 0, (), row, 2, B=1)
+        tree, _ = complete(g, 0, arc_keys(g, ()), row, 2, B=1)
         m = tree_metrics(tree, inst)
         assert m.terminals_covered == 2
         assert tree.parent[3] == 2 and tree.parent[4] == 2
 
     @pytest.mark.parametrize("directed", [True, False])
-    def test_plain_base_arcs_join_the_picks(self, directed):
-        # base arcs given as pairs are checked and encoded like a round's keys,
-        # so they stay in the tree when the cover makes picks
+    def test_plain_base_arcs_are_a_type_error(self, directed):
+        # the base is keys only: plain arcs, or keys in a plain container,
+        # raise TypeError naming `arc_keys` with or without picks, and never
+        # give a root-only tree or ints joined to pairs that are never
+        # followed; keyed base arcs stay in the tree next to the picks
         g = Graph(7, [(0, 1), (0, 2), (1, 3), (2, 4), (0, 5), (5, 6)], directed)
         row = CoverRow(g, 0, {0, 5, 6}, {1, 2, 3, 4}, {3: (3,), 4: (4,)}, D=2)
         base = [(0, 5), (6, 5) if not directed else (5, 6)]
-        tree, selection = complete(g, 0, base, row, 2, B=2)
+        keys = arc_keys(g, base)
+        for plain in (list, set, frozenset):
+            for wrong in (plain(base), plain(keys)):
+                for k_remaining in (2, 0):  # the cover picks, or none is needed
+                    with pytest.raises(TypeError, match=r"arc_keys\(graph, arcs\)"):
+                        complete(g, 0, wrong, row, k_remaining, B=2)
+        tree, selection = complete(g, 0, keys, row, 2, B=2)
         assert selection.chosen
         assert tree.parent[6] == 5 and tree.parent[5] == 0
-        assert tree.arcs() == complete(g, 0, arc_keys(g, base), row, 2, B=2)[0].arcs()
+        assert {(0, 1), (0, 2)} <= tree.arcs()
         with pytest.raises(ValueError) as info:
-            complete(g, 0, [(0, 5), (1, 6)], row, 2, B=2)
+            arc_keys(g, [(0, 5), (1, 6)])
         assert str(info.value) == "arc (1, 6) not present in the graph"
 
 
@@ -498,7 +506,8 @@ class TestSolveDirected:
             pruned = prune_beyond(inst, res.D_star)
             g = pruned.graph
             rho = rng.randint(1, 3)
-            packing = Round(g, inst.root, {inst.root}, (), pruned.terminals, rho, res.D_star, inst.k)
+            R, no_arcs = {inst.root}, arc_keys(g, ())
+            packing = Round(g, inst.root, R, no_arcs, pruned.terminals, rho, res.D_star, inst.k)
             if len(packing.trees) >= rho:
                 continue
             checked += 1
@@ -538,7 +547,7 @@ def test_round_builds_C_on_first_use():
     # the stage's round at {root} packs V - {root}, built when the packing
     # is first read: a round that is never packed never builds it
     g = Graph(4, [(0, 1), (1, 2), (1, 3)], directed=True)
-    packing = Round(g, 0, {0}, (), {2, 3}, rho=2, D=1, k=2)
+    packing = Round(g, 0, {0}, arc_keys(g, ()), {2, 3}, rho=2, D=1, k=2)
     assert "C" not in vars(packing)
     assert len(packing.trees) == 1
     assert vars(packing)["C"] == {1, 2, 3}

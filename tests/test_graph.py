@@ -137,25 +137,25 @@ class TestBfsDistances:
 class TestShortestPathTree:
     def test_prefers_shorter_path(self):
         g = Graph(3, [(0, 1), (0, 2), (1, 2)], directed=True)
-        tree = shortest_path_tree(g, {(0, 1), (0, 2), (1, 2)}, 0)
+        tree = shortest_path_tree(g, arc_keys(g, {(0, 1), (0, 2), (1, 2)}), 0)
         assert tree.parent == {1: 0, 2: 0}
         assert tree.height() == 1
 
     def test_empty_subset_gives_single_vertex(self):
         g = path_graph(2)
-        tree = shortest_path_tree(g, set(), 0)
+        tree = shortest_path_tree(g, arc_keys(g, set()), 0)
         assert tree.parent == {} and tree.vertices() == {0}
 
     def test_diamond_tie_breaks_to_lowest_id(self):
         g = Graph(4, [(0, 1), (0, 2), (1, 3), (2, 3)], directed=True)
-        tree = shortest_path_tree(g, set(g.arcs), 0)
+        tree = shortest_path_tree(g, arc_keys(g, set(g.arcs)), 0)
         assert tree.parent[3] == 1
         assert tree.height() == 2
 
     def test_rejects_arcs_not_in_graph(self):
         g = path_graph(3)
         with pytest.raises(ValueError):
-            shortest_path_tree(g, {(0, 2)}, 0)
+            shortest_path_tree(g, arc_keys(g, {(0, 2)}), 0)
 
     def test_depths_match_subgraph_distances(self):
         rng = random.Random(3)
@@ -163,7 +163,7 @@ class TestShortestPathTree:
             n = rng.randint(2, 9)
             g = random_graph(rng, n, rng.randint(1, 2 * n), rng.random() < 0.5)
             arcs = set(rng.sample(list(g.arcs), rng.randint(1, len(g.arcs)))) if g.arcs else set()
-            tree = shortest_path_tree(g, arcs, 0)
+            tree = shortest_path_tree(g, arc_keys(g, arcs), 0)
             sub_vertices = {0} | {u for a in arcs for u in a}
             sub = Graph(n, arcs, g.directed)
             dist = bfs_distances(sub, {0}, restriction=sub_vertices)
@@ -391,7 +391,7 @@ class TestTreeMetrics:
             g = Graph(n, [(p, v) for v, p in parent.items()], directed=True)
             inst = MulticastInstance(g, 0, range(1, n), n - 1)
             tree = PoiseTree(0, parent)
-            rebuilt = shortest_path_tree(g, tree.arcs(), 0)
+            rebuilt = shortest_path_tree(g, arc_keys(g, tree.arcs()), 0)
             a, b = tree_metrics(tree, inst), tree_metrics(rebuilt, inst)
             assert b.height <= a.height
             assert b.max_out_degree <= a.max_out_degree
@@ -461,10 +461,11 @@ class TestBfsKernel:
         dist, parent = bfs_parents(g, {0})
         assert list(dist) == [0, 1, 2, 4, 3, 5]
         assert parent[5] == 3
-        assert subset_bfs_parents(g, g.arcs, [0])[5] == 3
+        assert subset_bfs_parents(g, arc_keys(g, g.arcs), [0])[5] == 3
 
     def test_subset_without_sources_has_no_parents(self):
-        assert subset_bfs_parents(path_graph(3), {(0, 1)}, []) == {}
+        g = path_graph(3)
+        assert subset_bfs_parents(g, arc_keys(g, {(0, 1)}), []) == {}
 
     @pytest.mark.parametrize("arcs, bad", [
         ([(-1, 1), (0, 1)], (-1, 1)),  # vertex 2's row holds the arc (2, 1)
@@ -474,25 +475,42 @@ class TestBfsKernel:
     def test_subset_tail_off_the_vertex_range_is_named(self, arcs, bad):
         g = Graph(3, [(0, 1), (2, 1)], directed=True)
         with pytest.raises(ValueError) as info:
-            shortest_path_tree(g, arcs, 0)
+            shortest_path_tree(g, arc_keys(g, arcs), 0)
         assert str(info.value) == f"arc {bad} not present in the graph"
 
     def test_subset_head_that_is_not_a_vertex_is_named(self):
         g = Graph(3, [(0, 1), (2, 1)], directed=True)
         with pytest.raises(ValueError) as info:
-            shortest_path_tree(g, [(0, 1), (0, "1")], 0)
+            shortest_path_tree(g, arc_keys(g, [(0, 1), (0, "1")]), 0)
         assert str(info.value) == "arc (0, 1) not present in the graph"
 
     @pytest.mark.parametrize("directed", [True, False])
     def test_a_rows_base_arc_off_the_graph_is_named(self, directed):
-        # a round's own arcs are encoded with its base, once, and checked there
+        # a round's own arcs are checked once, when they are encoded into
+        # the keys it is given, not again in its base
         from poisekit.directed import Round
 
         g = Graph(4, [(0, 1), (1, 2), (2, 3)], directed)
-        packing = Round(g, 0, {0, 1}, [(0, 1), (1, 3)], {3}, rho=2, D=2, k=1)
         with pytest.raises(ValueError) as info:
-            packing.base
+            Round(g, 0, {0, 1}, arc_keys(g, [(0, 1), (1, 3)]), {3}, rho=2, D=2, k=1).base
         assert str(info.value) == "arc (1, 3) not present in the graph"
+
+
+@pytest.mark.parametrize("directed", [True, False])
+@pytest.mark.parametrize("plain", [list, set, frozenset], ids=["list", "set", "frozenset"])
+def test_subset_search_takes_keys_only(directed, plain):
+    # plain arcs, or keys in a plain container, raise TypeError naming
+    # `arc_keys`, sources or not: filtered as keys they would match no arc
+    # and give a root-only tree
+    g = Graph(4, [(0, 1), (1, 2), (2, 3)], directed)
+    keys = arc_keys(g, g.arcs)
+    for wrong in (plain(g.arcs), plain(keys)):
+        for sources in ([0], []):
+            with pytest.raises(TypeError, match=r"arc_keys\(graph, arcs\)"):
+                subset_bfs_parents(g, wrong, sources)
+        with pytest.raises(TypeError, match=r"arc_keys\(graph, arcs\)"):
+            shortest_path_tree(g, wrong, 0)
+    assert shortest_path_tree(g, keys, 0).parent == {1: 0, 2: 1, 3: 2}
 
 
 def cut_at_targets(dist, parent, wanted, need):
@@ -546,7 +564,7 @@ def test_bfs_kernel_matches_two_pass_references(n, seed, directed, bounded, targ
             assert list(dist.items()) == list(cut_dist.items())
             assert list(parent.items()) == list(cut_parent.items())
         arcs = rng.sample(list(graph.arcs), rng.randint(0, len(graph.arcs)))
-        got = subset_bfs_parents(graph, arcs, sorted(sources, reverse=True))
+        got = subset_bfs_parents(graph, arc_keys(graph, arcs), sorted(sources, reverse=True))
         want = reference_subset_bfs_parents(graph, arcs, sources)
         assert list(got.items()) == list(want.items())
 
@@ -576,11 +594,11 @@ def test_subset_bfs_reads_repeats_orientations_and_iterators(
     sources = set(rng.sample(range(n), rng.randint(1, min(3, n)))) if with_sources else set()
     bad = [(u, v) for u, v in arcs if not g.has_arc(u, v)]
     if bad:
-        # the first non-arc read is named, whether or not there are sources,
-        # by every reader of arcs
+        # the first non-arc read is named by `arc_keys`, whether or not
+        # there are sources, before any search reads the keys
         for read in (
-            lambda: subset_bfs_parents(g, (a for a in arcs), sources),
-            lambda: shortest_path_tree(g, (a for a in arcs), 0),
+            lambda: subset_bfs_parents(g, arc_keys(g, (a for a in arcs)), sources),
+            lambda: shortest_path_tree(g, arc_keys(g, (a for a in arcs)), 0),
             lambda: arc_keys(g, (a for a in arcs)),
         ):
             with pytest.raises(ValueError) as info:
@@ -588,7 +606,7 @@ def test_subset_bfs_reads_repeats_orientations_and_iterators(
             assert str(info.value) == f"arc {bad[0]} not present in the graph"
         return
     want = reference_subset_bfs_parents(g, arcs, sources)
-    got = subset_bfs_parents(g, (a for a in arcs), iter(sources))
+    got = subset_bfs_parents(g, arc_keys(g, (a for a in arcs)), iter(sources))
     assert list(got.items()) == list(want.items())
     # arcs encoded once as keys are read the same way
     keys = arc_keys(g, arcs)
@@ -770,5 +788,5 @@ def test_spt_metrics_match_tree_metrics_on_shortest_path_trees(n, seed, directed
     terminals = rng.sample([v for v in range(n) if v != root], rng.randint(1, n - 1))
     inst = MulticastInstance(g, root, terminals, 1)
     arcs = rng.sample(list(g.arcs), rng.randint(0, len(g.arcs)))
-    tree = shortest_path_tree(g, arcs, root)
+    tree = shortest_path_tree(g, arc_keys(g, arcs), root)
     assert spt_metrics(tree, inst.terminals) == tree_metrics(tree, inst)

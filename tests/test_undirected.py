@@ -27,7 +27,7 @@ from poisekit import undirected
 from poisekit.cover import _closest_representatives, default_iteration_cap
 from poisekit.driver import stage_budget
 from poisekit.errors import InfeasibleGuessError
-from poisekit.graph import bfs_parents, chain_parents, shortest_path_tree
+from poisekit.graph import ArcKeys, arc_keys, bfs_parents, chain_parents, shortest_path_tree
 from poisekit.undirected import SuperRound, _ceil_cbrt, stage_undirected
 
 from conftest import hub_stars_instance, middles_instance, random_graph, undirected_stream
@@ -88,7 +88,7 @@ def reference_good_vertex(graph, C, trees, threshold, D):
         union = {(p, u) for u, p in chain_parents(parent, [w for _, _, w in chosen]).items()}
         for _, i, _ in chosen:
             union |= trees[i].edges
-        return v, shortest_path_tree(graph, union, v)
+        return v, shortest_path_tree(graph, arc_keys(graph, union), v)
     return None
 
 
@@ -529,3 +529,45 @@ def test_shared_stage_matches_fresh_stages_on_random_instances(seed, rng):
         rng.shuffle(budgets)
         for B in budgets:
             assert _cell(stage, B) == _cell(_stage(inst, D), B)
+
+
+def _region_keys_grow_with_their_arcs(inst):
+    """Walk every cell of every row and check each round's region against
+    the arcs its walk added so far; the number of rounds that added any."""
+    grown = 0
+    for D in range(1, eccentricity(inst.graph, inst.root) + 2):
+        stage = _stage(inst, D)
+        if isinstance(stage, str):
+            continue
+        for B in range(1, len(inst.terminals) + 1):
+            try:
+                walked = stage._walk(B)[1]
+            except InfeasibleGuessError:
+                continue
+            added = []
+            for packing in walked:
+                added += packing.added
+                grown += bool(packing.added)
+                assert type(packing.arcs) is ArcKeys
+                assert packing.arcs == arc_keys(packing.graph, added)
+                assert packing.R == {packing.root, *(v for arc in added for v in arc)}
+    return grown
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=100, deadline=None)
+def test_region_keys_are_the_arcs_added_so_far_on_random_instances(seed):
+    # a round's region is its keys: the stage's empty set, then the keys of
+    # each step's added arcs joined to the last round's, and R their ends
+    _region_keys_grow_with_their_arcs(next(undirected_stream(1, seed)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: generate_instance(
+        "star-of-stars", {"branch": 10, "leaf": 4, "k": 30, "directed": False}
+    ),
+    hub_stars_instance,
+    lambda: generate_instance("grid", {"w": 8, "h": 8, "t": 24, "k": 12, "seed": 2}),
+], ids=["star-of-stars", "hub-stars", "grid"])
+def test_region_keys_are_the_arcs_added_so_far_on_multi_round_walks(make):
+    assert _region_keys_grow_with_their_arcs(make()) > 0
