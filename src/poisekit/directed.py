@@ -24,7 +24,6 @@ from .graph import (
     MulticastInstance,
     PoiseGuess,
     PoiseTree,
-    arc_keys,
     bfs_parents,
     chain_parents,
     reach_labels,
@@ -37,19 +36,11 @@ from .graph import (
 Arc = tuple[int, int]
 
 
-@dataclass(frozen=True)
-class GoodTree:
-    """A packed tree: root q, its arcs, and the exactly-rho terminals it holds."""
+@dataclass
+class GoodTree(PoiseTree):
+    """A packed tree: a `PoiseTree` with the exactly-rho terminals it holds."""
 
-    root_vertex: int
-    edges: frozenset[Arc]
-    terminals: frozenset[int]
-
-    def vertices(self) -> set[int]:
-        verts = {self.root_vertex}
-        for u, v in self.edges:
-            verts.update((u, v))
-        return verts
+    terminals: frozenset[int] = frozenset()
 
 
 def coverage_tree(
@@ -77,8 +68,7 @@ def coverage_tree(
         return None
     reached.sort(key=lambda v: (dist[v], v))
     kept = reached[:rho]
-    arcs = frozenset((p, v) for v, p in chain_parents(parent, kept).items())
-    return GoodTree(c, arcs, frozenset(kept))
+    return GoodTree(c, chain_parents(parent, kept), frozenset(kept))
 
 
 def rho_good_vertices(
@@ -137,18 +127,20 @@ def greedy_packing(
     return trees, frozenset(packed), frozenset(C)
 
 
-def _paths_to_tree_roots(
-    graph: Graph, sources: Iterable[int], trees: Sequence[GoodTree]
-) -> set[Arc]:
+def _stitch_keys(graph: Graph, sources: Iterable[int], trees: Sequence[GoodTree]) -> ArcKeys:
+    """The keys of the packed ``trees``' arcs and of the shortest paths from
+    the sources to their roots, all parent arcs read off the graph's rows;
+    raises InfeasibleGuessError when a root is unreachable."""
     if not trees:
-        return set()
+        return ArcKeys()
     dist, parent = bfs_parents(graph, sources)
     for tr in trees:
-        if tr.root_vertex not in dist:
+        if tr.root not in dist:
             raise InfeasibleGuessError(
-                f"packed-tree root {tr.root_vertex} is unreachable from the root region"
+                f"packed-tree root {tr.root} is unreachable from the root region"
             )
-    return {(p, v) for v, p in chain_parents(parent, [tr.root_vertex for tr in trees]).items()}
+    maps = [*(tr.parent for tr in trees), chain_parents(parent, [tr.root for tr in trees])]
+    return row_keys(graph, [(p, v) for m in maps for v, p in m.items()])
 
 
 def solve_many_trees(
@@ -162,10 +154,7 @@ def solve_many_trees(
     """
     if len(trees) < rho:
         raise ValueError(f"need at least rho={rho} trees, got {len(trees)}")
-    chosen = trees[:rho]
-    H = [arc for tr in chosen for arc in tr.edges]
-    H.extend(_paths_to_tree_roots(graph, [root], chosen))
-    return shortest_path_tree(graph, arc_keys(graph, H), root)
+    return shortest_path_tree(graph, _stitch_keys(graph, [root], trees[:rho]), root)
 
 
 def _multi_source_spt_arcs(
@@ -275,12 +264,9 @@ class Round:
 
     @functools.cached_property
     def base(self) -> ArcKeys:
-        """The keys of R's arcs, the packed trees' edges and the shortest
-        paths from R to their roots, only the latter two checked here;
-        raises InfeasibleGuessError when a root is unreachable."""
-        H = [arc for tr in self.trees for arc in tr.edges]
-        H.extend(_paths_to_tree_roots(self.graph, sorted(self.R), self.trees))
-        return ArcKeys(self.arcs.union(arc_keys(self.graph, H)))
+        """The keys of R's arcs, the packed trees' arcs and the shortest
+        paths from R to their roots (`_stitch_keys`)."""
+        return ArcKeys(self.arcs.union(_stitch_keys(self.graph, self.R, self.trees)))
 
     @functools.cached_property
     def row(self) -> CoverRow:
@@ -314,7 +300,7 @@ class Round:
 
     def trace(self, B: int) -> tuple[PoiseTree, dict[str, Any]]:
         trees = self.trees
-        good = [{"root": t.root_vertex, "terminals": sorted(t.terminals)} for t in trees]
+        good = [{"root": t.root, "terminals": sorted(t.terminals)} for t in trees]
         sizes = {"trees": len(trees), "vertices": len(self.packed),
                  "terminals": sum(len(t.terminals) for t in trees)}
         trace = {"solver": "directed", "rho": self.rho, "good_trees": good, "packing": sizes}

@@ -23,8 +23,10 @@ as an `ArcKeys`: each arc's integer key, the encoding `Graph` sorts by, an
 undirected edge under its (min, max) key, as `_keys` spells it (and
 `_bfs`'s arc filter, inline).  `subset_bfs_parents` and
 `shortest_path_tree` take keys only, so the caller states what it trusts:
-`arc_keys` checks each arc once, when it is encoded, and `row_keys` encodes
-arcs read off the graph's own rows without a check.  The searches run
+every arc a solver joins is a BFS parent arc, a cover's boundary pair or a
+packed tree's (itself a parent map), read off the graph's own rows, which
+`row_keys` encodes without a check; `arc_keys` checks each arc of a caller
+outside the solvers once, when it is encoded.  The searches run
 `_bfs` over the graph's own ascending rows with an arc filter that skips
 every arc whose key is not in the set: they build no successor lists and
 sort no rows.  A tree they build lists its vertices in BFS order, so
@@ -132,7 +134,9 @@ class Graph:
 
 
 def check_k(k: int, terminal_count: int) -> None:
-    """Raise ValueError unless the target count k lies in 1..terminal_count."""
+    """Raise ValueError unless the target count k is an int in 1..terminal_count."""
+    if type(k) is not int:
+        raise ValueError(f"k={k!r} is not an int")
     if not 1 <= k <= terminal_count:
         raise ValueError(f"need 1 <= k <= |terminals|, got k={k}, |S|={terminal_count}")
 
@@ -148,10 +152,11 @@ class MulticastInstance:
 
     def __init__(self, graph: Graph, root: int, terminals: Iterable[int], k: int):
         terminals = frozenset(terminals)
-        if not (0 <= root < graph.n):
-            raise ValueError("root out of range")
-        if any(not (0 <= t < graph.n) for t in terminals):
-            raise ValueError("terminal out of range")
+        for name, v in [("root", root), *(("terminal", t) for t in terminals)]:
+            if type(v) is not int:
+                raise ValueError(f"{name} {v!r} is not an int")
+            if not 0 <= v < graph.n:
+                raise ValueError(f"{name} out of range")
         if root in terminals:
             raise ValueError("root must not be a terminal")
         check_k(k, len(terminals))
@@ -169,6 +174,8 @@ class PoiseGuess:
     D: int
 
     def __post_init__(self):
+        if type(self.B) is not int or type(self.D) is not int:
+            raise ValueError(f"budgets must be ints, got B={self.B!r}, D={self.D!r}")
         if self.B < 1 or self.D < 1:
             raise ValueError(f"budgets must be at least 1, got B={self.B}, D={self.D}")
 
@@ -214,7 +221,8 @@ class PoiseTree:
         return depth
 
     def out_degrees(self) -> dict[int, int]:
-        deg = {v: 0 for v in self.vertices()}
+        """Out-degree of every included vertex; raises as `depths` does."""
+        deg = dict.fromkeys(self.depths(), 0)
         for p in self.parent.values():
             deg[p] += 1
         return deg

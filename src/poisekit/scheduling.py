@@ -32,12 +32,13 @@ class ValidationReport:
 def _broadcast_order(tree: PoiseTree) -> tuple[dict[int, int], dict[int, list[int]]]:
     """b(v) for every vertex of the tree (`broadcast_rounds`), and each
     vertex's children in the order it calls them: by b descending, ties to
-    the lowest id."""
-    children: dict[int, list[int]] = {v: [] for v in tree.vertices()}
+    the lowest id; raises ValueError as `PoiseTree.depths` does."""
+    depths = tree.depths()
+    children: dict[int, list[int]] = {v: [] for v in depths}
     for v, p in tree.parent.items():
         children[p].append(v)
     b: dict[int, int] = {}
-    for v, _ in sorted(tree.depths().items(), key=lambda item: -item[1]):
+    for v, _ in sorted(depths.items(), key=lambda item: -item[1]):
         kids = children[v]
         kids.sort(key=lambda c: (-b[c], c))
         b[v] = max((i + 1 + b[c] for i, c in enumerate(kids)), default=0)

@@ -25,10 +25,10 @@ from .graph import (
     PoiseGuess,
     PoiseTree,
     _keys,
-    arc_keys,
     bfs_parents,
     chain_parents,
     reach_labels,
+    row_keys,
     shortest_path_tree,
 )
 
@@ -107,10 +107,11 @@ def find_good_vertex_wrt_super(
         if len(closest) < threshold:
             return None
         chosen = sorted((d, i, w) for i, (d, w) in closest.items())[:threshold]
-        union = {(p, u) for u, p in chain_parents(parent, [w for _, _, w in chosen]).items()}
-        for _, i, _ in chosen:
-            union |= trees[i].edges
-        return shortest_path_tree(graph, arc_keys(graph, union), v)
+        paths = chain_parents(parent, [w for _, _, w in chosen])
+        # the BFS's and the packed trees' parent arcs, read off the graph's rows
+        union = [(p, u) for m in (paths, *(trees[i].parent for _, i, _ in chosen))
+                 for u, p in m.items()]
+        return shortest_path_tree(graph, row_keys(graph, union), v)
 
     first = min(C)
     tree = aggregate(first)
@@ -124,9 +125,12 @@ def find_good_vertex_wrt_super(
     return None
 
 
-def _merge_arcs(graph: Graph, region: ArcKeys, groups: Iterable[Iterable[Arc]]) -> list[Arc]:
+def _merge_arcs(
+    graph: Graph, region: ArcKeys, groups: Iterable[Iterable[Arc]]
+) -> tuple[list[Arc], set[int]]:
     """The arcs of ``groups`` whose edge is not in ``region`` yet, in group
-    order, each edge once, in the orientation it is first seen in."""
+    order, each edge once, in the orientation it is first seen in, and
+    their keys."""
     arcs = [arc for group in groups for arc in group]
     added: list[Arc] = []
     seen: set[int] = set()
@@ -134,7 +138,7 @@ def _merge_arcs(graph: Graph, region: ArcKeys, groups: Iterable[Iterable[Arc]]) 
         if key not in region and key not in seen:
             seen.add(key)
             added.append(arc)
-    return added
+    return added, seen
 
 
 class SuperRound(Round):
@@ -149,7 +153,8 @@ class SuperRound(Round):
     walk whose answer is a round's region never packs that round.
 
     The region's ``arcs`` are the keys of its edges: the previous round's
-    and those of ``added``, which `arc_keys` checks once, as they join.
+    and those `_merge_arcs` gives ``added``, unchecked, since each added arc
+    is read off the graph's rows (BFS parents, boundary pairs, packed trees).
     The round reads no degree budget: its cover does, and the next round is
     a function of this one and what the cover picked.  ``steps`` keeps each
     next round by those picks (None for the budget-free aggregation), so
@@ -226,7 +231,7 @@ class SuperRound(Round):
         forest = _cover_forest(self.graph, self.super_row, selection.chosen)
         t_c = sorted([(p, v) for v, p in forest.items()])
         reached = [self.trees[i] for i in sorted(selection.covered_elements)]
-        groups = [sorted(selection.chosen), t_c, *(sorted(tr.edges) for tr in reached)]
+        groups = [sorted(selection.chosen), t_c, *(sorted(tr.arcs()) for tr in reached)]
         covered = {v for tr in reached for v in tr.terminals}
         discarded = {v for tr in self.trees for v in tr.terminals if v in self.terminals}
         return self._advance(groups, covered, discarded)
@@ -239,11 +244,10 @@ class SuperRound(Round):
         the discarded terminals."""
         if not covered and not discarded:
             raise InfeasibleGuessError("iteration neither covered nor discarded terminals")
-        added = tuple(_merge_arcs(self.graph, self.arcs, groups))
-        arcs = ArcKeys(self.arcs.union(arc_keys(self.graph, added)))
+        added, keys = _merge_arcs(self.graph, self.arcs, groups)
         return SuperRound(
-            self.graph, self.root, self.R.union(*added), arcs,
-            self.terminals - discarded, self.rho, self.D, self.k, added, frozenset(covered),
+            self.graph, self.root, self.R.union(*added), ArcKeys(self.arcs.union(keys)),
+            self.terminals - discarded, self.rho, self.D, self.k, tuple(added), frozenset(covered),
         )
 
     def _record(
@@ -264,9 +268,7 @@ class SuperRound(Round):
     def small_record(self, it: int, tree: PoiseTree) -> dict[str, Any]:
         """The trace record of a last iteration ``it`` that completes this
         round's partition into ``tree``."""
-        arcs = list(tree.arcs())
-        keys = _keys(self.graph.n, self.graph.directed, arcs)
-        added = [a for a, key in zip(arcs, keys) if key not in self.arcs]
+        added, _ = _merge_arcs(self.graph, self.arcs, [tree.arcs()])
         covered = len(tree.vertices() & self.terminals)
         return self._record(it, "small", 0, added, covered, covered)
 

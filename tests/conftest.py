@@ -78,7 +78,7 @@ def trim_to_terminals(tree: PoiseTree, terminals, rho: int) -> GoodTree:
         raise ValueError(f"tree holds {len(ranked)} terminals, cannot trim to {rho}")
     kept = ranked[:rho]
     parent = chain_parents(tree.parent, kept)
-    return GoodTree(tree.root, frozenset((p, v) for v, p in parent.items()), frozenset(kept))
+    return GoodTree(tree.root, parent, frozenset(kept))
 
 
 def set_based_pm_cover(system, capacity, target, max_iterations=None):

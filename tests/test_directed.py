@@ -13,7 +13,6 @@ from poisekit import (
     Graph,
     MulticastInstance,
     PoiseGuess,
-    PoiseTree,
     complete,
     coverage_tree,
     exact_min_poise_ktree,
@@ -88,7 +87,7 @@ class TestCoverageTree:
     def test_single_arc(self):
         g = Graph(4, [(0, 1), (1, 3)], directed=True)
         tree = coverage_tree(g, {1, 3}, 1, {3}, rho=1, D=2)
-        assert tree.edges == {(1, 3)} and tree.terminals == {3}
+        assert tree.arcs() == {(1, 3)} and tree.terminals == {3}
 
     def test_no_terminal_in_radius_gives_single_vertex(self):
         g = Graph(4, [(1, 2), (2, 3)], directed=True)
@@ -116,13 +115,13 @@ class TestCoverageTree:
             if len(ranked) < rho:
                 assert good is None
                 continue
-            assert good.root_vertex == c
+            assert good.root == c
             assert good.terminals == {t for _, t in ranked[:rho]}
-            tree = PoiseTree(c, {v: p for p, v in good.edges})
-            depths = tree.depths()
-            assert len(tree.parent) == len(good.edges)  # one parent per vertex
+            depths = good.depths()
+            # a parent map holds one parent per vertex; each must be a graph arc
+            assert all(g.has_arc(p, v) for p, v in good.arcs())
             assert all(depths[v] == dist[v] for v in depths)
-            leaves = tree.vertices() - set(tree.parent.values())
+            leaves = good.vertices() - set(good.parent.values())
             assert leaves <= good.terminals | {c}
 
 
@@ -149,7 +148,7 @@ class TestGreedyPacking:
     def test_two_hubs_extracted(self):
         g = self.hub_graph()
         trees, packed, C = greedy_packing(g, set(range(1, 7)), {3, 4, 5, 6}, rho=2, D=2)
-        assert [t.root_vertex for t in trees] == [1, 2]
+        assert [t.root for t in trees] == [1, 2]
         assert packed == frozenset(range(1, 7))
         # final C is a packing
         for c in C:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -10,10 +12,12 @@ from poisekit import (
 )
 from poisekit.driver import BENCH_COLUMNS, bench_rows, solve_guess, stage_budget
 from poisekit.errors import GenerationError, InfeasibleGuessError
-from poisekit.graph import PoiseGuess, bfs_distances, is_normalized, tree_metrics
+from poisekit.graph import (
+    ArcKeys, PoiseGuess, arc_keys, bfs_distances, is_normalized, tree_metrics,
+)
 from poisekit.undirected import SuperRound
 
-from conftest import middles_instance
+from conftest import directed_stream, middles_instance, undirected_stream
 from poisekit.graph import normalize_terminals
 
 
@@ -151,7 +155,7 @@ def test_directed_row_builds_paths_to_packed_roots_once(monkeypatch):
     ))
     paths, completes = [], []
     monkeypatch.setattr(
-        directed, "_paths_to_tree_roots", _counting(paths, directed._paths_to_tree_roots)
+        directed, "_stitch_keys", _counting(paths, directed._stitch_keys)
     )
     monkeypatch.setattr(directed, "complete", _counting(completes, directed.complete))
     stage = stage_budget(inst, 5)
@@ -259,6 +263,93 @@ def test_layered_sweep_records_equal_tree_metrics_of_covered_cells():
     # read as `tree_metrics` measures them
     inst = generate_instance("layered-dag", {"width": 13, "depth": 2, "t": 13, "k": 10, "seed": 0})
     assert _records_match_tree_metrics(inst, "auto") > 0
+
+
+def _solver_keys_are_graph_arcs(inst, mode):
+    """Solve every cell of every row of ``inst`` under ``mode`` and check
+    that each key set the solvers encode without a check holds graph arcs
+    only: every walked round's base and region keys, and the keys each tree
+    is built over (the assembled and stitched trees, the found aggregate
+    and a region's tree), whose own arcs `arc_keys` checks too.  Returns
+    how many region, base and tree key sets it checked, and in how many
+    walked rounds it met a stitched tree, a found aggregate or an assembled
+    tree."""
+    from poisekit import directed, undirected
+
+    built = []
+
+    def recording(original):
+        def spt(graph, keys, root):
+            tree = original(graph, keys, root)
+            built.append((graph, keys, tree))
+            return tree
+        return spt
+
+    kinds = Counter()
+    every = {}
+
+    def check(kind, graph, keys):
+        if graph not in every:
+            every[graph] = arc_keys(graph, graph.arcs)
+        assert type(keys) is ArcKeys and keys <= every[graph], kind
+        kinds[kind] += 1
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (directed, undirected):
+            mp.setattr(module, "shortest_path_tree", recording(module.shortest_path_tree))
+        for D in range(1, eccentricity(inst.graph, inst.root) + 2):
+            try:
+                stage = stage_budget(inst, D, mode)
+            except InfeasibleGuessError:
+                continue
+            for B in range(1, len(inst.terminals) + 1):
+                try:
+                    walked = stage._walk(B)[1] if isinstance(stage, SuperRound) else [stage]
+                    stage.solve(B)
+                except InfeasibleGuessError:
+                    continue
+                for packing in walked:
+                    check("region", packing.graph, packing.arcs)
+                    try:
+                        check("base", packing.graph, packing.base)
+                    except InfeasibleGuessError:
+                        pass
+                    for name in ("stitched", "found"):
+                        kinds[name] += vars(packing).get(name) is not None
+                    kinds["assembled"] += len(packing.assembled)
+    for graph, keys, tree in built:
+        check("tree", graph, keys)
+        arc_keys(graph, tree.arcs())
+    return kinds
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    case=st.sampled_from([
+        (directed_stream, "auto"), (undirected_stream, "auto"), (undirected_stream, "directed"),
+    ]),
+)
+@settings(max_examples=150, deadline=None)
+def test_solver_keys_are_graph_arcs_on_random_instances(seed, case):
+    # every arc the solvers join is a BFS parent arc, a cover's boundary
+    # pair or a packed tree's parent arc, so they encode it with `row_keys`
+    # and never check it: each key must still be a key of the graph's arcs
+    stream, mode = case
+    assert _solver_keys_are_graph_arcs(next(stream(1, seed)), mode)["tree"] > 0
+
+
+def test_solver_keys_are_graph_arcs_on_every_branch():
+    kinds = Counter()
+    for model, params in [
+        ("star-of-stars", {"branch": 10, "leaf": 4, "k": 30, "directed": False}),
+        ("grid", {"w": 8, "h": 8, "t": 24, "k": 12, "seed": 2}),
+        ("layered-dag", {"width": 13, "depth": 2, "t": 13, "k": 10, "seed": 0}),
+        ("random-digraph", {"n": 60, "m": 300, "t": 12, "k": 9, "seed": 1}),
+    ]:
+        inst = generate_instance(model, params)
+        for mode in ("auto", "directed"):
+            kinds += _solver_keys_are_graph_arcs(inst, mode)
+    assert min(kinds[k] for k in ("region", "base", "tree", "stitched", "found", "assembled")) > 0
 
 
 def test_sweep_fails_loudly_when_its_metrics_disagree_with_tree_metrics(monkeypatch):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from poisekit import (
     Graph,
     MulticastInstance,
+    PoiseGuess,
     PoiseTree,
     bfs_distances,
     bfs_parents,
@@ -83,6 +84,33 @@ class TestInstance:
             MulticastInstance(g, 0, {1, 2}, 3)
         with pytest.raises(ValueError):
             MulticastInstance(g, 0, {1, 2}, 0)
+
+    @pytest.mark.parametrize("root, terminals, k, message", [
+        # unchecked, 0.5 is relabelled into a self-loop at vertex 1 when
+        # normalized, and 2.0 and 1.5 fail with a TypeError in the solver
+        (0.5, {1, 2}, 2, "root 0.5 is not an int"),
+        (True, {2}, 1, "root True is not an int"),
+        (0, {1, 2.0}, 2, "terminal 2.0 is not an int"),
+        (0, {1, "2"}, 2, "terminal '2' is not an int"),
+        (0, {1, 2}, 1.5, "k=1.5 is not an int"),
+        (0, {1, 2}, True, "k=True is not an int"),
+    ])
+    def test_non_int_root_terminal_or_k_is_named(self, root, terminals, k, message):
+        with pytest.raises(ValueError) as info:
+            MulticastInstance(path_graph(3), root, terminals, k)
+        assert str(info.value) == message
+
+
+@pytest.mark.parametrize("B, D, message", [
+    (1.5, 2, "budgets must be ints, got B=1.5, D=2"),
+    (True, 3, "budgets must be ints, got B=True, D=3"),
+    (2, 2.0, "budgets must be ints, got B=2, D=2.0"),
+    (1, None, "budgets must be ints, got B=1, D=None"),
+])
+def test_non_int_budget_is_named(B, D, message):
+    with pytest.raises(ValueError) as info:
+        PoiseGuess(B, D)
+    assert str(info.value) == message
 
 
 class TestBfsDistances:

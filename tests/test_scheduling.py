@@ -97,6 +97,16 @@ class TestTreeBroadcastSchedule:
         with pytest.raises(ValueError, match="parent map lists the root 0 as a key"):
             schedule_rounds(PoiseTree(0, {0: 1, 1: 0, 2: 1}))
 
+    @pytest.mark.parametrize("measure", [
+        broadcast_rounds, tree_broadcast_schedule,
+        lambda tree: round_lower_bounds(two_branch_instance(), tree),
+    ], ids=["broadcast_rounds", "tree_broadcast_schedule", "round_lower_bounds"])
+    def test_dangling_parent_is_named(self, measure):
+        # a parent that is not in the tree must not surface as KeyError: 5
+        with pytest.raises(ValueError) as info:
+            measure(PoiseTree(0, {1: 5}))
+        assert str(info.value) == "vertex 5 does not reach the root"
+
     def test_optimal_on_small_random_trees(self):
         rng = random.Random(26)
         for _ in range(60):
@@ -144,6 +154,12 @@ class TestValidateSchedule:
         with pytest.raises(ValueError) as info:
             validate_schedule(two_branch_instance(), Schedule(()), k)
         assert str(info.value) == f"need 1 <= k <= |terminals|, got k={k}, |S|=2"
+
+    @pytest.mark.parametrize("k", [1.5, 2.0, True])
+    def test_non_int_k_is_named(self, k):
+        with pytest.raises(ValueError) as info:
+            validate_schedule(two_branch_instance(), Schedule(()), k)
+        assert str(info.value) == f"k={k!r} is not an int"
 
 
 class TestRoundLowerBounds:

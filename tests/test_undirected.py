@@ -87,7 +87,7 @@ def reference_good_vertex(graph, C, trees, threshold, D):
         chosen = sorted((d, i, w) for i, (d, w) in closest.items())[:threshold]
         union = {(p, u) for u, p in chain_parents(parent, [w for _, _, w in chosen]).items()}
         for _, i, _ in chosen:
-            union |= trees[i].edges
+            union |= trees[i].arcs()
         return v, shortest_path_tree(graph, arc_keys(graph, union), v)
     return None
 
@@ -105,8 +105,7 @@ def random_supers(rng, graph):
         free = [x for x in graph.out_neighbors(r) if x not in used]
         children = rng.sample(free, min(len(free), rng.randint(0, 2)))
         used |= {r, *children}
-        edges = frozenset((r, x) for x in children)
-        supers.append(GoodTree(r, edges, frozenset(children) or frozenset({r})))
+        supers.append(GoodTree(r, {x: r for x in children}, frozenset(children) or frozenset({r})))
     return supers
 
 
@@ -128,8 +127,8 @@ def search_work(monkeypatch):
 class TestFindGoodVertexWrtSuper:
     def make_supers(self):
         return [
-            GoodTree(5, frozenset({(5, 6)}), frozenset({5, 6})),
-            GoodTree(7, frozenset({(7, 8)}), frozenset({7, 8})),
+            GoodTree(5, {6: 5}, frozenset({5, 6})),
+            GoodTree(7, {8: 7}, frozenset({7, 8})),
         ]
 
     def graph(self):
@@ -162,9 +161,9 @@ class TestFindGoodVertexWrtSuper:
         # screen for both, so it marks 4 and 5, whose BFSes fall short, before 6
         graph = Graph(8, [(0, 1), (1, 4), (4, 5), (5, 6), (6, 7)], directed=False)
         supers = [
-            GoodTree(5, frozenset(), frozenset({5})),
-            GoodTree(5, frozenset({(5, 6)}), frozenset({6})),
-            GoodTree(7, frozenset(), frozenset({7})),
+            GoodTree(5, {}, frozenset({5})),
+            GoodTree(5, {6: 5}, frozenset({6})),
+            GoodTree(7, {}, frozenset({7})),
         ]
         C = {1, 4, 5, 6, 7}
         got = find_good_vertex_wrt_super(graph, C, supers, 2, D=1)
