@@ -36,6 +36,7 @@ from .graph import (
     arc_keys,
     bfs_distances,
     bfs_parents,
+    denormalize_tree,
     eccentricity,
     is_normalized,
     normalize_terminals,

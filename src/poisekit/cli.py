@@ -17,12 +17,9 @@ from .generators import MODELS, generate_instance
 from .graph import (
     MulticastInstance,
     PoiseGuess,
-    PoiseTree,
-    invert_relabel,
+    denormalize_tree,
     is_normalized,
     normalize_terminals,
-    root_first_relabel,
-    strip_attached_leaves,
     tree_metrics,
 )
 from .oracle import exact_min_poise_ktree, exact_multicast_rounds
@@ -47,11 +44,17 @@ def _write(path: str, text: str) -> None:
         raise _fail(f"error: cannot write {path!r}: {exc.strerror or exc}")
 
 
-def _load_instance(path: str) -> MulticastInstance:
+def _read(kind: str, load, path: str):
+    """``load(path)``, the file read as an instance, tree or schedule (the
+    ``kind``); an unreadable or malformed file exits 1 with one line."""
     try:
-        return jsonio.load_instance(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
-        raise _fail(f"error: cannot read instance {path!r}: {exc}")
+        return load(path)
+    except (OSError, ValueError) as exc:
+        raise _fail(f"error: cannot read {kind} {path!r}: {exc}")
+
+
+def _load_instance(path: str) -> MulticastInstance:
+    return _read("instance", jsonio.load_instance, path)
 
 
 def _with_k(instance: MulticastInstance, k: int | None) -> MulticastInstance:
@@ -74,35 +77,6 @@ def _coerce(value: str):
         return int(value)
     except ValueError:
         return value
-
-
-class Prepared:
-    """An instance lifted to normalized shape plus the map back to the
-    caller's coordinates.  Already-normal instances pass through untouched."""
-
-    def __init__(self, original: MulticastInstance):
-        self.original = original
-        if is_normalized(original):
-            self.instance = original
-            self.relabel = None
-        else:
-            self.instance = normalize_terminals(original)
-            self.relabel = root_first_relabel(original.root, original.graph.n)
-
-    def tree_in_original(self, tree: PoiseTree) -> PoiseTree:
-        if self.relabel is None:
-            return tree
-        stripped = strip_attached_leaves(tree, self.original.graph.n)
-        inv = invert_relabel(self.relabel)
-        return PoiseTree(
-            inv[stripped.root], {inv[v]: inv[p] for v, p in stripped.parent.items()}
-        )
-
-    def metrics_pair(self, tree: PoiseTree) -> dict:
-        return {
-            "normalized": asdict(tree_metrics(tree, self.instance)),
-            "original": asdict(tree_metrics(self.tree_in_original(tree), self.original)),
-        }
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
@@ -132,41 +106,40 @@ def cmd_solve(args: argparse.Namespace) -> int:
     original = _with_k(_load_instance(args.input), args.k)
     if args.mode == "undirected" and original.graph.directed:
         raise _fail("error: --mode undirected needs an undirected graph")
-    prep = Prepared(original)
+    # the solvers need leaf terminals; the tree goes back in the caller's ids
+    instance = original if is_normalized(original) else normalize_terminals(original)
     if args.sweep:
-        report, tree = run_sweep(prep.instance, mode=args.mode)
+        report, tree = run_sweep(instance, mode=args.mode)
         result = report.to_dict()
         if tree is None:
             print(json.dumps(result))
             return EXIT_INFEASIBLE
-        result["metrics"] = prep.metrics_pair(tree)
-        print(json.dumps(result))
-        if args.out:
-            _write(args.out, jsonio.tree_to_json(prep.tree_in_original(tree)) + "\n")
         if args.trace:
-            best = stage_budget(prep.instance, report.best["D"], args.mode)
-            _write_trace(best.trace(report.best["B"])[1], args.trace)
-        return EXIT_OK
-    if args.B is None or args.D is None:
-        raise _fail("error: provide --B and --D, or use --sweep")
-    try:
-        guess = PoiseGuess(args.B, args.D)
-    except ValueError as exc:
-        raise _fail(f"error: {exc}")
-    try:
-        stage = stage_budget(prep.instance, guess.D, args.mode)
-        if args.trace:
-            tree, trace = stage.trace(guess.B)
-        else:
-            tree = stage.solve(guess.B)
-    except InfeasibleGuessError as exc:
-        print(json.dumps({"feasible": False, "B": args.B, "D": args.D, "reason": str(exc)}))
-        return EXIT_INFEASIBLE
-    print(json.dumps({
-        "feasible": True, "B": args.B, "D": args.D, "metrics": prep.metrics_pair(tree),
-    }))
+            best = stage_budget(instance, report.best["D"], args.mode)
+            trace = best.trace(report.best["B"])[1]
+    else:
+        if args.B is None or args.D is None:
+            raise _fail("error: provide --B and --D, or use --sweep")
+        try:
+            guess = PoiseGuess(args.B, args.D)
+        except ValueError as exc:
+            raise _fail(f"error: {exc}")
+        try:
+            stage = stage_budget(instance, guess.D, args.mode)
+            tree, trace = stage.trace(guess.B) if args.trace else (stage.solve(guess.B), None)
+        except InfeasibleGuessError as exc:
+            print(json.dumps({"feasible": False, "B": args.B, "D": args.D, "reason": str(exc)}))
+            return EXIT_INFEASIBLE
+        result = {"feasible": True, "B": args.B, "D": args.D}
+    back = tree if instance is original else denormalize_tree(tree, original)
+    normalized = asdict(tree_metrics(tree, instance))
+    result["metrics"] = {
+        "normalized": normalized,
+        "original": normalized if back is tree else asdict(tree_metrics(back, original)),
+    }
+    print(json.dumps(result))
     if args.out:
-        _write(args.out, jsonio.tree_to_json(prep.tree_in_original(tree)) + "\n")
+        _write(args.out, jsonio.tree_to_json(back) + "\n")
     if args.trace:
         _write_trace(trace, args.trace)
     return EXIT_OK
@@ -184,10 +157,7 @@ def _write_trace(trace: dict, path: str) -> None:
 
 def cmd_schedule(args: argparse.Namespace) -> int:
     instance = _load_instance(args.input)
-    try:
-        tree = jsonio.load_tree(args.tree)
-    except (OSError, ValueError) as exc:
-        raise _fail(f"error: cannot read tree {args.tree!r}: {exc}")
+    tree = _read("tree", jsonio.load_tree, args.tree)
     try:
         tree_metrics(tree, instance)
     except (ValueError, KeyError) as exc:
@@ -211,10 +181,7 @@ def cmd_schedule(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     instance = _with_k(_load_instance(args.input), args.k)
-    try:
-        schedule = jsonio.load_schedule(args.schedule)
-    except (OSError, ValueError) as exc:
-        raise _fail(f"error: cannot read schedule {args.schedule!r}: {exc}")
+    schedule = _read("schedule", jsonio.load_schedule, args.schedule)
     report = validate_schedule(instance, schedule, instance.k)
     text = json.dumps(report.to_dict())
     if args.out:

@@ -49,15 +49,22 @@ def stage_budget(
 
     The instance must already be in normalized shape (leaf terminals).
     """
+    # the mode is checked before pruning, which may already find D infeasible
+    return _stager(instance, mode)(prune_beyond(instance, D, root_dist), D)
+
+
+def _stager(instance: MulticastInstance, mode: str):
+    """The stage function of the solver ``mode`` names for this instance
+    ("auto" picks by orientation); raises ValueError for an unknown mode or
+    the undirected solver on a directed graph."""
     if mode == "auto":
         mode = "directed" if instance.graph.directed else "undirected"
     stagers = {"directed": stage_directed, "undirected": stage_undirected}
     if mode not in stagers:
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "undirected" and instance.graph.directed:
-        # before pruning, which may already find D infeasible
         raise ValueError("the undirected solver requires an undirected graph")
-    return stagers[mode](prune_beyond(instance, D, root_dist), D)
+    return stagers[mode]
 
 
 def solve_guess(
@@ -96,8 +103,10 @@ def run_sweep(
     `shortest_path_tree`, so `spt_metrics` reads its metrics off the BFS
     parent map; the best tree alone goes through the checking
     `tree_metrics`, and a disagreement raises RuntimeError.  Records are
-    reported in (B, D) order.
+    reported in (B, D) order.  The mode is checked up front, so a bad one
+    raises even when the root reaches nothing and there is no row.
     """
+    _stager(instance, mode)
     root_dist = bfs_distances(instance.graph, [instance.root])
     ecc = max(root_dist.values())
     t = len(instance.terminals)

@@ -10,7 +10,9 @@ rho-th terminal.  The question "which labels lie within D hops of a vertex"
 has one answer too, `reach_labels`: the rho-good screen and the
 super-terminal search ask it capped at rho, the coverage system uncapped.
 All tie-breaks (BFS parent choice, equal-distance choices) resolve to the
-lowest vertex id so every operation is reproducible.
+lowest vertex id so every operation is reproducible.  The normalized id
+layout (root 0, one leaf appended per terminal) is known only to
+`normalize_terminals` and its way back for trees, `denormalize_tree`.
 
 A `Graph` is built in one pass: each arc is checked once, in input order, and
 encoded by `_keys` as the integer u * n + v; one sort of the distinct keys
@@ -72,6 +74,10 @@ class Graph:
     directed: bool
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]], directed: bool):
+        if type(n) is not int:
+            raise ValueError(f"vertex count n={n!r} is not an int")
+        if type(directed) is not bool:
+            raise ValueError(f"directed={directed!r} is not a bool")
         if n < 1:
             raise ValueError("graph needs at least one vertex")
         arcs = list(arcs)
@@ -480,9 +486,11 @@ def normalize_terminals(instance: MulticastInstance) -> MulticastInstance:
     and each new leaf s' is appended after the original vertices with an arc
     s -> s' (an edge for undirected graphs).  Afterwards every terminal has
     out-degree 0 and in-degree 1 (degree 1 when undirected); k is unchanged.
+    `denormalize_tree` maps a tree of the result back to the instance's ids.
     """
     g = instance.graph
-    relabel = root_first_relabel(instance.root, g.n)
+    root = instance.root
+    relabel = [0 if v == root else (v + 1 if v < root else v) for v in range(g.n)]
     arcs = [(relabel[u], relabel[v]) for u, v in g.arcs]
     old_terms = sorted(relabel[t] for t in instance.terminals)
     n = g.n
@@ -508,16 +516,13 @@ def is_normalized(instance: MulticastInstance) -> bool:
     return True
 
 
-def root_first_relabel(root: int, n: int) -> list[int]:
-    """Order-preserving permutation sending the root to vertex 0."""
-    return [0 if v == root else (v + 1 if v < root else v) for v in range(n)]
-
-
-def invert_relabel(relabel: list[int]) -> list[int]:
-    inv = [0] * len(relabel)
-    for old, new in enumerate(relabel):
-        inv[new] = old
-    return inv
+def denormalize_tree(tree: PoiseTree, original: MulticastInstance) -> PoiseTree:
+    """A tree of ``normalize_terminals(original)`` in ``original``'s ids: the
+    attached leaves (every vertex >= ``original.graph.n``) are dropped and
+    the root relabel is undone, vertex 0 back to the root."""
+    n, root = original.graph.n, original.root
+    old = [root, *range(root), *range(root + 1, n)]  # old[new id] = old id
+    return PoiseTree(old[tree.root], {old[v]: old[p] for v, p in tree.parent.items() if v < n})
 
 
 def prune_beyond(
@@ -587,12 +592,6 @@ def spt_metrics(tree: PoiseTree, terminals: frozenset[int]) -> TreeMetrics:
             height += 1
     covered = len(terminals.intersection(parent)) + (tree.root in terminals)
     return TreeMetrics(degree, height, degree + height, covered)
-
-
-def strip_attached_leaves(tree: PoiseTree, original_n: int) -> PoiseTree:
-    """Drop vertices >= original_n (the attached terminal leaves) from a tree."""
-    parent = {v: p for v, p in tree.parent.items() if v < original_n}
-    return PoiseTree(tree.root, parent)
 
 
 def eccentricity(graph: Graph, root: int) -> int:

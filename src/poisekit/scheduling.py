@@ -107,7 +107,7 @@ def validate_schedule(instance: MulticastInstance, schedule: Schedule, k: int) -
         if set(senders) & set(receivers):
             return fail(i, "matching", "a vertex both sends and receives in one round")
         for s, r in rnd:
-            if not (0 <= s < g.n and 0 <= r < g.n) or not g.has_arc(s, r):
+            if not g.has_arc(s, r):
                 return fail(i, "arc", f"({s}, {r}) is not a usable arc (missing or misoriented)")
             if s not in informed:
                 return fail(i, "sender-uninformed", f"sender {s} does not know the message yet")

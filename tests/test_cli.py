@@ -1,12 +1,18 @@
+import contextlib
 import csv
 import io
 import json
 import os
+import random
 import subprocess
 import sys
+import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import poisekit
 from poisekit import jsonio
@@ -353,6 +359,45 @@ class TestOriginalCoordinates:
         for v, p in tree.parent.items():
             assert g.has_arc(p, v)
         assert {0, 3} <= tree.vertices()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        case=st.sampled_from([(True, "auto"), (False, "auto"), (False, "directed")]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_unnormalized_input_round_trips(self, seed, case):
+        # a root other than 0 and terminals that are not leaves: the written
+        # tree is a tree of the caller's instance, the reported original
+        # metrics are its metrics, and it schedules into a valid multicast
+        from poisekit import Graph, MulticastInstance, tree_metrics
+        from poisekit.graph import is_normalized
+
+        directed, mode = case
+        rng = random.Random(seed)
+        n = rng.randint(3, 8)
+        root = rng.randint(1, n - 1)
+        order = [root] + rng.sample([v for v in range(n) if v != root], n - 1)
+        arcs = [(rng.choice(order[:i]), v) for i, v in enumerate(order) if i]  # root reaches all
+        arcs += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 2 * n))]
+        g = Graph(n, arcs, directed)
+        terminals = rng.sample(order[1:], rng.randint(1, min(4, n - 1)))
+        inst = MulticastInstance(g, root, terminals, rng.randint(1, len(terminals)))
+        assume(not is_normalized(inst))
+        with tempfile.TemporaryDirectory() as tmp:
+            path, tree_path, sched_path = (os.path.join(tmp, f) for f in ("i", "t", "s"))
+            jsonio.save_instance(inst, path)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout):
+                assert run(["solve", "--input", path, "--sweep", "--mode", mode,
+                            "--out", tree_path]) == 0
+                tree = jsonio.load_tree(tree_path)
+                assert tree.root == root
+                metrics = tree_metrics(tree, inst)  # raises on a non-arc or a cycle
+                assert metrics.terminals_covered >= inst.k
+                assert json.loads(stdout.getvalue())["metrics"]["original"] == asdict(metrics)
+                assert run(["schedule", "--input", path, "--tree", tree_path,
+                            "--out", sched_path]) == 0
+                assert run(["validate", "--input", path, "--schedule", sched_path]) == 0
 
     def test_undirected_trace_is_json_lines(self, tmp_path):
         from poisekit import Graph, MulticastInstance

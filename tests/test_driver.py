@@ -47,6 +47,25 @@ class TestRunSweep:
             assert report.best["poise"] == m + 1
             assert report.best["poise"] == exact_min_poise_ktree(inst).poise_star
 
+    @pytest.mark.parametrize("directed, mode, message", [
+        (True, "bogus", "unknown mode 'bogus'"),
+        (False, "bogus", "unknown mode 'bogus'"),
+        (True, "undirected", "the undirected solver requires an undirected graph"),
+    ])
+    def test_mode_is_checked_when_the_root_reaches_nothing(self, directed, mode, message):
+        # the root has no out-arc (ecc 0), so the sweep stages no row; a bad
+        # mode must still raise, with stage_budget's message
+        from poisekit import Graph, MulticastInstance
+
+        inst = MulticastInstance(Graph(3, [(1, 2)], directed), 0, {2}, 1)
+        assert eccentricity(inst.graph, inst.root) == 0
+        for call in (lambda: run_sweep(inst, mode), lambda: stage_budget(inst, 1, mode)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+        report, tree = run_sweep(inst, "directed")
+        assert report.records == [] and tree is None
+
     def test_undirected_mode_on_directed_instance_rejected_at_every_D(self):
         # pruning finds the small height budgets infeasible; the mode is
         # rejected before that, so every D answers the same way

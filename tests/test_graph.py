@@ -12,6 +12,7 @@ from poisekit import (
     PoiseTree,
     bfs_distances,
     bfs_parents,
+    denormalize_tree,
     is_normalized,
     normalize_terminals,
     prune_beyond,
@@ -63,6 +64,21 @@ class TestGraph:
     def test_first_bad_arc_in_input_order_is_named(self, arcs, message, directed):
         with pytest.raises(ValueError) as info:
             Graph(3, arcs, directed)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("n, directed, message", [
+        # 3.0 failed in the row fill, True read as a 1-vertex graph, and any
+        # truthy directed flag, "false" included, built a directed graph
+        (3.0, True, "vertex count n=3.0 is not an int"),
+        (True, True, "vertex count n=True is not an int"),
+        ("3", False, "vertex count n='3' is not an int"),
+        (3, "false", "directed='false' is not a bool"),
+        (3, 1, "directed=1 is not a bool"),
+        (3, None, "directed=None is not a bool"),
+    ])
+    def test_non_int_n_or_non_bool_directed_is_named(self, n, directed, message):
+        with pytest.raises(ValueError) as info:
+            Graph(n, [(0, 1)], directed)
         assert str(info.value) == message
 
     @pytest.mark.parametrize("u, v", [(-1, 1), (3, 1), (0, -2), (0, 3)])
@@ -227,6 +243,27 @@ class TestNormalizeTerminals:
         inst = MulticastInstance(path_graph(4, directed=False), 0, {2, 3}, 2)
         norm = normalize_terminals(inst)
         assert is_normalized(norm)
+
+    @pytest.mark.parametrize("directed", [True, False])
+    def test_denormalize_tree_undoes_the_relabel_and_drops_the_leaves(self, directed):
+        # every BFS tree of an original instance, carried into the normalized
+        # ids with its terminals' leaves attached, comes back unchanged
+        rng = random.Random(33)
+        for _ in range(30):
+            n = rng.randint(2, 7)
+            g = random_graph(rng, n, rng.randint(n - 1, 2 * n), directed)
+            root = rng.randrange(n)
+            terms = rng.sample([v for v in range(n) if v != root], rng.randint(1, n - 1))
+            inst = MulticastInstance(g, root, terms, 1)
+            norm = normalize_terminals(inst)
+            new = [0 if v == root else (v + 1 if v < root else v) for v in range(n)]
+            tree = PoiseTree(root, bfs_parents(g, [root])[1])
+            parent = {new[v]: new[p] for v, p in tree.parent.items()}
+            for leaf, t in enumerate(sorted(new[t] for t in terms), start=n):
+                if t in parent:
+                    parent[leaf] = t
+            tree_metrics(PoiseTree(0, parent), norm)  # raises unless a tree of norm
+            assert denormalize_tree(PoiseTree(0, parent), inst) == tree
 
     def test_feasibility_shifts_by_at_most_one(self):
         # budgets feasible on the original stay feasible after attaching
