@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -29,6 +30,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INFEASIBLE = 2
 EXIT_INVALID = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a writer killed by it
 
 
 def _fail(message: str, code: int = EXIT_USAGE) -> SystemExit:
@@ -137,11 +139,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "normalized": normalized,
         "original": normalized if back is tree else asdict(tree_metrics(back, original)),
     }
-    print(json.dumps(result))
+    # the files first: a reader that closes stdout early must not lose them
     if args.out:
         _write(args.out, jsonio.tree_to_json(back) + "\n")
     if args.trace:
         _write_trace(trace, args.trace)
+    print(json.dumps(result))
     return EXIT_OK
 
 
@@ -281,12 +284,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _dispatch(argv: list[str] | None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
+
+
+def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code: EXIT_BROKEN_PIPE, with no
+    traceback, when the reader closed stdout (every command writes its
+    files before it prints)."""
+    try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # a closed stdout fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # as the SIGPIPE note in Python's signal docs does, so that the
+        # flush at exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

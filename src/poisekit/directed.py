@@ -93,28 +93,34 @@ def greedy_packing(
     terminals: Iterable[int],
     rho: int,
     D: int,
+    max_trees: int | None = None,
 ) -> tuple[list[GoodTree], frozenset[int], frozenset[int]]:
-    """Extract rho-good trees from C until none remain.
+    """Extract rho-good trees from C until none remain, or until
+    ``max_trees`` (a positive count) are out.
 
     Scans C once in ascending vertex order; each rho-good vertex's
     `coverage_tree` of exactly rho terminals moves its vertices from C into
     the packed set.  This extracts the same trees as restarting from the lowest
     id after each extraction: a vertex that is not rho-good in G[C] stays so
     when C shrinks.  For the same reason a `rho_good_vertices` screen of an
-    earlier, larger C rules candidates out: only the vertices it marks good
-    get a `coverage_tree`, and the screen is recomputed when one of them is
-    None.  Returns (trees, packed vertices, final C); the final C is a
-    rho-packing.
+    earlier, larger C rules candidates out.  The first screen waits for the
+    first candidate whose `coverage_tree` is None, and each later miss
+    recomputes it: only the vertices the latest screen marks good are tried,
+    so every screen follows exactly one miss.  A stopped packing is the
+    prefix of the full one.  Returns (trees, packed vertices, final C); the
+    final C is a rho-packing unless the scan stopped at ``max_trees``.
     """
     if rho < 1:
         raise ValueError("rho must be at least 1")
+    if max_trees is not None and max_trees < 1:
+        raise ValueError("max_trees must be at least 1")
     C = set(start_C)
     terminals = frozenset(terminals)
     packed: set[int] = set()
     trees: list[GoodTree] = []
-    screen = rho_good_vertices(graph, C, terminals, rho, D)
+    screen = None
     for c in sorted(C):
-        if c not in screen or c not in C:
+        if c not in C or (screen is not None and c not in screen):
             continue
         good = coverage_tree(graph, C, c, terminals, rho, D)
         if good is None:
@@ -124,6 +130,8 @@ def greedy_packing(
         C -= verts
         packed |= verts
         trees.append(good)
+        if len(trees) == max_trees:
+            break
     return trees, frozenset(packed), frozenset(C)
 
 
@@ -225,9 +233,12 @@ class Round:
 
     All of it reads only (R, the keys ``arcs`` of its arcs, D), so a sweep
     row keeps the round at R = {root} for every degree budget.  Its C,
-    packing (``trees`` and ``packed``), base arcs and terminal cover row are
-    built on first use; only the cover in `complete` reads the degree
-    budget.  The trees it assembles are kept in ``assembled`` by the cover's
+    packing (``trees`` and ``packed``, always the full packing, whose final
+    C is a rho-packing), base arcs and terminal cover row are built on first
+    use; only the cover in `complete` reads the degree budget.  ``stitched``
+    packs only the rho trees it stitches: a packing stopped there leaves a
+    C that need not be a rho-packing, so it never stands in for the full
+    one.  The trees it assembles are kept in ``assembled`` by the cover's
     picks, so budgets whose covers pick alike, every budget above an unbound
     cover's ``peak_load`` among them (`CoverRow`), share one tree object for
     as long as the round lives.
@@ -288,10 +299,18 @@ class Round:
     def stitched(self) -> PoiseTree | None:
         """The first rho packed trees stitched to the root when there are
         that many, which then answers every degree budget, else None.
-        Raises InfeasibleGuessError when a packed tree is unreachable."""
-        if len(self.trees) < self.rho:
+        Raises InfeasibleGuessError when a packed tree is unreachable.
+
+        It packs only those rho trees.  A packing that stops short of rho
+        was complete, so it becomes the round's packing; after a stop the
+        full packing is built only when ``trees`` or ``packed`` is read."""
+        trees, packed, _ = greedy_packing(
+            self.graph, self.C, self.terminals, self.rho, self.D, self.rho
+        )
+        if len(trees) < self.rho:
+            self._packing = tuple(trees), packed
             return None
-        return solve_many_trees(self.graph, self.root, list(self.trees), self.rho)
+        return solve_many_trees(self.graph, self.root, trees, self.rho)
 
     def solve(self, B: int) -> PoiseTree:
         if self.stitched is not None:
@@ -316,8 +335,8 @@ class Round:
 
 def stage_directed(instance: MulticastInstance, D: int) -> Round:
     """The packing round at {root}: it packs rho-terminal trees within height
-    D and, when there are at least rho of them, stitches them to the root;
-    otherwise it completes its partition at every degree budget.
+    D until rho are out and then stitches them to the root; when fewer
+    exist it completes its partition at every degree budget.
 
     Expects a normalized instance already pruned to radius D.  Raises
     InfeasibleGuessError when stitching finds a packed tree unreachable, which

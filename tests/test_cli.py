@@ -441,3 +441,38 @@ def test_unwritable_output_exits_one_with_one_line(site, inst_path, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {bad!r}: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["solve", "schedule", "validate"])
+def test_closed_stdout_exits_141_without_a_traceback_and_keeps_the_files(
+    command, inst_path, tmp_path
+):
+    # `poisekit solve --sweep --out t.json --trace tr.txt | true`: each
+    # command writes its files before it prints into the closed pipe
+    tree, trace = tmp_path / "tree.json", tmp_path / "trace.json"
+    sched, report = tmp_path / "sched.json", tmp_path / "report.json"
+    argv = {
+        "solve": ["solve", "--input", inst_path, "--sweep", "--out", str(tree),
+                  "--trace", str(trace)],
+        "schedule": ["schedule", "--input", inst_path, "--tree", str(tree), "--out", str(sched)],
+        "validate": ["validate", "--input", inst_path, "--schedule", str(sched),
+                     "--out", str(report)],
+    }
+    written = {"solve": [tree, trace], "schedule": [sched], "validate": [report]}
+    for name in argv:
+        assert run(argv[name]) == 0
+    expected = {path: path.read_text() for path in written[command]}
+    for path in expected:
+        path.unlink()
+    env = dict(os.environ, PYTHONPATH=str(Path(poisekit.__file__).parent.parent))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "poisekit.cli", *argv[command]],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (done.returncode, done.stderr) == (141, "")
+    assert {path: path.read_text() for path in expected} == expected

@@ -1,10 +1,11 @@
+import functools
 import heapq
 import math
 import random
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import poisekit.cover as cover
@@ -27,8 +28,8 @@ from poisekit import (
 from poisekit.cover import CoverRow
 from poisekit.directed import Round, stage_directed
 from poisekit.driver import stage_budget
-from poisekit.errors import InfeasibleGuessError
-from poisekit.graph import arc_keys, reach_labels
+from poisekit.errors import GenerationError, InfeasibleGuessError
+from poisekit.graph import arc_keys, bfs_distances, reach_labels
 
 from conftest import (
     directed_stream,
@@ -58,6 +59,17 @@ def is_rho_good(graph, C, c, terminals, rho, D) -> bool:
     hops inside G[C], by its full coverage tree."""
     tree = full_coverage_tree(graph, C, c, terminals, D)
     return len(tree.vertices() & frozenset(terminals)) >= rho
+
+
+def counting(mp, calls):
+    """Count calls to each `directed` function named in ``calls``."""
+    for name in calls:
+        real = getattr(directed, name)
+
+        def call(*a, _name=name, _real=real, **kw):
+            calls[_name] += 1
+            return _real(*a, **kw)
+        mp.setattr(directed, name, call)
 
 
 def ceil_sqrt(k: int) -> int:
@@ -210,27 +222,18 @@ class TestGreedyPacking:
     def counted_packing(*args):
         """greedy_packing's result plus its coverage_tree and screen calls."""
         calls = {"coverage_tree": 0, "rho_good_vertices": 0}
-
-        def counted(name):
-            real = getattr(directed, name)
-
-            def call(*a, **kw):
-                calls[name] += 1
-                return real(*a, **kw)
-            return call
-
         with pytest.MonkeyPatch.context() as mp:
-            for name in calls:
-                mp.setattr(directed, name, counted(name))
+            counting(mp, calls)
             result = greedy_packing(*args)
         return result, calls
 
-    def test_no_rho_good_vertex_builds_no_coverage_tree(self):
-        # each hub holds two terminals, so no vertex reaches three
+    def test_no_rho_good_vertex_tries_one_candidate_and_screens_once(self):
+        # each hub holds two terminals, so no vertex reaches three: the
+        # lowest vertex misses, and its screen rules out every other one
         g = self.hub_graph()
         (trees, _, C), calls = self.counted_packing(g, set(range(1, 7)), {3, 4, 5, 6}, 3, 2)
         assert trees == [] and C == frozenset(range(1, 7))
-        assert calls == {"coverage_tree": 0, "rho_good_vertices": 1}
+        assert calls == {"coverage_tree": 1, "rho_good_vertices": 1}
         # nor does any vertex of a wide shallow layered DAG
         layered = generate_instance(
             "layered-dag", {"width": 30, "depth": 2, "t": 30, "k": 25, "seed": 3}
@@ -240,16 +243,29 @@ class TestGreedyPacking:
         (trees, _, _), calls = self.counted_packing(
             g, set(g.vertices()) - {layered.root}, layered.terminals, rho, 2
         )
-        assert trees == [] and calls["coverage_tree"] == 0
+        assert trees == [] and calls == {"coverage_tree": 1, "rho_good_vertices": 1}
 
-    @given(case=packing_cases(max_n=40))
-    @settings(max_examples=40, deadline=None)
-    def test_coverage_trees_only_for_screened_candidates(self, case):
-        # every packed tree is a candidate's coverage tree, and every other
-        # candidate sends the scan to a new screen
-        (trees, _, _), calls = self.counted_packing(*case)
-        recomputes = calls["rho_good_vertices"] - 1
-        assert len(trees) <= calls["coverage_tree"] <= len(trees) + recomputes
+    @given(case=packing_cases(max_n=40), max_trees=st.sampled_from([None, 1, 2, 3]))
+    @settings(max_examples=60, deadline=None)
+    def test_each_screen_follows_exactly_one_miss(self, case, max_trees):
+        # every candidate tried either packs a tree or misses, and each miss,
+        # and nothing else, computes a screen, stopped packings included
+        (trees, _, _), calls = self.counted_packing(*case, max_trees)
+        assert calls["coverage_tree"] == len(trees) + calls["rho_good_vertices"]
+
+    @given(case=packing_cases(max_n=40), max_trees=st.integers(1, 6))
+    @settings(max_examples=80, deadline=None)
+    def test_stopped_packing_is_the_full_packings_prefix(self, case, max_trees):
+        g, C, terms, rho, D = case
+        full, _, _ = greedy_packing(g, C, terms, rho, D)
+        trees, packed, final_C = greedy_packing(g, C, terms, rho, D, max_trees)
+        assert trees == full[:max_trees]
+        assert packed == frozenset().union(*[t.vertices() for t in trees])
+        assert final_C == frozenset(C) - packed
+
+    def test_max_trees_below_one_is_rejected(self):
+        with pytest.raises(ValueError, match="max_trees"):
+            greedy_packing(self.hub_graph(), set(range(1, 7)), {3, 4, 5, 6}, 2, 2, 0)
 
     @given(case=packing_cases(max_n=30))
     @example(  # a terminal candidate counts itself at distance 0
@@ -612,3 +628,105 @@ def test_row_runs_the_heap_greedy_once_per_coverage_system(monkeypatch):
     monkeypatch.undo()
     for B, tree in trees.items():
         assert tree.parent == stage_budget(inst, 3).solve(B).parent
+
+
+def test_stitched_row_packs_only_its_rho_trees():
+    # hubs 1 and 2 hold two terminals each and hub 7 one: k = 4 stitches
+    # rho = 2 trees, the first two candidates', with no screen at all; only
+    # reading the full packing tries hub 7, whose miss screens once
+    arcs = [(0, 1), (0, 2), (0, 7), (1, 3), (1, 4), (2, 5), (2, 6), (7, 8)]
+    inst = MulticastInstance(Graph(9, arcs, directed=True), 0, {3, 4, 5, 6, 8}, 4)
+    calls = {"coverage_tree": 0, "rho_good_vertices": 0, "greedy_packing": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        counting(mp, calls)
+        stage = stage_directed(inst, 2)
+        assert stage.stitched is not None and "_packing" not in vars(stage)
+        assert stage.solve(1) is stage.solve(4) is stage.stitched
+        assert calls == {"coverage_tree": 2, "rho_good_vertices": 0, "greedy_packing": 1}
+        assert [t.root for t in stage.trees] == [1, 2]
+        assert calls == {"coverage_tree": 5, "rho_good_vertices": 1, "greedy_packing": 2}
+
+
+def test_short_packing_is_the_rounds_packing():
+    # fewer than rho trees: the packing stitched asked for ran to the end,
+    # so the round completes its partition from it and never packs again
+    inst = generate_instance("layered-dag", {"width": 30, "depth": 2, "t": 30, "k": 25, "seed": 3})
+    calls = {"greedy_packing": 0}
+    with pytest.MonkeyPatch.context() as mp:
+        counting(mp, calls)
+        stage = stage_budget(inst, 3)
+        assert stage.stitched is None and stage.trees == ()
+        for B in range(1, len(inst.terminals) + 1):
+            outcome(stage.trace, B)
+        assert calls == {"greedy_packing": 1}
+
+
+class EagerRound(Round):
+    """The round with the full packing read first: ``stitched`` stitches the
+    first rho of all the packed trees."""
+
+    @functools.cached_property
+    def stitched(self):
+        if len(self.trees) < self.rho:
+            return None
+        return solve_many_trees(self.graph, self.root, list(self.trees), self.rho)
+
+
+@st.composite
+def directed_rows(draw):
+    """A directed-solver stage (``mode="directed"``) of a random graph of
+    either orientation, at a height budget D no lower than the k-th nearest
+    terminal's distance, so pruning keeps k terminals."""
+    n = draw(st.integers(3, 30))
+    orientation = draw(st.booleans())
+    t = draw(st.integers(1, n - 1))
+    m = min(draw(st.integers(n, 3 * n)), n * (n - 1) // (1 if orientation else 2))
+    params = {"n": n, "m": m, "t": t, "k": draw(st.integers(1, t)),
+              "directed": orientation, "seed": draw(st.integers(0, 10**6))}
+    try:
+        inst = generate_instance("random-digraph", params)
+    except GenerationError:
+        assume(False)
+    dist = bfs_distances(inst.graph, [inst.root])
+    d_k = sorted(dist[v] for v in inst.terminals if v in dist)[inst.k - 1]
+    return stage_budget(inst, draw(st.integers(d_k, max(dist.values()) + 1)), "directed")
+
+
+def full_packing(stage):
+    g = stage.graph
+    return greedy_packing(g, set(g.vertices()) - {stage.root}, stage.terminals, stage.rho, stage.D)
+
+
+@given(stage=directed_rows())
+@settings(max_examples=80, deadline=None)
+def test_stitched_stitches_the_full_packings_first_rho_trees(stage):
+    trees, _, _ = full_packing(stage)
+    if len(trees) < stage.rho:
+        assert stage.stitched is None
+    else:
+        assert stage.stitched == solve_many_trees(stage.graph, stage.root, trees, stage.rho)
+
+
+@given(stage=directed_rows())
+@settings(max_examples=80, deadline=None)
+def test_trees_read_after_stitched_are_the_full_packing(stage):
+    trees, packed, _ = full_packing(stage)
+    assert "stitched" in vars(stage)
+    assert stage.trees == tuple(trees) and stage.packed == packed
+
+
+def outcome(call, *args):
+    try:
+        return call(*args)
+    except InfeasibleGuessError as exc:
+        return str(exc)
+
+
+@given(stage=directed_rows())
+@settings(max_examples=80, deadline=None)
+def test_trace_and_solve_match_a_round_that_packs_in_full_first(stage):
+    eager = EagerRound(stage.graph, stage.root, stage.R, stage.arcs, stage.terminals,
+                       stage.rho, stage.D, stage.k)
+    for B in range(1, len(stage.terminals) + 1):
+        assert outcome(stage.trace, B) == outcome(eager.trace, B)
+        assert outcome(stage.solve, B) == outcome(eager.solve, B)
