@@ -11,7 +11,6 @@ from .errors import GenerationError, InfeasibleGuessError
 from .generators import generate_instance
 from .graph import (
     MulticastInstance,
-    PoiseGuess,
     PoiseTree,
     TreeMetrics,
     bfs_distances,
@@ -67,21 +66,12 @@ def _stager(instance: MulticastInstance, mode: str):
     return stagers[mode]
 
 
-def solve_guess(
-    instance: MulticastInstance,
-    guess: PoiseGuess,
-    mode: str = "auto",
-    stage: Round | None = None,
-) -> PoiseTree:
-    """Solve one (B, D) guess: solve ``stage``, the guess's D-only stage
-    from `stage_budget`, at degree budget B.  Without ``stage`` it is built
-    here, so an infeasible row raises its InfeasibleGuessError here too.
-
-    The instance must already be in normalized shape (leaf terminals).
+def solve_guess(stage: Round, B: int) -> PoiseTree:
+    """Solve one (B, D) guess: ``stage``, the row's D-only stage from
+    `stage_budget`, solved at degree budget B.  `run_sweep` solves every
+    cell of a staged row through this one call.
     """
-    if stage is None:
-        stage = stage_budget(instance, guess.D, mode)
-    return stage.solve(guess.B)
+    return stage.solve(B)
 
 
 def run_sweep(
@@ -128,7 +118,7 @@ def run_sweep(
                 rec = {"B": B, "D": D, "feasible": False, "reason": reason}
             else:
                 try:
-                    tree = solve_guess(instance, PoiseGuess(B, D), mode, stage=stage)
+                    tree = solve_guess(stage, B)
                     if id(tree) not in measured:
                         measured[id(tree)] = tree, spt_metrics(tree, instance.terminals)
                     m = measured[id(tree)][1]

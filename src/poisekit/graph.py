@@ -6,13 +6,15 @@ and answer adjacency queries in both directions.  Every BFS (`bfs_distances`,
 `_bfs`, which gives distances and the lowest-id parent one level up in a
 single pass and checks its depth and target bounds between levels, where
 all it keeps is final: a packing candidate's search ends at the level of its
-rho-th terminal.  The question "which labels lie within D hops of a vertex"
-has one answer too, `reach_labels`: the rho-good screen and the
-super-terminal search ask it capped at rho, the coverage system uncapped.
-All tie-breaks (BFS parent choice, equal-distance choices) resolve to the
-lowest vertex id so every operation is reproducible.  The normalized id
-layout (root 0, one leaf appended per terminal) is known only to
-`normalize_terminals` and its way back for trees, `denormalize_tree`.
+rho-th terminal.  `bfs_distances` searches the whole graph, `bfs_parents`
+takes the bounds, and a source or neighbour query outside 0..n-1 is a
+ValueError.  The question "which labels lie within D hops of a vertex" has
+one answer too, `reach_labels`: the rho-good screen and the super-terminal
+search ask it capped at rho, the coverage system uncapped.  All tie-breaks
+(BFS parent choice, equal-distance choices) resolve to the lowest vertex id
+so every operation is reproducible.  The normalized id layout (root 0, one
+leaf appended per terminal) is known only to `normalize_terminals` and its
+way back for trees, `denormalize_tree`.
 
 A `Graph` is built in one pass: each arc is checked once, in input order, and
 encoded by `_keys` as the integer u * n + v; one sort of the distinct keys
@@ -58,6 +60,12 @@ def _keys(n: int, directed: bool, arcs: Iterable[tuple[int, int]]) -> list[int]:
     same expression inline, since a call per scanned arc would cost more than
     the scan."""
     return [u * n + v if directed or u < v else v * n + u for u, v in arcs]
+
+
+def _check_vertex(v: int, n: int, role: str) -> None:
+    """Raise ValueError unless v is in 0..n-1: -1 would read row n - 1."""
+    if not 0 <= v < n:
+        raise ValueError(f"{role} {v} is not a vertex of the {n}-vertex graph")
 
 
 @dataclass(frozen=True)
@@ -112,9 +120,11 @@ class Graph:
         object.__setattr__(self, "_in", adjacency)
 
     def out_neighbors(self, v: int) -> tuple[int, ...]:
+        _check_vertex(v, self.n, "vertex")
         return self._out[v]  # type: ignore[attr-defined]
 
     def in_neighbors(self, v: int) -> tuple[int, ...]:
+        _check_vertex(v, self.n, "vertex")
         return self._in[v]  # type: ignore[attr-defined]
 
     def has_arc(self, u: int, v: int) -> bool:
@@ -267,9 +277,11 @@ def _bfs(
     the level above is scanned, and a bounded search keeps the full search's
     entries up to its last level, in the same order.
     """
-    dist = dict.fromkeys(sorted(set(sources)), 0)
-    if not dist:
+    order = sorted(set(sources))
+    if not order:
         raise ValueError("sources must be nonempty")
+    _check_vertex(order[0] if order[0] < 0 else order[-1], len(adjacency), "source")
+    dist = dict.fromkeys(order, 0)
     if restriction is not None and any(s not in restriction for s in dist):
         raise ValueError("sources must lie inside the restriction")
     wanted, need = targets if targets is not None else (None, 0)
@@ -300,19 +312,13 @@ def _bfs(
     return dist, parent
 
 
-def bfs_distances(
-    graph: Graph,
-    sources: Iterable[int],
-    restriction: set[int] | frozenset[int] | None = None,
-    max_depth: int | None = None,
-) -> dict[int, int]:
-    """Exact hop distances from a source set inside an induced subgraph.
+def bfs_distances(graph: Graph, sources: Iterable[int]) -> dict[int, int]:
+    """Exact hop distances from a source set over the whole graph.
 
-    Unreachable vertices are absent from the result.  When ``restriction`` is
-    given, both sources and traversal are confined to it.  With ``max_depth``
-    the search stops there: only vertices within that many hops are returned.
+    Unreachable vertices are absent from the result.  A search bounded by a
+    restriction or a depth is `bfs_parents`'s.
     """
-    return _bfs(graph._out, sources, restriction, max_depth)[0]  # type: ignore[attr-defined]
+    return _bfs(graph._out, sources)[0]  # type: ignore[attr-defined]
 
 
 def bfs_parents(
@@ -325,10 +331,11 @@ def bfs_parents(
     """(distances, parents) with the lowest-id parent at each distance level.
 
     Sources carry no parent.  Parent of v is the smallest-id in-neighbor of v
-    at distance dist(v) - 1 within the restriction.  ``max_depth`` bounds the
-    search as in `bfs_distances`; ``targets`` (wanted, need) stops it after
-    the first level by which ``need`` vertices of ``wanted`` are reached.
-    Neither changes a distance or parent it keeps.
+    at distance dist(v) - 1 within the restriction.  With ``restriction``,
+    both sources and traversal are confined to it; ``max_depth`` stops the
+    search after that many hops, and ``targets`` (wanted, need) after the
+    first level by which ``need`` vertices of ``wanted`` are reached.
+    Neither bound changes a distance or parent it keeps.
     """
     return _bfs(graph._out, sources, restriction, max_depth, targets)  # type: ignore[attr-defined]
 

@@ -74,10 +74,11 @@ def find_good_vertex_wrt_super(
     trees: Sequence[GoodTree],
     threshold: int,
     D: int,
-) -> tuple[int, PoiseTree] | None:
-    """First vertex of C (ascending) reaching ``threshold`` super-terminals
-    within D hops in G[C], together with the tree aggregating them.  Super-
-    terminal i is the packed tree ``trees[i]``, represented by its vertices.
+) -> PoiseTree | None:
+    """The tree aggregating ``threshold`` super-terminals within D hops in
+    G[C], rooted at the first vertex of C (ascending) that reaches that many,
+    or None when no vertex does.  Super-terminal i is the packed tree
+    ``trees[i]``, represented by its vertices.
 
     Distance to a super-terminal is the minimum over its representatives; the
     aggregate tree joins the BFS path to the closest representative of each of
@@ -116,13 +117,10 @@ def find_good_vertex_wrt_super(
     first = min(C)
     tree = aggregate(first)
     if tree is not None:
-        return first, tree
+        return tree
     held = reach_labels(graph, C, location, D, threshold)
-    for v in sorted(v for v, have in held.items() if len(have) >= threshold and v != first):
-        tree = aggregate(v)
-        if tree is not None:
-            return v, tree
-    return None
+    marked = sorted(v for v, have in held.items() if len(have) >= threshold and v != first)
+    return next((tree for tree in map(aggregate, marked) if tree is not None), None)
 
 
 def _merge_arcs(
@@ -146,8 +144,9 @@ class SuperRound(Round):
     region the iteration before it left: the arcs that iteration ``added``
     to R, in merge order, and the terminals it ``covered`` (both empty in
     the first round).  When the round packs at least rho trees, each packed
-    tree is a super-terminal: C is searched for a vertex aggregating rho of
-    them, joined to R when found, or else they are covered from the
+    tree is a super-terminal: ``found`` is the tree aggregating rho of them,
+    rooted at the first vertex of C that reaches that many, or None.  A found
+    tree is joined to R; otherwise the supers are covered from the
     super-terminal row.  Each of these is built on first use, as are the
     `Round`'s C and packing and the ``cap`` on the cover's iterations, so a
     walk whose answer is a round's region never packs that round.
@@ -188,7 +187,7 @@ class SuperRound(Round):
         return shortest_path_tree(self.graph, self.arcs, self.root)
 
     @functools.cached_property
-    def found(self) -> tuple[int, PoiseTree] | None:
+    def found(self) -> PoiseTree | None:
         return find_good_vertex_wrt_super(self.graph, self.C, self.trees, self.rho, self.D)
 
     @functools.cached_property
@@ -217,7 +216,7 @@ class SuperRound(Round):
         """Join the found tree to R: the BFS path from R to its nearest
         vertex, then the tree's own arcs, sorted.  Raises
         InfeasibleGuessError when no vertex of the tree is reachable."""
-        _, big = self.found
+        big = self.found
         dist, parent = bfs_parents(self.graph, sorted(self.R))
         candidates = [(dist[w], w) for w in big.vertices() if w in dist]
         if not candidates:
@@ -296,21 +295,18 @@ class SuperRound(Round):
         return self._walk(B)[0]
 
     def trace(self, B: int) -> tuple[PoiseTree, dict[str, Any]]:
-        """``solve(B)``'s tree with a record and a detail per iteration of its
-        walk.  Each branch discards only terminals of the round it leaves."""
+        """``solve(B)``'s tree with a record per iteration of its walk.  Each
+        branch discards only terminals of the round it leaves."""
         tree, walked, completes = self._walk(B)
-        log, detail = [], []
+        log = []
         for it, (before, after) in enumerate(zip(walked, walked[1:]), 1):
             branch = "pmcover" if before.found is None else "large"
-            discarded = before.terminals - after.terminals
+            discarded = len(before.terminals - after.terminals)
             log.append(before._record(it, branch, len(before.trees), after.added,
-                                      len(after.covered), len(discarded)))
-            covered = sorted(after.covered)
-            detail.append({"iter": it, "branch": branch, "covered_terminals": covered,
-                           "discarded_terminals": sorted(discarded)})
+                                      len(after.covered), discarded))
         if completes:
             log.append(walked[-1].small_record(len(walked), tree))
-        return tree, {"solver": "undirected", "iterations": log, "detail": detail}
+        return tree, {"solver": "undirected", "iterations": log}
 
 
 def stage_undirected(instance: MulticastInstance, D: int) -> SuperRound:

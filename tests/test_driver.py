@@ -13,7 +13,7 @@ from poisekit import (
 from poisekit.driver import BENCH_COLUMNS, bench_rows, solve_guess, stage_budget
 from poisekit.errors import GenerationError, InfeasibleGuessError
 from poisekit.graph import (
-    ArcKeys, PoiseGuess, arc_keys, bfs_distances, is_normalized, tree_metrics,
+    ArcKeys, arc_keys, bfs_distances, is_normalized, tree_metrics,
 )
 from poisekit.undirected import SuperRound
 
@@ -76,7 +76,7 @@ class TestRunSweep:
             with pytest.raises(ValueError, match="requires an undirected graph"):
                 stage_budget(inst, D, "undirected")
             with pytest.raises(ValueError, match="requires an undirected graph"):
-                solve_guess(inst, PoiseGuess(1, D), "undirected")
+                solve_guess(stage_budget(inst, D, "undirected"), 1)
         with pytest.raises(ValueError, match="requires an undirected graph"):
             run_sweep(inst, "undirected")
 
@@ -472,16 +472,16 @@ def test_infeasible_rows_are_written_without_solving(monkeypatch):
         reasons[D] = str(info.value)
         for B in range(1, len(inst.terminals) + 1):
             with pytest.raises(InfeasibleGuessError) as info:
-                solve_guess(inst, PoiseGuess(B, D))
+                solve_guess(stage_budget(inst, D), B)
             assert str(info.value) == reasons[D]
     assert reasons
 
     solved = set()
 
-    def refusing(instance, guess, mode="auto", stage=None):
-        assert guess.D not in reasons, "the sweep solved an infeasible row"
-        solved.add(guess.D)
-        return solve_guess(instance, guess, mode, stage)
+    def refusing(stage, B):
+        assert stage.D not in reasons, "the sweep solved an infeasible row"
+        solved.add(stage.D)
+        return solve_guess(stage, B)
 
     monkeypatch.setattr(driver, "solve_guess", refusing)
     report, tree = run_sweep(inst)
@@ -491,3 +491,34 @@ def test_infeasible_rows_are_written_without_solving(monkeypatch):
     for rec in written:
         assert list(rec) == ["B", "D", "feasible", "reason", "wall_ms"]
         assert rec["feasible"] is False and rec["reason"] == reasons[rec["D"]]
+
+
+@pytest.mark.parametrize("model, params", [
+    ("layered-dag", {"width": 30, "depth": 2, "t": 30, "k": 24, "seed": 0}),
+    ("grid", {"w": 4, "h": 4, "t": 6, "k": 4, "directed": False, "seed": 1}),
+], ids=["directed", "undirected"])
+def test_sweep_solves_each_cell_of_a_staged_row_once(monkeypatch, model, params):
+    # the benchmark counts the sweep's cells through `solve_guess`: one call
+    # per cell of every row `stage_budget` stages, none for a refused row
+    from poisekit import driver
+
+    inst = generate_instance(model, params)
+    budgets = range(1, len(inst.terminals) + 1)
+    staged, refused = [], []
+    for D in range(1, eccentricity(inst.graph, inst.root) + 1):
+        try:
+            stage_budget(inst, D)
+            staged.append(D)
+        except InfeasibleGuessError:
+            refused.append(D)
+    assert staged and refused
+    calls = Counter()
+
+    def counting(stage, B):
+        calls[stage.D, B] += 1
+        return solve_guess(stage, B)
+
+    monkeypatch.setattr(driver, "solve_guess", counting)
+    report, _ = run_sweep(inst)
+    assert calls == Counter({(D, B): 1 for D in staged for B in budgets})
+    assert len(report.records) == len(budgets) * (len(staged) + len(refused))

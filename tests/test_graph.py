@@ -13,6 +13,7 @@ from poisekit import (
     bfs_distances,
     bfs_parents,
     denormalize_tree,
+    eccentricity,
     is_normalized,
     normalize_terminals,
     prune_beyond,
@@ -87,6 +88,17 @@ class TestGraph:
         g = Graph(3, [(0, 1), (2, 1)], directed=True)
         assert not g.has_arc(u, v)
 
+    @pytest.mark.parametrize("directed", [True, False])
+    @pytest.mark.parametrize("v", [-1, -4, 4])
+    def test_neighbors_off_the_vertex_range_are_named(self, directed, v):
+        # vertex -1 must not read vertex 3's row, which holds the arc (3, 0)
+        g = Graph(4, [(0, 1), (1, 2), (3, 0)], directed)
+        assert not g.has_arc(v, 0)
+        for neighbors in (g.out_neighbors, g.in_neighbors):
+            with pytest.raises(ValueError) as info:
+                neighbors(v)
+            assert str(info.value) == f"vertex {v} is not a vertex of the 4-vertex graph"
+
 
 class TestInstance:
     def test_root_cannot_be_terminal(self):
@@ -140,7 +152,7 @@ class TestBfsDistances:
 
     def test_restriction_disconnects(self):
         g = path_graph(3)
-        assert bfs_distances(g, {0}, restriction={0, 2}) == {0: 0}
+        assert bfs_parents(g, {0}, restriction={0, 2})[0] == {0: 0}
 
     def test_empty_sources_rejected(self):
         with pytest.raises(ValueError):
@@ -148,7 +160,7 @@ class TestBfsDistances:
 
     def test_sources_outside_restriction_rejected(self):
         with pytest.raises(ValueError):
-            bfs_distances(path_graph(3), {0}, restriction={1, 2})
+            bfs_parents(path_graph(3), {0}, restriction={1, 2})
 
     def test_matches_floyd_warshall_on_random_graphs(self):
         rng = random.Random(7)
@@ -210,7 +222,7 @@ class TestShortestPathTree:
             tree = shortest_path_tree(g, arc_keys(g, arcs), 0)
             sub_vertices = {0} | {u for a in arcs for u in a}
             sub = Graph(n, arcs, g.directed)
-            dist = bfs_distances(sub, {0}, restriction=sub_vertices)
+            dist = bfs_parents(sub, {0}, restriction=sub_vertices)[0]
             depths = tree.depths()
             assert set(depths) == set(dist)
             for v, d in depths.items():
@@ -528,6 +540,27 @@ class TestBfsKernel:
         assert parent[5] == 3
         assert subset_bfs_parents(g, arc_keys(g, g.arcs), [0])[5] == 3
 
+    @pytest.mark.parametrize("sources, bad", [([-1], -1), ([2, -1, 0], -1), ([0, 4], 4)])
+    def test_source_off_the_vertex_range_is_named(self, sources, bad):
+        # source -1 must not search from vertex 3, whose row holds the arc (3, 0)
+        g = Graph(4, [(0, 1), (1, 2), (3, 0)], directed=True)
+        keys = arc_keys(g, [(3, 0), (0, 1)])
+        searches = [
+            lambda: bfs_distances(g, sources),
+            lambda: bfs_parents(g, sources),
+            lambda: bfs_parents(g, sources, restriction=set(sources), max_depth=1),
+            lambda: subset_bfs_parents(g, keys, sources),
+        ]
+        if len(sources) == 1:
+            searches += [
+                lambda: eccentricity(g, bad),
+                lambda: shortest_path_tree(g, keys, bad),
+            ]
+        for search in searches:
+            with pytest.raises(ValueError) as info:
+                search()
+            assert str(info.value) == f"source {bad} is not a vertex of the 4-vertex graph"
+
     def test_subset_without_sources_has_no_parents(self):
         g = path_graph(3)
         assert subset_bfs_parents(g, arc_keys(g, {(0, 1)}), []) == {}
@@ -618,9 +651,8 @@ def test_bfs_kernel_matches_two_pass_references(n, seed, directed, bounded, targ
         dist, parent = bfs_parents(graph, sources, restriction, depth)
         assert list(dist.items()) == list(ref_dist.items())
         assert list(parent.items()) == list(ref_parent.items())
-        assert list(bfs_distances(graph, sources, restriction, depth).items()) == list(
-            ref_dist.items()
-        )
+        whole = reference_bfs_parents(graph, sources)[0]
+        assert list(bfs_distances(graph, sources).items()) == list(whole.items())
         if targets is not None:
             # stopping at the targets keeps the full search's entries up to
             # its stop level, in the same order
@@ -806,10 +838,10 @@ def random_locations(rng: random.Random, n: int, overlapping: bool) -> dict:
 
 def reference_reach(graph, C, location, D):
     """Each vertex of C -> the elements with a representative in C within D
-    hops of it in G[C], from one depth-bounded `bfs_distances` per vertex."""
+    hops of it in G[C], from one depth-bounded `bfs_parents` per vertex."""
     want = {}
     for v in C:
-        dist = bfs_distances(graph, [v], restriction=C, max_depth=D)
+        dist = bfs_parents(graph, [v], restriction=C, max_depth=D)[0]
         want[v] = {e for e, reps in location.items() if any(w in dist for w in reps)}
     return want
 

@@ -9,12 +9,12 @@ orientation and undirected random graphs mix the small, large and cover
 iterations, which share their cover rows; directed random graphs pack many
 trees through the screened greedy packing.  The undirected stars of stars
 and grids are swept by the directed solver too (``mode="directed"``), the
-one solver choice that changes behaviour.  Every feasible cell of
-the sweep grid must give a valid k-tree with a valid optimal schedule, and
-the row-staged solve must agree with an unstaged solve at every degree
-budget, both along the sweep's own path (ascending budgets on one stage,
-whose cover rows keep a selection once the degree budget stops binding) and
-in descending order on a fresh stage.
+one solver choice that changes behaviour.  Every feasible cell of the
+sweep grid must give a valid k-tree with a valid optimal schedule, and the
+row-staged solve must agree with a solve on a stage built for that cell
+alone at every degree budget, both along the sweep's own path (ascending
+budgets on one stage, whose cover rows keep a selection once the degree
+budget stops binding) and in descending order on a fresh stage.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from poisekit import eccentricity, generate_instance, tree_metrics
-from poisekit.driver import solve_guess, stage_budget
+from poisekit.driver import stage_budget
 from poisekit.errors import GenerationError, InfeasibleGuessError
-from poisekit.graph import PoiseGuess
 from poisekit.scheduling import broadcast_rounds, tree_broadcast_schedule, validate_schedule
 
 
@@ -59,7 +58,7 @@ def check_every_cell(instance, mode: str = "auto") -> list[str]:
         previous = None
         for B in budgets:
             staged = swept[B]
-            unstaged = _outcome(lambda: solve_guess(instance, PoiseGuess(B, D), mode))
+            unstaged = _outcome(lambda: stage_budget(instance, D, mode).solve(B))
             if staged is previous and not isinstance(staged, str):
                 branches.append("kept")
             previous = staged

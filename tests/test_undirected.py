@@ -76,7 +76,8 @@ class TestSmall:
 
 def reference_good_vertex(graph, C, trees, threshold, D):
     """The super-terminal search as one BFS per vertex of C, in ascending
-    order, kept here only to check the search against."""
+    order, kept here only to check the search against: the aggregate tree,
+    rooted at the first vertex that reaches ``threshold`` supers, or None."""
     C = frozenset(C)
     owner = {w: i for i, tr in enumerate(trees) for w in tr.vertices()}
     for v in sorted(C):
@@ -88,7 +89,7 @@ def reference_good_vertex(graph, C, trees, threshold, D):
         union = {(p, u) for u, p in chain_parents(parent, [w for _, _, w in chosen]).items()}
         for _, i, _ in chosen:
             union |= trees[i].arcs()
-        return v, shortest_path_tree(graph, arc_keys(graph, union), v)
+        return shortest_path_tree(graph, arc_keys(graph, union), v)
     return None
 
 
@@ -136,10 +137,9 @@ class TestFindGoodVertexWrtSuper:
 
     def test_adjacent_vertex_aggregates_both(self, search_work):
         supers = self.make_supers()
-        got = find_good_vertex_wrt_super(self.graph(), set(range(4, 9)), supers, 2, D=1)
-        assert got is not None
-        v, tree = got
-        assert v == 4
+        tree = find_good_vertex_wrt_super(self.graph(), set(range(4, 9)), supers, 2, D=1)
+        assert tree is not None
+        assert tree.root == 4
         assert {5, 6, 7, 8} <= tree.vertices()
         # the lowest vertex of C succeeds: no screen runs
         assert search_work == {"bfs_parents": 1}
@@ -149,11 +149,10 @@ class TestFindGoodVertexWrtSuper:
         # vertex next to both supers
         graph = Graph(9, [*self.graph().arcs, (0, 1)], directed=False)
         C = {1, 4, 5, 6, 7, 8}
-        got = find_good_vertex_wrt_super(graph, C, self.make_supers(), 2, D=1)
-        assert got is not None
-        v, tree = got
-        assert v == 4
-        assert tree.parent == reference_good_vertex(graph, C, self.make_supers(), 2, 1)[1].parent
+        tree = find_good_vertex_wrt_super(graph, C, self.make_supers(), 2, D=1)
+        assert tree is not None
+        assert tree.root == 4
+        assert tree.parent == reference_good_vertex(graph, C, self.make_supers(), 2, 1).parent
         assert search_work == {"bfs_parents": 2, "reach_labels": 1}
 
     def test_marked_vertex_that_falls_short_is_passed_over(self, search_work):
@@ -168,8 +167,8 @@ class TestFindGoodVertexWrtSuper:
         C = {1, 4, 5, 6, 7}
         got = find_good_vertex_wrt_super(graph, C, supers, 2, D=1)
         want = reference_good_vertex(graph, C, supers, 2, 1)
-        assert got is not None and got[0] == want[0] == 6
-        assert got[1].parent == want[1].parent
+        assert got is not None and got.root == want.root == 6
+        assert got.parent == want.parent
         assert search_work == {"bfs_parents": 4, "reach_labels": 1}
 
     def test_zero_radius_finds_only_members(self):
@@ -206,8 +205,8 @@ class TestFindGoodVertexWrtSuper:
                         outcomes["none"] += 1
                         continue
                     assert got is not None
-                    assert (got[0], got[1].parent) == (want[0], want[1].parent)
-                    outcomes["first" if got[0] == min(C) else "later"] += 1
+                    assert (got.root, got.parent) == (want.root, want.parent)
+                    outcomes["first" if got.root == min(C) else "later"] += 1
         assert min(outcomes[o] for o in ("none", "first", "later", "outside")) > 0
 
     def test_failing_search_on_clusters_is_one_bfs_and_one_screen(self, search_work):
@@ -239,6 +238,7 @@ class TestStaging:
         stage = stage_budget(inst, 3)
         for B in range(1, len(inst.terminals) + 1):
             _, trace = stage.trace(B)
+            assert set(trace) == {"solver", "iterations"}
             assert [r["branch"] for r in trace["iterations"]] == ["large", "pmcover"]
         first = stage.trees
         assert len(first) == 4
@@ -256,6 +256,7 @@ class TestSolveUndirected:
         assert stage.solve(8) is tree
         m = tree_metrics(tree, inst)
         assert m.terminals_covered == 8
+        assert set(trace) == {"solver", "iterations"}
         assert [r["branch"] for r in trace["iterations"]] == ["small"]
 
     def test_constructed_large_then_pmcover(self):
@@ -331,12 +332,14 @@ class TestSolveUndirected:
             opt_terms = res.best_tree.vertices() & inst.terminals
             stage = stage_undirected(prune_beyond(inst, res.D_star), res.D_star)
             _, trace = stage.trace(res.B_star)
-            for rec in trace["detail"]:
+            _, walked, _ = stage._walk(res.B_star)
+            # each stepped iteration's terminals, from the rounds it leaves and enters
+            for rec, before, after in zip(trace["iterations"], walked, walked[1:]):
                 if rec["branch"] != "pmcover":
                     continue
                 checked += 1
-                overlap = len(set(rec["discarded_terminals"]) & opt_terms)
-                assert len(rec["covered_terminals"]) >= overlap
+                overlap = len((before.terminals - after.terminals) & opt_terms)
+                assert len(after.covered) >= overlap
         assert checked >= 1  # the constructed instance always exercises it
 
 
@@ -382,10 +385,12 @@ def test_pmcover_discards_the_terminals_in_the_rounds_packed_trees():
         except InfeasibleGuessError:
             continue
         _, trace = stage.trace(B)
-        for record, before in zip(trace["detail"], walked):
+        for record, before, after in zip(trace["iterations"], walked, walked[1:]):
             if record["branch"] == "pmcover":
                 packed = set().union(*(tr.vertices() for tr in before.trees))
-                assert record["discarded_terminals"] == sorted(before.terminals & packed)
+                discarded = before.terminals - after.terminals
+                assert sorted(discarded) == sorted(before.terminals & packed)
+                assert record["discarded"] == len(discarded)
                 checked += 1
     assert checked
 
@@ -496,8 +501,8 @@ def test_shared_stage_solves_every_budget_as_a_fresh_stage(monkeypatch, make):
             # another call, so a caller that mutates one spoils nothing
             (_, first), (_, second) = stage.trace(B), stage.trace(B)
             assert first == second
-            for key in ("iterations", "detail"):
-                assert not {id(r) for r in first[key]} & {id(r) for r in second[key]}
+            records = [{id(r) for r in trace["iterations"]} for trace in (first, second)]
+            assert not records[0] & records[1]
         # every round a walk goes on from is packed; none it ends on is,
         # nor builds its C = V - R
         assert all(id(r) in packed_ids for walked, _ in walks for r in walked[:-1])
